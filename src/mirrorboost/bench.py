@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import (
-    Algorithm,
-    AlphaMode,
-    BoosterConfig,
-    BoostResult,
-    margin_accuracy_gap,
-    run,
-    worst_margin_reference_divergence,
-)
+from . import bounds
+from .boosting import Algorithm, AlphaMode, BoosterConfig, BoostResult, run
 from .data import gen_blobs, gen_combined, gen_noisy
 from .errors import ConfigurationError
 from .geometry import (
@@ -39,17 +32,13 @@ from .oracles import (
     orthant_l1_argmin,
 )
 from .projection import (
-    SIMPLEX,
-    UNIT_HYPERCUBE,
     project_capped_simplex,
-    project_double,
     project_hypercube_entropic,
+    project_hypercube_simplex,
     project_mixed,
     project_orthant_l1,
     project_simplex,
 )
-
-SLACK = 1e-9
 
 
 @dataclass
@@ -67,42 +56,32 @@ def _theorem1_worst_violation(result: BoostResult) -> float:
     sum_gamma_sq = 0.0
     worst = -math.inf
     for tr in result.traces:
-        sum_gamma_sq += tr.gamma**2
-        bound = (
-            math.exp(-0.5 * sum_gamma_sq) if entropic else 1.0 / (1.0 + sum_gamma_sq)
-        )
-        worst = max(worst, tr.train_error - bound)
+        sum_gamma_sq += tr.gamma * tr.gamma
+        worst = max(worst, tr.train_error - bounds.theorem1(sum_gamma_sq, entropic))
     return worst
 
 
-def criterion_thm1_entropy() -> CriterionResult:
+def _thm1_criterion(name, geometry, rounds, formula, limit) -> CriterionResult:
     t0 = time.perf_counter()
     data = gen_blobs(0, 200, 0.3)
-    result = run(BoosterConfig(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 200), data)
+    result = run(BoosterConfig(Algorithm.MABOOST_ACTIVE, geometry, rounds), data)
     worst = _theorem1_worst_violation(result)
     elapsed = time.perf_counter() - t0
     return CriterionResult(
-        "thm1-entropy",
-        f"error - exp(-sum gamma^2/2) <= {SLACK:g}, runtime < 5 s",
+        name,
+        f"error - {formula} <= {bounds.SLACK:g}, runtime < {limit:g} s",
         f"worst gap {worst:.3g} over {len(result.traces)} rounds, {elapsed:.2f} s",
-        worst <= SLACK and elapsed < 5.0,
+        bounds.within(worst, 0.0) and elapsed < limit,
         elapsed,
     )
+
+
+def criterion_thm1_entropy() -> CriterionResult:
+    return _thm1_criterion("thm1-entropy", NEGATIVE_ENTROPY, 200, "exp(-sum gamma^2/2)", 5.0)
 
 
 def criterion_thm1_quadratic() -> CriterionResult:
-    t0 = time.perf_counter()
-    data = gen_blobs(0, 200, 0.3)
-    result = run(BoosterConfig(Algorithm.MABOOST_ACTIVE, QUADRATIC, 500), data)
-    worst = _theorem1_worst_violation(result)
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        "thm1-quadratic",
-        f"error - 1/(1 + sum gamma^2) <= {SLACK:g}, runtime < 10 s",
-        f"worst gap {worst:.3g} over {len(result.traces)} rounds, {elapsed:.2f} s",
-        worst <= SLACK and elapsed < 10.0,
-        elapsed,
-    )
+    return _thm1_criterion("thm1-quadratic", QUADRATIC, 500, "1/(1 + sum gamma^2)", 10.0)
 
 
 def criterion_lazy_bounds() -> CriterionResult:
@@ -118,9 +97,9 @@ def criterion_lazy_bounds() -> CriterionResult:
             rounds += len(result.traces)
     return CriterionResult(
         "lazy-bounds",
-        f"lazy updates meet the same round-by-round bounds, gap <= {SLACK:g}",
+        f"lazy updates meet the same round-by-round bounds, gap <= {bounds.SLACK:g}",
         f"worst gap {worst:.3g} over {rounds} rounds",
-        worst <= SLACK,
+        bounds.within(worst, 0.0),
         time.perf_counter() - t0,
     )
 
@@ -175,7 +154,8 @@ def criterion_sparse_thm4() -> CriterionResult:
     t0 = time.perf_counter()
     n = 200
     problems = []
-    for mode, c in ((AlphaMode.ZERO, 1.0), (AlphaMode.HALF, 0.25)):
+    for mode in (AlphaMode.ZERO, AlphaMode.HALF):
+        half = mode is AlphaMode.HALF
         for data in (gen_blobs(0, n, 0.3), gen_noisy(0, n, 0.1)):
             result = run(
                 BoosterConfig(Algorithm.SPARSE, QUADRATIC, 100, alpha_mode=mode),
@@ -183,12 +163,13 @@ def criterion_sparse_thm4() -> CriterionResult:
             )
             sum_term = 0.0
             for tr in result.traces:
-                sum_term += tr.gamma**2 * tr.y_l1**2
-                if tr.train_error > 1.0 / (1.0 + c * sum_term) + SLACK:
+                sum_term += bounds.sparse_term(tr.gamma, tr.y_l1)
+                if not bounds.within(tr.train_error, bounds.sparse(sum_term, half)):
                     problems.append(f"{mode.value} bound broken at round {tr.t}")
-            if mode is AlphaMode.ZERO:
+            if not half:
+                floor = bounds.sparse_mass_floor(n)
                 for prev, tr in zip(result.traces, result.traces[1:]):
-                    if prev.train_error > 0 and tr.y_l1 < 1.0 / n - SLACK:
+                    if prev.train_error > 0 and not bounds.reaches(tr.y_l1, floor):
                         problems.append(f"zero-mode mass floor broken at round {tr.t}")
     half_noisy = run(
         BoosterConfig(Algorithm.SPARSE, QUADRATIC, 50, alpha_mode=AlphaMode.HALF),
@@ -215,9 +196,10 @@ def criterion_mada_thm5() -> CriterionResult:
         gamma_min = math.inf
         for tr in result.traces:
             gamma_min = min(gamma_min, tr.gamma)
-            if tr.y_l1 < n * tr.train_error - SLACK:
+            if not bounds.reaches(tr.y_l1, bounds.mada_mass_floor(n, tr.train_error)):
                 problems.append(f"mass floor broken at round {tr.t}")
-            if tr.train_error**2 > 1.0 / (tr.t * gamma_min**2) + SLACK:
+            err_sq = tr.train_error * tr.train_error
+            if not bounds.within(err_sq, bounds.mada_rate(tr.t, gamma_min)):
                 problems.append(f"rate bound broken at round {tr.t}")
     return CriterionResult(
         "mada-thm5",
@@ -236,8 +218,8 @@ def criterion_maxmargin_thm2() -> CriterionResult:
         gen_blobs(1, n, 0.4),
     )
     gamma_min = min(tr.gamma for tr in result.traces)
-    c = worst_margin_reference_divergence(NEGATIVE_ENTROPY, n)
-    nu = margin_accuracy_gap(len(result.traces), 1.0, c, gamma_min)
+    c = bounds.worst_margin_reference_divergence(NEGATIVE_ENTROPY, n)
+    nu = bounds.margin_accuracy_gap(len(result.traces), 1.0, c, gamma_min)
     margin = result.traces[-1].margin
     elapsed = time.perf_counter() - t0
     passed = margin >= gamma_min - nu and margin > 0 and elapsed < 30.0
@@ -366,7 +348,7 @@ def _lemma_checks(rng) -> list[str]:
             problems.append("l1/linf Fenchel-Young broken")
         # double projection never increases the divergence to feasible points
         zp = np.exp(rng.uniform(-1.5, 1.5, size=dim))
-        double = project_double(NEGATIVE_ENTROPY, zp, UNIT_HYPERCUBE, SIMPLEX)
+        double = project_hypercube_simplex(zp)
         xs = _random_simplex_point(rng, dim)
         if divergence(NEGATIVE_ENTROPY, xs, zp) < divergence(
             NEGATIVE_ENTROPY, xs, double

@@ -1,12 +1,12 @@
-"""The five boosters built on the geometry, projection and stump modules.
+"""The five booster families, driven by one round loop.
 
-All boosters share the same skeleton: train a stump on the current
+Every booster is the same mirror-ascent round: train a stump on the current
 distribution, compute its edge, take an additive step in the dual
 coordinates of the chosen geometry, and project back onto the algorithm's
-constraint set. They differ in the step-size schedule, the constraint set,
-and the auxiliary state (projected weights, unprojected dual point, or an
-unnormalized positive vector). Every run appends a per-round trace and
-asserts the applicable training-error bound as it goes.
+constraint set. ``run`` is that round; a small per-family policy supplies
+the step size, the dual update plus projection, the per-round invariant and
+record, and the stop rule. Every run appends a per-round trace and asserts
+the applicable training-error bound (from ``bounds``) as it goes.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bounds
 from .data import Dataset
 from .errors import (
     BoundViolationError,
     ConfigurationError,
     NoWeakLearnabilityError,
+    ParseError,
     UsageError,
 )
 from .geometry import Geometry, GeometryKind
@@ -29,7 +31,6 @@ from .projection import project_mixed, project_orthant_l1, project_simplex
 from .stumps import Stump, edge, loss_vector, sign_pm, train_stump
 
 EDGE_TOL = 1e-12
-BOUND_SLACK = 1e-9
 
 
 class Algorithm(enum.Enum):
@@ -65,6 +66,10 @@ class BoosterConfig:
     def validate(self) -> None:
         if self.rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
+        # k first: the CLI's default smooth target is 1/k, out of range for k < 1
+        if self.algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED):
+            if self.k is None or self.k < 1.0:
+                raise ConfigurationError("smoothness parameter k must be >= 1")
         if not 0.0 <= self.target_error <= 1.0:
             raise ConfigurationError("target_error must be in [0, 1]")
         if self.algorithm is Algorithm.SPARSE:
@@ -75,14 +80,8 @@ class BoosterConfig:
         if self.algorithm is Algorithm.MADA:
             if self.geometry.kind is not GeometryKind.NEGATIVE_ENTROPY:
                 raise ConfigurationError("the MadaBoost variant requires the entropy geometry")
-        if self.algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED):
-            if self.k is None or self.k < 1.0:
-                raise ConfigurationError("smoothness parameter k must be >= 1")
-        if self.algorithm is Algorithm.SMOOTH and self.k is not None:
-            if self.target_error < 1.0 / self.k:
-                raise ConfigurationError(
-                    "smooth boosting requires target_error >= 1/k"
-                )
+        if self.algorithm is Algorithm.SMOOTH and self.target_error < 1.0 / self.k:
+            raise ConfigurationError("smooth boosting requires target_error >= 1/k")
 
 
 @dataclass
@@ -142,291 +141,31 @@ def _error(score: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _check_bound(err: float, bound: float, t: int, what: str) -> None:
-    if err > bound + BOUND_SLACK:
+    if not bounds.within(err, bound):
         raise BoundViolationError(
             f"round {t}: {what} {err:.6g} exceeds its bound {bound:.6g}"
         )
 
 
-def worst_margin_reference_divergence(g: Geometry, n: int) -> float:
-    """B_R(e_i, uniform): the constant C in the margin accuracy gap."""
-    if g.kind is GeometryKind.QUADRATIC:
-        return 0.5 * (1.0 - 1.0 / n)
-    return math.log(n)
-
-
-def margin_accuracy_gap(t: int, dual_bound: float, c: float, gamma_min: float) -> float:
-    """The accuracy level nu(T) of the max-margin schedule.
-
-    nu = (1 + log T) / (2 sqrt(T+1) - 2) * gamma_min
-         + L * C / (gamma_min * (sqrt(T+1) - 1)).
-    """
-    root = math.sqrt(t + 1.0) - 1.0
-    return (1.0 + math.log(t)) / (2.0 * root) * gamma_min + dual_bound * c / (
-        gamma_min * root
-    )
-
-
 def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
-    """Dispatch to the booster selected by the config."""
-    config.validate()
-    if config.algorithm is Algorithm.SPARSE:
-        return run_sparse(config, dataset)
-    if config.algorithm is Algorithm.MADA:
-        return run_mada(config, dataset)
-    return _run_projected(config, dataset)
+    """Boost for up to ``config.rounds`` rounds with the config's policy.
 
-
-def run_maboost(config: BoosterConfig, dataset: Dataset) -> BoostResult:
-    if config.algorithm not in (Algorithm.MABOOST_ACTIVE, Algorithm.MABOOST_LAZY):
-        raise ConfigurationError("run_maboost expects an active or lazy config")
-    return _run_projected(config, dataset)
-
-
-def run_max_margin(config: BoosterConfig, dataset: Dataset) -> BoostResult:
-    if config.algorithm is not Algorithm.MAX_MARGIN:
-        raise ConfigurationError("run_max_margin expects the maxmargin algorithm")
-    return _run_projected(config, dataset)
-
-
-def run_smooth(config: BoosterConfig, dataset: Dataset) -> BoostResult:
-    if config.algorithm is not Algorithm.SMOOTH:
-        raise ConfigurationError("run_smooth expects the smooth algorithm")
-    return _run_projected(config, dataset)
-
-
-def run_combined(config: BoosterConfig, dataset: Dataset) -> BoostResult:
-    if config.algorithm is not Algorithm.COMBINED:
-        raise ConfigurationError("run_combined expects the combined algorithm")
-    return _run_projected(config, dataset)
-
-
-def _run_projected(config: BoosterConfig, dataset: Dataset) -> BoostResult:
-    """Shared loop for active/lazy MABoost, max-margin, smooth and combined."""
-    algo = config.algorithm
-    g = config.geometry
-    entropic = g.kind is GeometryKind.NEGATIVE_ENTROPY
-    features, labels = dataset.features, dataset.labels
-    n = dataset.n
-    dual_bound = g.dual_norm_sq_bound(n)
-
-    caps = None
-    if algo is Algorithm.SMOOTH:
-        caps = np.full(n, config.k / n)
-    elif algo is Algorithm.COMBINED:
-        if dataset.subset_flags is None:
-            raise ConfigurationError("combined boosting requires subset flags")
-        caps = np.where(dataset.subset_flags, config.k / n, np.inf)
-    in_b = dataset.subset_flags if algo is Algorithm.COMBINED else None
-
-    w = np.full(n, 1.0 / n)
-    lazy = algo is Algorithm.MABOOST_LAZY
-    if lazy:
-        # dual trajectory of the unprojected point; log-space under entropy
-        # because the accumulated exponent is unbounded
-        log_z = np.full(n, -math.log(n))
-        z = np.full(n, 1.0 / n)
-
-    result = BoostResult(algorithm=algo, geometry=g)
-    score = np.zeros(n)
-    sum_gamma_sq = 0.0
-    sum_eta = 0.0
-    for t in range(1, config.rounds + 1):
-        h = train_stump(features, labels, w)
-        d = loss_vector(features, labels, h)
-        gamma = edge(w, d)
-        if gamma <= EDGE_TOL:
-            if t == 1:
-                raise NoWeakLearnabilityError(
-                    "the weak learner found no hypothesis with positive edge"
-                )
-            result.status = "zero_edge"
-            break
-
-        if algo is Algorithm.MAX_MARGIN:
-            eta = gamma / (dual_bound * math.sqrt(t))
-        else:
-            eta = gamma / dual_bound
-        result.hypotheses.append((h, eta))
-        score += eta * h.predict(features)
-        err = _error(score, labels)
-        sum_gamma_sq += gamma * gamma
-        sum_eta += eta
-
-        # weight update: additive dual step, then Bregman projection
-        if entropic:
-            if lazy:
-                log_z += eta * d
-                shifted = np.exp(log_z - log_z.max())
-                w = shifted / shifted.sum()
-            else:
-                zvec = w * np.exp(eta * d)
-                if caps is None:
-                    w = project_simplex(g, zvec)
-                else:
-                    w = project_mixed(g, zvec, caps)
-        else:
-            if lazy:
-                z = z + eta * d
-                w = project_simplex(g, z)
-            else:
-                zvec = w + eta * d
-                if caps is None:
-                    w = project_simplex(g, zvec)
-                else:
-                    w = project_mixed(g, zvec, caps)
-
-        trace = RoundTrace(
-            t=t,
-            gamma=gamma,
-            eta=eta,
-            train_error=err,
-            bound=None,
-            max_weight=float(w.max()),
-            nnz=int(np.count_nonzero(w)),
-        )
-
-        if algo is Algorithm.MAX_MARGIN:
-            trace.margin = float(np.min(labels * score) / sum_eta)
-        elif algo is Algorithm.COMBINED:
-            n_a = int((~in_b).sum())
-            n_b = n - n_a
-            eps_a = _error(score[~in_b], labels[~in_b]) if n_a else 0.0
-            eps_b = _error(score[in_b], labels[in_b]) if n_b else 0.0
-            trace.eps_a = eps_a
-            trace.eps_b = eps_b
-            if n_a:
-                if entropic:
-                    trace.bound = min(1.0, n / n_a * math.exp(-0.5 * sum_gamma_sq))
-                else:
-                    trace.bound = min(1.0, n / (n_a * (1.0 + sum_gamma_sq)))
-                _check_bound(eps_a, trace.bound, t, "primary-subset error")
-        else:
-            if entropic:
-                trace.bound = math.exp(-0.5 * sum_gamma_sq)
-            else:
-                trace.bound = 1.0 / (1.0 + sum_gamma_sq)
-            if algo is Algorithm.SMOOTH:
-                # the bound argument needs the error distribution inside the
-                # capped simplex, which holds while err >= 1/k
-                if err >= 1.0 / config.k:
-                    _check_bound(err, trace.bound, t, "training error")
-            else:
-                _check_bound(err, trace.bound, t, "training error")
-        result.traces.append(trace)
-
-        if algo is Algorithm.MAX_MARGIN:
-            continue  # the margin schedule runs its full budget
-        if algo is Algorithm.COMBINED:
-            if (
-                trace.eps_a <= config.target_error
-                and trace.eps_b <= 1.0 / config.k
-            ):
-                result.status = "target_reached"
-                break
-        elif err <= config.target_error:
-            result.status = "target_reached"
-            break
-
-    result.weights = w
-    return result
-
-
-def run_sparse(config: BoosterConfig, dataset: Dataset) -> BoostResult:
-    """l1-regularized booster over the positive orthant with normalization.
-
-    Keeps an unnormalized nonnegative vector y; trains on w = y / ||y||_1,
-    applies the additive step z = y + eta d, then the nonnegative
-    soft-threshold with penalty alpha * eta. The bound constant is c = 1
-    with no explicit penalty and c = 1/4 with the half-edge penalty.
+    A round trains a stump on the policy's distribution, stops on a zero
+    edge, takes the policy's step, adds the stump to the vote, and then lets
+    the policy take its dual step and projection, check and record the
+    round, and decide whether to stop.
     """
     config.validate()
+    policy = _POLICIES.get(config.algorithm, _Projected)(config, dataset)
     features, labels = dataset.features, dataset.labels
-    n = dataset.n
-    half = config.alpha_mode is AlphaMode.HALF
-    c = 0.25 if half else 1.0
-
-    y = np.full(n, 1.0 / n)
-    score = np.zeros(n)
-    sum_term = 0.0
     result = BoostResult(algorithm=config.algorithm, geometry=config.geometry)
+    score = np.zeros(dataset.n)
     for t in range(1, config.rounds + 1):
-        y_l1 = float(y.sum())
-        if y_l1 <= 0.0:
+        w = policy.distribution()
+        if w is None:
             result.status = "collapsed"
             break
-        w = y / y_l1
-        h = train_stump(features, labels, w)
-        d = loss_vector(features, labels, h)
-        gamma = edge(w, d)
-        if gamma <= EDGE_TOL:
-            if t == 1:
-                raise NoWeakLearnabilityError(
-                    "the weak learner found no hypothesis with positive edge"
-                )
-            result.status = "zero_edge"
-            break
-
-        if half:
-            eta = gamma * y_l1 / (2.0 * n)
-            alpha = min(1.0, 0.5 * gamma * y_l1)
-        else:
-            eta = gamma * y_l1 / n
-            alpha = 0.0
-        result.hypotheses.append((h, eta))
-        score += eta * h.predict(features)
-        err = _error(score, labels)
-
-        z = y + eta * d
-        y = project_orthant_l1(z, alpha * eta)
-
-        sum_term += gamma * gamma * y_l1 * y_l1
-        bound = 1.0 / (1.0 + c * sum_term)
-        _check_bound(err, bound, t, "training error")
-        if not half and err > 0.0 and y.sum() < 1.0 / n - BOUND_SLACK:
-            raise BoundViolationError(
-                f"round {t}: ||y||_1 = {y.sum():.6g} fell below 1/N with error {err:.6g}"
-            )
-
-        result.traces.append(
-            RoundTrace(
-                t=t,
-                gamma=gamma,
-                eta=eta,
-                train_error=err,
-                bound=bound,
-                max_weight=float(w.max()),
-                nnz=int(np.count_nonzero(y)),
-                y_l1=y_l1,
-            )
-        )
-        if err <= config.target_error:
-            result.status = "target_reached"
-            break
-
-    result.weights = y
-    return result
-
-
-def run_mada(config: BoosterConfig, dataset: Dataset) -> BoostResult:
-    """Lazy entropic booster with the hypercube-then-simplex double projection.
-
-    The dual point accumulates additively (kept in log space); each round
-    clamps it to the unit hypercube and normalizes. The step size couples to
-    the current ensemble error: eta_t = eps * gamma_t, where eps is the
-    previous round's ensemble error by default or a one-step fixed-point
-    refinement of the circular definition.
-    """
-    config.validate()
-    features, labels = dataset.features, dataset.labels
-    n = dataset.n
-    log_z = np.zeros(n)
-    y = np.ones(n)
-    w = y / n
-    score = np.zeros(n)
-    prev_err = 1.0  # ensemble error before any hypothesis, taken pessimistically
-    result = BoostResult(algorithm=config.algorithm, geometry=config.geometry)
-    for t in range(1, config.rounds + 1):
+        # layers are called through module globals: perfbench's tracer swaps them
         h = train_stump(features, labels, w)
         d = loss_vector(features, labels, h)
         gamma = edge(w, d)
@@ -439,42 +178,230 @@ def run_mada(config: BoosterConfig, dataset: Dataset) -> BoostResult:
             break
 
         pred = h.predict(features)
-        eta = prev_err * gamma
-        if config.mada_eta is MadaEta.FIXED_POINT:
-            provisional = _error(score + eta * pred, labels)
-            eta = provisional * gamma
+        eta = policy.step(t, gamma, score, pred)
         result.hypotheses.append((h, eta))
         score += eta * pred
         err = _error(score, labels)
-
-        log_z += eta * d
-        y = np.exp(np.minimum(log_z, 0.0))
-        y_l1 = float(y.sum())
-        w = y / y_l1
-        if y_l1 < n * err - BOUND_SLACK:
-            raise BoundViolationError(
-                f"round {t}: ||y||_1 = {y_l1:.6g} fell below N * error = {n * err:.6g}"
-            )
-
-        result.traces.append(
-            RoundTrace(
-                t=t,
-                gamma=gamma,
-                eta=eta,
-                train_error=err,
-                bound=None,
-                max_weight=float(w.max()),
-                nnz=int(np.count_nonzero(y)),
-                y_l1=y_l1,
-            )
-        )
-        prev_err = err
-        if err <= config.target_error or err == 0.0:
-            result.status = "target_reached" if err > 0 else "perfect"
+        policy.update(eta, d)
+        trace = policy.record(t, gamma, eta, err, score)
+        result.traces.append(trace)
+        status = policy.stop(trace)
+        if status is not None:
+            result.status = status
             break
 
-    result.weights = w
+    result.weights = policy.weights()
     return result
+
+
+class _Policy:
+    """A booster family's part of the round loop in ``run``.
+
+    ``distribution()`` is what the stump trains on (None once collapsed),
+    ``step`` returns eta, ``update`` takes the dual step and projection,
+    ``record`` checks the invariant and returns the round's trace, ``stop``
+    returns a final status or None. By default the weights are a uniform
+    start ``w`` and the run stops once the error meets the target.
+    """
+
+    def __init__(self, config: BoosterConfig, dataset: Dataset):
+        self.config = config
+        self.labels = dataset.labels
+        self.n = dataset.n
+        self.w = np.full(self.n, 1.0 / self.n)
+
+    def distribution(self) -> np.ndarray | None:
+        return self.w
+
+    def weights(self) -> np.ndarray:
+        return self.w
+
+    def stop(self, trace: RoundTrace) -> str | None:
+        return "target_reached" if trace.train_error <= self.config.target_error else None
+
+
+class _Projected(_Policy):
+    """Active and lazy MABoost, max-margin, smooth and combined.
+
+    The weights live on the simplex, capped at k/N on every sample (smooth)
+    or on subset B only (combined). The step is gamma/L, or gamma/(L sqrt t)
+    under the margin schedule. Lazy boosting keeps the unprojected dual
+    point, in log space under entropy because its exponent is unbounded.
+    """
+
+    def __init__(self, config: BoosterConfig, dataset: Dataset):
+        super().__init__(config, dataset)
+        algo = self.algo = config.algorithm
+        n = self.n
+        self.g = config.geometry
+        self.entropic = self.g.kind is GeometryKind.NEGATIVE_ENTROPY
+        self.dual_bound = self.g.dual_norm_sq_bound(n)
+        self.caps = None
+        if algo is Algorithm.SMOOTH:
+            self.caps = np.full(n, config.k / n)
+        elif algo is Algorithm.COMBINED:
+            if dataset.subset_flags is None:
+                raise ConfigurationError("combined boosting requires subset flags")
+            self.in_b = dataset.subset_flags
+            self.in_a = ~self.in_b
+            self.n_a = int(self.in_a.sum())
+            self.caps = np.where(self.in_b, config.k / n, np.inf)
+        self.lazy = algo is Algorithm.MABOOST_LAZY
+        if self.lazy:
+            self.z = np.full(n, -math.log(n)) if self.entropic else np.full(n, 1.0 / n)
+        self.sum_gamma_sq = 0.0
+        self.sum_eta = 0.0
+
+    def step(self, t, gamma, score, pred) -> float:
+        if self.algo is Algorithm.MAX_MARGIN:
+            return gamma / (self.dual_bound * math.sqrt(t))
+        return gamma / self.dual_bound
+
+    def update(self, eta, d) -> None:
+        if self.lazy:
+            self.z += eta * d
+            if self.entropic:
+                shifted = np.exp(self.z - self.z.max())
+                self.w = shifted / shifted.sum()
+            else:
+                self.w = project_simplex(self.g, self.z)
+            return
+        z = self.w * np.exp(eta * d) if self.entropic else self.w + eta * d
+        if self.caps is None:
+            self.w = project_simplex(self.g, z)
+        else:
+            self.w = project_mixed(self.g, z, self.caps)
+
+    def record(self, t, gamma, eta, err, score) -> RoundTrace:
+        self.sum_gamma_sq += gamma * gamma
+        w = self.w
+        trace = RoundTrace(t, gamma, eta, err, None, float(w.max()), int(np.count_nonzero(w)))
+        if self.algo is Algorithm.MAX_MARGIN:
+            self.sum_eta += eta
+            trace.margin = float(np.min(self.labels * score) / self.sum_eta)
+        elif self.algo is Algorithm.COMBINED:
+            labels = self.labels
+            trace.eps_a = _error(score[self.in_a], labels[self.in_a]) if self.n_a else 0.0
+            trace.eps_b = (
+                _error(score[self.in_b], labels[self.in_b]) if self.n_a < self.n else 0.0
+            )
+            if self.n_a:
+                trace.bound = bounds.combined_primary(
+                    self.sum_gamma_sq, self.entropic, self.n, self.n_a
+                )
+                _check_bound(trace.eps_a, trace.bound, t, "primary-subset error")
+        else:
+            trace.bound = bounds.theorem1(self.sum_gamma_sq, self.entropic)
+            # the smooth bound argument needs the error distribution inside
+            # the capped simplex, which holds while err >= 1/k
+            if self.algo is not Algorithm.SMOOTH or err >= 1.0 / self.config.k:
+                _check_bound(err, trace.bound, t, "training error")
+        return trace
+
+    def stop(self, trace) -> str | None:
+        if self.algo is Algorithm.MAX_MARGIN:
+            return None  # the margin schedule runs its full budget
+        if self.algo is Algorithm.COMBINED:
+            done = (
+                trace.eps_a <= self.config.target_error
+                and trace.eps_b <= 1.0 / self.config.k
+            )
+            return "target_reached" if done else None
+        return super().stop(trace)
+
+
+class _Sparse(_Policy):
+    """l1-regularized boosting over the positive orthant with normalization.
+
+    Keeps an unnormalized nonnegative vector y and trains on w = y/||y||_1;
+    the step z = y + eta d is followed by the nonnegative soft-threshold with
+    penalty alpha * eta, zero unless the half-edge penalty mode is on.
+    """
+
+    def __init__(self, config: BoosterConfig, dataset: Dataset):
+        super().__init__(config, dataset)
+        self.half = config.alpha_mode is AlphaMode.HALF
+        self.y = self.w
+        self.alpha = 0.0
+        self.sum_term = 0.0
+
+    def distribution(self) -> np.ndarray | None:
+        self.y_l1 = float(self.y.sum())
+        if self.y_l1 <= 0.0:
+            return None
+        self.w = self.y / self.y_l1
+        return self.w
+
+    def weights(self) -> np.ndarray:
+        return self.y
+
+    def step(self, t, gamma, score, pred) -> float:
+        if self.half:
+            self.alpha = min(1.0, 0.5 * gamma * self.y_l1)
+            return gamma * self.y_l1 / (2.0 * self.n)
+        return gamma * self.y_l1 / self.n
+
+    def update(self, eta, d) -> None:
+        self.y = project_orthant_l1(self.y + eta * d, self.alpha * eta)
+
+    def record(self, t, gamma, eta, err, score) -> RoundTrace:
+        self.sum_term += bounds.sparse_term(gamma, self.y_l1)
+        bound = bounds.sparse(self.sum_term, self.half)
+        _check_bound(err, bound, t, "training error")
+        if not self.half and err > 0.0:
+            mass = float(self.y.sum())
+            if not bounds.reaches(mass, bounds.sparse_mass_floor(self.n)):
+                raise BoundViolationError(
+                    f"round {t}: ||y||_1 = {mass:.6g} fell below 1/N with error {err:.6g}"
+                )
+        nnz = int(np.count_nonzero(self.y))
+        return RoundTrace(t, gamma, eta, err, bound, float(self.w.max()), nnz, y_l1=self.y_l1)
+
+
+class _Mada(_Policy):
+    """Lazy entropic boosting with the hypercube-then-simplex double projection.
+
+    The dual point accumulates additively in log space; each round clamps it
+    to the unit hypercube and normalizes. The step couples to the ensemble
+    error: eta_t = eps * gamma_t, where eps is the previous round's ensemble
+    error by default or a one-step fixed-point refinement of the circular
+    definition.
+    """
+
+    def __init__(self, config: BoosterConfig, dataset: Dataset):
+        super().__init__(config, dataset)
+        self.log_z = np.zeros(self.n)
+        self.prev_err = 1.0  # ensemble error before any hypothesis, taken pessimistically
+
+    def step(self, t, gamma, score, pred) -> float:
+        eta = self.prev_err * gamma
+        if self.config.mada_eta is MadaEta.FIXED_POINT:
+            eta = _error(score + eta * pred, self.labels) * gamma
+        return eta
+
+    def update(self, eta, d) -> None:
+        self.log_z += eta * d
+        # min(1, z) taken in log space: an exp that underflows is a valid zero
+        self.y = np.exp(np.minimum(self.log_z, 0.0))
+        self.y_l1 = float(self.y.sum())
+        self.w = self.y / self.y_l1
+
+    def record(self, t, gamma, eta, err, score) -> RoundTrace:
+        if not bounds.reaches(self.y_l1, bounds.mada_mass_floor(self.n, err)):
+            raise BoundViolationError(
+                f"round {t}: ||y||_1 = {self.y_l1:.6g} fell below N * error = {self.n * err:.6g}"
+            )
+        self.prev_err = err
+        nnz = int(np.count_nonzero(self.y))
+        return RoundTrace(t, gamma, eta, err, None, float(self.w.max()), nnz, y_l1=self.y_l1)
+
+    def stop(self, trace) -> str | None:
+        if trace.train_error == 0.0:
+            return "perfect"
+        return super().stop(trace)
+
+
+_POLICIES = {Algorithm.SPARSE: _Sparse, Algorithm.MADA: _Mada}
 
 
 def save_model(result: BoostResult, path: str) -> None:
@@ -493,13 +420,20 @@ def load_model(path: str) -> tuple[str, str, list[tuple[Stump, float]]]:
         header = fh.readline().strip()
         if not header.startswith("# algorithm="):
             raise UsageError("missing model header")
-        fields = dict(p.split("=", 1) for p in header[2:].split())
+        try:
+            fields = dict(p.split("=", 1) for p in header[2:].split())
+            algorithm, geometry = fields["algorithm"], fields["geometry"]
+        except (ValueError, KeyError):
+            raise ParseError("expected '# algorithm=<name> geometry=<name>'", 1) from None
         hypotheses = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            feat, thr, pol, eta = line.split()
-            hypotheses.append(
-                (Stump(int(feat), float(thr), int(pol)), float(eta))
-            )
-    return fields["algorithm"], fields["geometry"], hypotheses
+            try:
+                feat, thr, pol, eta = line.split()
+                hypotheses.append((Stump(int(feat), float(thr), int(pol)), float(eta)))
+            except ValueError:
+                raise ParseError(
+                    f"expected 'feature threshold polarity eta', got {line.strip()!r}", lineno
+                ) from None
+    return algorithm, geometry, hypotheses

@@ -30,11 +30,9 @@ from .errors import (
 )
 from .geometry import NEGATIVE_ENTROPY, QUADRATIC, Geometry
 from .projection import (
-    SIMPLEX,
-    UNIT_HYPERCUBE,
     project_capped_simplex,
-    project_double,
     project_hypercube_entropic,
+    project_hypercube_simplex,
     project_orthant_l1,
     project_simplex,
 )
@@ -100,8 +98,6 @@ def cmd_train(args) -> int:
         alpha_mode=AlphaMode(args.alpha_mode) if args.alpha_mode else None,
         mada_eta=MadaEta(args.mada_eta),
     )
-    config.validate()
-
     result = run(config, dataset)
     if args.trace:
         n_b = (
@@ -146,17 +142,27 @@ def cmd_project(args) -> int:
     if spec == "simplex":
         out = project_simplex(geometry, vec)
     elif spec.startswith("capped:"):
-        out = project_capped_simplex(geometry, vec, float(spec.split(":", 1)[1]))
+        out = project_capped_simplex(geometry, vec, _spec_float(spec))
     elif spec == "hypercube":
         out = project_hypercube_entropic(vec)
     elif spec == "double":
-        out = project_double(geometry, vec, UNIT_HYPERCUBE, SIMPLEX)
+        if geometry is not NEGATIVE_ENTROPY:
+            raise UsageError("--set double requires --geometry entropy")
+        out = project_hypercube_simplex(vec)
     elif spec.startswith("orthant-l1:"):
-        out = project_orthant_l1(vec, float(spec.split(":", 1)[1]))
+        out = project_orthant_l1(vec, _spec_float(spec))
     else:
         raise UsageError(f"unknown --set {spec!r}")
     print(json.dumps(list(out)))
     return 0
+
+
+def _spec_float(spec: str) -> float:
+    name, value = spec.split(":", 1)
+    try:
+        return float(value)
+    except ValueError:
+        raise UsageError(f"bad --set {spec!r}: {name}:<number> expected") from None
 
 
 def cmd_bench(args) -> int:

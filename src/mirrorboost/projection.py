@@ -1,42 +1,21 @@
 """Bregman projections onto the constraint sets used by the boosters.
 
 Simplex, capped simplex, mixed per-coordinate caps, positive orthant with
-an l1 penalty, and the unit hypercube (entropic). Quadratic projections use
-sort-then-threshold / multiplier bisection; entropic projections use
-normalization with greedy capping. All functions are pure.
+an l1 penalty, the unit hypercube (entropic), and the hypercube then the
+simplex. Quadratic projections use sort-then-threshold / multiplier
+bisection; entropic projections use normalization with greedy capping. All
+functions are pure.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError
-from .geometry import Geometry, GeometryKind
+from .geometry import NEGATIVE_ENTROPY, Geometry, GeometryKind
 
 _SUM_TOL = 1e-12
 _MAX_BISECT = 200
-
-
-class SetKind(enum.Enum):
-    SIMPLEX = "simplex"
-    CAPPED_SIMPLEX = "capped_simplex"
-    MIXED_CAPS = "mixed_caps"
-    POSITIVE_ORTHANT = "positive_orthant"
-    UNIT_HYPERCUBE = "unit_hypercube"
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    kind: SetKind
-    cap: float | None = None          # uniform per-coordinate cap (capped simplex)
-    caps: tuple[float, ...] | None = None  # per-coordinate caps, inf allowed
-
-
-SIMPLEX = ConstraintSet(SetKind.SIMPLEX)
-UNIT_HYPERCUBE = ConstraintSet(SetKind.UNIT_HYPERCUBE)
 
 
 def _check_entropic_input(z: np.ndarray) -> None:
@@ -119,13 +98,7 @@ def _project_mixed_entropic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:
 
 def project_capped_simplex(g: Geometry, z, cap: float) -> np.ndarray:
     """Projection onto {w : sum w = 1, 0 <= w_i <= cap}."""
-    z = np.asarray(z, dtype=float)
-    if cap * len(z) < 1.0:
-        raise ConfigurationError(f"cap {cap} infeasible for dimension {len(z)}")
-    caps = np.full(len(z), float(cap))
-    if g.kind is GeometryKind.NEGATIVE_ENTROPY:
-        return _project_mixed_entropic(z, caps)
-    return _project_mixed_quadratic(z, caps)
+    return project_mixed(g, z, np.full(np.shape(z), float(cap)))
 
 
 def project_mixed(g: Geometry, z, caps) -> np.ndarray:
@@ -160,19 +133,10 @@ def project_hypercube_entropic(z) -> np.ndarray:
     return np.minimum(z, 1.0)
 
 
-def project_double(g: Geometry, z, outer: ConstraintSet, inner: ConstraintSet) -> np.ndarray:
-    """Approximate projection via two stages: project onto outer, then inner.
+def project_hypercube_simplex(z) -> np.ndarray:
+    """Entropic projection onto [0, 1]^n, then onto the simplex.
 
-    Supports the hypercube-then-simplex pair under the entropic geometry,
-    which satisfies B(x, z) >= B(x, result) for every x in the inner set.
+    MadaBoost's double projection; for every x in the simplex it satisfies
+    B(x, z) >= B(x, result).
     """
-    if (
-        g.kind is not GeometryKind.NEGATIVE_ENTROPY
-        or outer.kind is not SetKind.UNIT_HYPERCUBE
-        or inner.kind is not SetKind.SIMPLEX
-    ):
-        raise ConfigurationError(
-            "double projection supports only entropic hypercube -> simplex"
-        )
-    y = project_hypercube_entropic(z)
-    return project_simplex(g, y)
+    return project_simplex(NEGATIVE_ENTROPY, project_hypercube_entropic(z))

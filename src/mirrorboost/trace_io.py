@@ -15,6 +15,7 @@ SCHEMA_VERSION = 1
 class TraceFile:
     header: dict
     rounds: list[dict]
+    lines: list[int]  # the file line of each round record
 
 
 def write_trace(result: BoostResult, n: int, path: str, k: float | None = None,
@@ -66,6 +67,7 @@ def read_trace(path: str) -> TraceFile:
     if not isinstance(header, dict) or header.get("schema") != SCHEMA_VERSION:
         raise ParseError("missing or unsupported schema header", 1)
     rounds = []
+    record_lines = []
     last_t = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -74,8 +76,11 @@ def read_trace(path: str) -> TraceFile:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad record: {exc}", lineno) from None
+        if not isinstance(rec, dict):
+            raise ParseError("a round record must be a JSON object", lineno)
         if rec.get("t") != last_t + 1:
             raise ParseError(f"round numbers must be consecutive, got {rec.get('t')}", lineno)
         last_t = rec["t"]
         rounds.append(rec)
-    return TraceFile(header=header, rounds=rounds)
+        record_lines.append(lineno)
+    return TraceFile(header=header, rounds=rounds, lines=record_lines)

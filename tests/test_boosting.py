@@ -17,7 +17,12 @@ from mirrorboost.boosting import (
     save_model,
 )
 from mirrorboost.data import Dataset, gen_blobs, gen_noisy
-from mirrorboost.errors import ConfigurationError, NoWeakLearnabilityError, UsageError
+from mirrorboost.errors import (
+    ConfigurationError,
+    NoWeakLearnabilityError,
+    ParseError,
+    UsageError,
+)
 from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC, GeometryKind
 from mirrorboost.stumps import Stump, loss_vector
 
@@ -40,8 +45,9 @@ class TestConfigValidation:
             _cfg(Algorithm.MADA, QUADRATIC, 10).validate()
 
     def test_smooth_needs_feasible_k_and_target(self):
-        with pytest.raises(ConfigurationError):
-            _cfg(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 10, k=0.5).validate()
+        # k is named even though the CLI's default target 1/k = 2 is out of range
+        with pytest.raises(ConfigurationError, match=r"\bk\b"):
+            _cfg(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 10, k=0.5, target_error=2.0).validate()
         with pytest.raises(ConfigurationError):
             _cfg(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 10, k=10.0, target_error=0.05).validate()
 
@@ -357,4 +363,11 @@ class TestEnsemble:
         path = tmp_path / "bad.txt"
         path.write_text("0 0.0 1 0.5\n")
         with pytest.raises(UsageError):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("line", ["0 abc 1 0.5", "0 0.0 1", "0 0.0 1 0.5 7"])
+    def test_model_malformed_line_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# algorithm=maboost-active geometry=entropy\n0 0.0 1 0.5\n{line}\n")
+        with pytest.raises(ParseError, match="line 3"):
             load_model(str(path))

@@ -118,6 +118,75 @@ class TestVerify:
             fh.write('{"t": 2, "gamma": 0.5, "eta": 0.5, "train_error": 0.1, "bound": 0.9, "max_weight": 0.3, "nnz": 4}\n')
         assert main(["verify", trace]) == 1
 
+    @staticmethod
+    def _edit(trace, line, edit):
+        lines = open(trace).read().splitlines()
+        lines[line - 1] = edit(json.loads(lines[line - 1]))
+        open(trace, "w").write("\n".join(lines) + "\n")
+
+    def _combined_trace(self, tmp_path):
+        return self._trained_trace(
+            tmp_path, "combined", ("--k", "8", "--gen", "combined:0:150:50:0.3")
+        )
+
+    @pytest.mark.parametrize("n_b", [None, "50", 50.5, -1, 201])
+    def test_combined_header_needs_valid_n_b(self, tmp_path, capsys, n_b):
+        trace = self._combined_trace(tmp_path)
+
+        def edit(header):
+            header.pop("n_b")
+            if n_b is not None:
+                header["n_b"] = n_b
+            return json.dumps(header, sort_keys=True)
+
+        self._edit(trace, 1, edit)
+        assert main(["verify", trace]) == 1
+        assert "line 1" in capsys.readouterr().err
+
+    def test_combined_without_subset_a_is_vacuous(self, tmp_path, capsys):
+        trace = self._combined_trace(tmp_path)
+        self._edit(trace, 1, lambda h: json.dumps({**h, "n_b": h["n"]}, sort_keys=True))
+        capsys.readouterr()
+        assert main(["verify", trace]) == 0
+        assert "vacuous" in capsys.readouterr().out
+
+    def test_record_must_be_object(self, tmp_path, capsys):
+        trace = self._trained_trace(tmp_path, "maboost-active")
+        self._edit(trace, 3, lambda rec: "[1, 2]")
+        assert main(["verify", trace]) == 1
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", [None, "0.5", 0.0])
+    def test_record_without_usable_gamma_names_key_and_line(self, tmp_path, capsys, gamma):
+        trace = self._trained_trace(tmp_path, "mada")
+
+        def edit(rec):
+            rec.pop("gamma")
+            if gamma is not None:
+                rec["gamma"] = gamma
+            return json.dumps(rec)
+
+        self._edit(trace, 4, edit)
+        assert main(["verify", trace]) == 1
+        err = capsys.readouterr().err
+        assert "line 4" in err and "'gamma'" in err
+
+    @pytest.mark.parametrize(
+        "algo,extra,key",
+        [
+            ("smooth", ("--k", "10"), "k"),
+            ("sparse", ("--alpha-mode", "zero"), "n"),
+            ("mada", (), "n"),
+            ("maboost-active", (), "geometry"),
+        ],
+    )
+    def test_header_missing_key_names_key(self, tmp_path, capsys, algo, extra, key):
+        trace = self._trained_trace(tmp_path, algo, extra)
+        self._edit(trace, 1, lambda h: json.dumps({k: v for k, v in h.items() if k != key}))
+        assert main(["verify", trace]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and f"'{key}'" in err
+
     def test_verify_trace_reports_round_trip(self, tmp_path):
         trace = self._trained_trace(tmp_path, "maboost-active")
         reports = verify_trace(read_trace(trace))
@@ -154,6 +223,19 @@ class TestProject:
             monkeypatch, capsys, "quadratic", "orthant-l1:0.05", [0.2, -0.1]
         )
         assert code == 0 and out == pytest.approx([0.15, 0.0], abs=1e-12)
+
+    def test_double_entropy(self, monkeypatch, capsys):
+        code, out = self._project(monkeypatch, capsys, "entropy", "double", [0.5, 3])
+        assert code == 0 and out == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-12)
+
+    def test_double_quadratic_exits_one(self, monkeypatch, capsys):
+        code, _ = self._project(monkeypatch, capsys, "quadratic", "double", [0.5, 3])
+        assert code == 1
+
+    @pytest.mark.parametrize("spec", ["capped:abc", "orthant-l1:abc"])
+    def test_bad_set_parameter_exits_one(self, monkeypatch, capsys, spec):
+        code, _ = self._project(monkeypatch, capsys, "quadratic", spec, [0.5, 3])
+        assert code == 1
 
     def test_domain_error_exits_one(self, monkeypatch, capsys):
         code, _ = self._project(monkeypatch, capsys, "entropy", "hypercube", [-1, 2])

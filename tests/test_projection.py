@@ -13,13 +13,9 @@ from mirrorboost.oracles import (
     orthant_l1_argmin,
 )
 from mirrorboost.projection import (
-    SIMPLEX,
-    UNIT_HYPERCUBE,
-    ConstraintSet,
-    SetKind,
     project_capped_simplex,
-    project_double,
     project_hypercube_entropic,
+    project_hypercube_simplex,
     project_mixed,
     project_orthant_l1,
     project_simplex,
@@ -103,6 +99,9 @@ class TestCappedSimplex:
     def test_infeasible_cap_rejected(self):
         with pytest.raises(ConfigurationError):
             project_capped_simplex(QUADRATIC, [0.5, 0.5], 0.4)
+        # six caps of float(1/6) sum to just under 1: infeasible, not a hang
+        with pytest.raises(ConfigurationError):
+            project_capped_simplex(QUADRATIC, np.zeros(6), 1.0 / 6.0)
 
     @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.kind.value)
     def test_caps_respected(self, g):
@@ -203,7 +202,7 @@ class TestHypercube:
 class TestDoubleProjection:
     def test_compose_example(self):
         np.testing.assert_allclose(
-            project_double(NEGATIVE_ENTROPY, [0.5, 3.0], UNIT_HYPERCUBE, SIMPLEX),
+            project_hypercube_simplex([0.5, 3.0]),
             [1.0 / 3.0, 2.0 / 3.0],
             atol=1e-12,
         )
@@ -211,16 +210,8 @@ class TestDoubleProjection:
     def test_feasible_point_unchanged(self):
         w = np.array([0.4, 0.6])
         np.testing.assert_allclose(
-            project_double(NEGATIVE_ENTROPY, w, UNIT_HYPERCUBE, SIMPLEX), w, atol=1e-12
+            project_hypercube_simplex(w), w, atol=1e-12
         )
-
-    def test_unsupported_pair_rejected(self):
-        with pytest.raises(ConfigurationError):
-            project_double(QUADRATIC, [0.5, 0.5], UNIT_HYPERCUBE, SIMPLEX)
-        with pytest.raises(ConfigurationError):
-            project_double(
-                NEGATIVE_ENTROPY, [0.5, 0.5], SIMPLEX, ConstraintSet(SetKind.SIMPLEX)
-            )
 
     def test_never_increases_divergence_to_feasible_points(self):
         rng = np.random.default_rng(8)
@@ -228,7 +219,7 @@ class TestDoubleProjection:
             z = np.exp(rng.uniform(-1.5, 1.5, size=5))
             x = np.exp(rng.normal(size=5))
             x /= x.sum()
-            double = project_double(NEGATIVE_ENTROPY, z, UNIT_HYPERCUBE, SIMPLEX)
+            double = project_hypercube_simplex(z)
             lhs = divergence(NEGATIVE_ENTROPY, x, z)
             assert lhs >= divergence(NEGATIVE_ENTROPY, x, double) - 1e-10
 
