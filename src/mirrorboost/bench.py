@@ -1,8 +1,9 @@
 """Acceptance bench: one named check per theorem-level guarantee.
 
-Each criterion re-derives its bound from the run's trace (independently of
-the bound column the booster wrote) and reports expected vs observed. The
-whole bench is deterministic: fixed seeds, fixed datasets, fixed order.
+Each criterion re-runs the per-round bound checks on the run's records
+(independently of the bound column the booster wrote) and reports expected
+vs observed. The whole bench is deterministic: fixed seeds, fixed datasets,
+fixed order.
 """
 
 from __future__ import annotations
@@ -50,22 +51,26 @@ class CriterionResult:
     seconds: float = 0.0
 
 
-def _theorem1_worst_violation(result: BoostResult) -> float:
-    """Max over rounds of train_error minus the recomputed Theorem-1 bound."""
-    entropic = result.geometry.kind is GeometryKind.NEGATIVE_ENTROPY
-    sum_gamma_sq = 0.0
-    worst = -math.inf
-    for tr in result.traces:
-        sum_gamma_sq += tr.gamma * tr.gamma
-        worst = max(worst, tr.train_error - bounds.theorem1(sum_gamma_sq, entropic))
-    return worst
+def _recheck(result: BoostResult, n: int, **kw) -> tuple[list[str], float]:
+    """Re-run a run's bound checks: (broken checks, worst train_error - bound)."""
+    checks = bounds.RoundChecks(result.algorithm.value, result.geometry.kind.value, n, **kw)
+    traces = result.traces
+    # round t+1's y_l1 holds the mass after round t; the final weights after the last
+    after = [tr.y_l1 for tr in traces[1:]] + [float(result.weights.sum())]
+    broken, worst = [], -math.inf
+    for tr, mass_after in zip(traces, after):
+        bound, held = checks.add(tr.t, tr.gamma, tr.train_error, tr.y_l1, tr.eps_a, mass_after)
+        broken += [f"{family} broken at round {tr.t}" for family, holds in held if not holds]
+        if bound is not None:
+            worst = max(worst, tr.train_error - bound)
+    return broken, worst
 
 
 def _thm1_criterion(name, geometry, rounds, formula, limit) -> CriterionResult:
     t0 = time.perf_counter()
     data = gen_blobs(0, 200, 0.3)
     result = run(BoosterConfig(Algorithm.MABOOST_ACTIVE, geometry, rounds), data)
-    worst = _theorem1_worst_violation(result)
+    _, worst = _recheck(result, data.n)
     elapsed = time.perf_counter() - t0
     return CriterionResult(
         name,
@@ -93,7 +98,7 @@ def criterion_lazy_bounds() -> CriterionResult:
             result = run(
                 BoosterConfig(Algorithm.MABOOST_LAZY, geometry, budget), data
             )
-            worst = max(worst, _theorem1_worst_violation(result))
+            worst = max(worst, _recheck(result, data.n)[1])
             rounds += len(result.traces)
     return CriterionResult(
         "lazy-bounds",
@@ -155,22 +160,13 @@ def criterion_sparse_thm4() -> CriterionResult:
     n = 200
     problems = []
     for mode in (AlphaMode.ZERO, AlphaMode.HALF):
-        half = mode is AlphaMode.HALF
         for data in (gen_blobs(0, n, 0.3), gen_noisy(0, n, 0.1)):
             result = run(
                 BoosterConfig(Algorithm.SPARSE, QUADRATIC, 100, alpha_mode=mode),
                 data,
             )
-            sum_term = 0.0
-            for tr in result.traces:
-                sum_term += bounds.sparse_term(tr.gamma, tr.y_l1)
-                if not bounds.within(tr.train_error, bounds.sparse(sum_term, half)):
-                    problems.append(f"{mode.value} bound broken at round {tr.t}")
-            if not half:
-                floor = bounds.sparse_mass_floor(n)
-                for prev, tr in zip(result.traces, result.traces[1:]):
-                    if prev.train_error > 0 and not bounds.reaches(tr.y_l1, floor):
-                        problems.append(f"zero-mode mass floor broken at round {tr.t}")
+            broken, _ = _recheck(result, n, half=mode is AlphaMode.HALF)
+            problems += [f"{mode.value}-mode {check}" for check in broken]
     half_noisy = run(
         BoosterConfig(Algorithm.SPARSE, QUADRATIC, 50, alpha_mode=AlphaMode.HALF),
         gen_noisy(0, n, 0.1),
@@ -193,14 +189,7 @@ def criterion_mada_thm5() -> CriterionResult:
     problems = []
     for data in (gen_blobs(0, n, 0.3), gen_noisy(0, n, 0.1)):
         result = run(BoosterConfig(Algorithm.MADA, NEGATIVE_ENTROPY, 500), data)
-        gamma_min = math.inf
-        for tr in result.traces:
-            gamma_min = min(gamma_min, tr.gamma)
-            if not bounds.reaches(tr.y_l1, bounds.mada_mass_floor(n, tr.train_error)):
-                problems.append(f"mass floor broken at round {tr.t}")
-            err_sq = tr.train_error * tr.train_error
-            if not bounds.within(err_sq, bounds.mada_rate(tr.t, gamma_min)):
-                problems.append(f"rate bound broken at round {tr.t}")
+        problems += _recheck(result, n)[0]
     return CriterionResult(
         "mada-thm5",
         "||y||_1 >= N * error and error^2 <= 1/(t * gamma_min^2) every round",

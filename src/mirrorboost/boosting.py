@@ -4,9 +4,9 @@ Every booster is the same mirror-ascent round: train a stump on the current
 distribution, compute its edge, take an additive step in the dual
 coordinates of the chosen geometry, and project back onto the algorithm's
 constraint set. ``run`` is that round; a small per-family policy supplies
-the step size, the dual update plus projection, the per-round invariant and
-record, and the stop rule. Every run appends a per-round trace and asserts
-the applicable training-error bound (from ``bounds``) as it goes.
+the step size, the dual update plus projection, the per-round record, and
+the stop rule. Every run appends a per-round trace and checks each round
+against the applicable bounds with ``bounds.RoundChecks`` as it goes.
 """
 
 from __future__ import annotations
@@ -140,23 +140,23 @@ def _error(score: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(sign_pm(score) != labels))
 
 
-def _check_bound(err: float, bound: float, t: int, what: str) -> None:
-    if not bounds.within(err, bound):
-        raise BoundViolationError(
-            f"round {t}: {what} {err:.6g} exceeds its bound {bound:.6g}"
-        )
-
-
 def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
     """Boost for up to ``config.rounds`` rounds with the config's policy.
 
     A round trains a stump on the policy's distribution, stops on a zero
     edge, takes the policy's step, adds the stump to the vote, and then lets
-    the policy take its dual step and projection, check and record the
-    round, and decide whether to stop.
+    the policy take its dual step and projection and record the round; the
+    round must pass its bound checks (else ``BoundViolationError``) before
+    the policy decides whether to stop.
     """
     config.validate()
     policy = _POLICIES.get(config.algorithm, _Projected)(config, dataset)
+    flags = dataset.subset_flags
+    n_a = None if flags is None else int((~flags).sum())
+    half = config.alpha_mode is AlphaMode.HALF
+    checks = bounds.RoundChecks(
+        config.algorithm.value, config.geometry.kind.value, dataset.n, config.k, n_a, half
+    )
     features, labels = dataset.features, dataset.labels
     result = BoostResult(algorithm=config.algorithm, geometry=config.geometry)
     score = np.zeros(dataset.n)
@@ -184,6 +184,11 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
         err = _error(score, labels)
         policy.update(eta, d)
         trace = policy.record(t, gamma, eta, err, score)
+        mass_after = float(policy.weights().sum())
+        trace.bound, held = checks.add(t, gamma, err, trace.y_l1, trace.eps_a, mass_after)
+        for family, holds in held:
+            if not holds:
+                raise BoundViolationError(f"round {t}: the {family} bound does not hold")
         result.traces.append(trace)
         status = policy.stop(trace)
         if status is not None:
@@ -199,7 +204,7 @@ class _Policy:
 
     ``distribution()`` is what the stump trains on (None once collapsed),
     ``step`` returns eta, ``update`` takes the dual step and projection,
-    ``record`` checks the invariant and returns the round's trace, ``stop``
+    ``record`` returns the round's trace without its bound column, ``stop``
     returns a final status or None. By default the weights are a uniform
     start ``w`` and the run stops once the error meets the target.
     """
@@ -249,7 +254,6 @@ class _Projected(_Policy):
         self.lazy = algo is Algorithm.MABOOST_LAZY
         if self.lazy:
             self.z = np.full(n, -math.log(n)) if self.entropic else np.full(n, 1.0 / n)
-        self.sum_gamma_sq = 0.0
         self.sum_eta = 0.0
 
     def step(self, t, gamma, score, pred) -> float:
@@ -273,7 +277,6 @@ class _Projected(_Policy):
             self.w = project_mixed(self.g, z, self.caps)
 
     def record(self, t, gamma, eta, err, score) -> RoundTrace:
-        self.sum_gamma_sq += gamma * gamma
         w = self.w
         trace = RoundTrace(t, gamma, eta, err, None, float(w.max()), int(np.count_nonzero(w)))
         if self.algo is Algorithm.MAX_MARGIN:
@@ -285,17 +288,6 @@ class _Projected(_Policy):
             trace.eps_b = (
                 _error(score[self.in_b], labels[self.in_b]) if self.n_a < self.n else 0.0
             )
-            if self.n_a:
-                trace.bound = bounds.combined_primary(
-                    self.sum_gamma_sq, self.entropic, self.n, self.n_a
-                )
-                _check_bound(trace.eps_a, trace.bound, t, "primary-subset error")
-        else:
-            trace.bound = bounds.theorem1(self.sum_gamma_sq, self.entropic)
-            # the smooth bound argument needs the error distribution inside
-            # the capped simplex, which holds while err >= 1/k
-            if self.algo is not Algorithm.SMOOTH or err >= 1.0 / self.config.k:
-                _check_bound(err, trace.bound, t, "training error")
         return trace
 
     def stop(self, trace) -> str | None:
@@ -323,7 +315,6 @@ class _Sparse(_Policy):
         self.half = config.alpha_mode is AlphaMode.HALF
         self.y = self.w
         self.alpha = 0.0
-        self.sum_term = 0.0
 
     def distribution(self) -> np.ndarray | None:
         self.y_l1 = float(self.y.sum())
@@ -345,17 +336,8 @@ class _Sparse(_Policy):
         self.y = project_orthant_l1(self.y + eta * d, self.alpha * eta)
 
     def record(self, t, gamma, eta, err, score) -> RoundTrace:
-        self.sum_term += bounds.sparse_term(gamma, self.y_l1)
-        bound = bounds.sparse(self.sum_term, self.half)
-        _check_bound(err, bound, t, "training error")
-        if not self.half and err > 0.0:
-            mass = float(self.y.sum())
-            if not bounds.reaches(mass, bounds.sparse_mass_floor(self.n)):
-                raise BoundViolationError(
-                    f"round {t}: ||y||_1 = {mass:.6g} fell below 1/N with error {err:.6g}"
-                )
         nnz = int(np.count_nonzero(self.y))
-        return RoundTrace(t, gamma, eta, err, bound, float(self.w.max()), nnz, y_l1=self.y_l1)
+        return RoundTrace(t, gamma, eta, err, None, float(self.w.max()), nnz, y_l1=self.y_l1)
 
 
 class _Mada(_Policy):
@@ -387,10 +369,6 @@ class _Mada(_Policy):
         self.w = self.y / self.y_l1
 
     def record(self, t, gamma, eta, err, score) -> RoundTrace:
-        if not bounds.reaches(self.y_l1, bounds.mada_mass_floor(self.n, err)):
-            raise BoundViolationError(
-                f"round {t}: ||y||_1 = {self.y_l1:.6g} fell below N * error = {self.n * err:.6g}"
-            )
         self.prev_err = err
         nnz = int(np.count_nonzero(self.y))
         return RoundTrace(t, gamma, eta, err, None, float(self.w.max()), nnz, y_l1=self.y_l1)

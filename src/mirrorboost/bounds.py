@@ -2,7 +2,8 @@
 
 The trainer checks the bounds as it runs, ``verify`` re-derives them from a
 stored trace and the acceptance bench from a run's round records; all three
-take the formulas from here. A check passes within the shared ``SLACK``.
+feed their rounds to one ``RoundChecks``, which decides which bound applies
+to a round and keeps the running sums. A check passes within ``SLACK``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,71 @@ def mada_mass_floor(n: int, error: float) -> float:
 def mada_rate(t: int, gamma_min: float) -> float:
     """MadaBoost's rate: error^2 <= 1/(t gamma_min^2) after t rounds."""
     return 1.0 / (t * gamma_min**2)
+
+
+class RoundChecks:
+    """The per-round bound checks of one run, with the running state they need.
+
+    Built from a trace header's strings, so ``verify`` builds it from a
+    stored header exactly as the trainer and the bench do from a config.
+    ``families`` names every check the run can report, in report order.
+    """
+
+    def __init__(self, algorithm: str, geometry: str, n: int, k: float | None = None,
+                 n_a: int | None = None, half: bool = False):
+        self.algorithm, self.n, self.k, self.n_a, self.half = algorithm, n, k, n_a, half
+        self.entropic = geometry == "entropy"
+        self.sum_gamma_sq = 0.0
+        self.sum_term = 0.0
+        self.gamma_min = math.inf
+        if algorithm == "sparse":
+            floor = () if half else ("sparse-mass-floor",)
+            self.families = ("sparse-training-error", *floor)
+        elif algorithm == "mada":
+            self.families = ("mada-mass-floor", "mada-convergence-rate")
+        elif algorithm == "maxmargin" or algorithm == "combined" and not n_a:
+            self.families = ()
+        elif algorithm == "combined":
+            self.families = (f"combined-primary-error ({geometry})",)
+        elif algorithm == "smooth":
+            self.families = (f"smooth-training-error ({geometry})",)
+        else:
+            self.families = (f"training-error ({geometry})",)
+
+    def add(self, t: int, gamma: float, error: float, y_l1: float | None = None,
+            eps_a: float | None = None, mass_after: float | None = None
+            ) -> tuple[float | None, list[tuple[str, bool]]]:
+        """Check round t: (its bound column or None, [(family, holds), ...]).
+
+        ``y_l1`` and ``eps_a`` are the round's trace columns; ``mass_after``
+        is ||y||_1 after the round's update, and None skips the sparse floor.
+        """
+        family = self.families[0] if self.families else None
+        if self.algorithm == "sparse":
+            self.sum_term += sparse_term(gamma, y_l1)
+            bound = sparse(self.sum_term, self.half)
+            checks = [(family, within(error, bound))]
+            # without a penalty, ||y||_1 stays >= 1/N while the ensemble errs
+            if not self.half and mass_after is not None and error > 0.0:
+                checks.append((self.families[1], reaches(mass_after, sparse_mass_floor(self.n))))
+            return bound, checks
+        if self.algorithm == "mada":
+            self.gamma_min = min(self.gamma_min, gamma)
+            return None, [
+                (family, reaches(y_l1, mada_mass_floor(self.n, error))),
+                (self.families[1], within(error * error, mada_rate(t, self.gamma_min))),
+            ]
+        if family is None:
+            return None, []
+        self.sum_gamma_sq += gamma * gamma
+        if self.algorithm == "combined":
+            bound = combined_primary(self.sum_gamma_sq, self.entropic, self.n, self.n_a)
+            return bound, [(family, within(eps_a, bound))]
+        bound = theorem1(self.sum_gamma_sq, self.entropic)
+        # the smooth bound argument needs the error distribution inside the
+        # capped simplex, which holds while error >= 1/k
+        below_k = self.algorithm == "smooth" and error < 1.0 / self.k
+        return bound, [(family, below_k or within(error, bound))]
 
 
 def worst_margin_reference_divergence(g: Geometry, n: int) -> float:

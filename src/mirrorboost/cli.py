@@ -21,13 +21,7 @@ from .boosting import (
     save_model,
 )
 from .data import Dataset, gen_blobs, gen_combined, gen_noisy, load_csv, load_libsvm
-from .errors import (
-    ConfigurationError,
-    MirrorBoostError,
-    NoWeakLearnabilityError,
-    ParseError,
-    UsageError,
-)
+from .errors import MirrorBoostError, NoWeakLearnabilityError, UsageError
 from .geometry import NEGATIVE_ENTROPY, QUADRATIC, Geometry
 from .projection import (
     project_capped_simplex,
@@ -136,8 +130,10 @@ def cmd_project(args) -> int:
     geometry = _GEOMETRIES[args.geometry]
     try:
         vec = np.asarray(json.loads(sys.stdin.read()), dtype=float)
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"stdin must hold a JSON array of numbers: {exc}") from None
+    if vec.ndim != 1 or not vec.size or not np.isfinite(vec).all():
+        raise UsageError("stdin must hold a non-empty 1-D JSON array of finite numbers")
     spec = args.set
     if spec == "simplex":
         out = project_simplex(geometry, vec)
@@ -228,9 +224,6 @@ def main(argv: list[str] | None = None) -> int:
     except NoWeakLearnabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ConfigurationError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MirrorBoostError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

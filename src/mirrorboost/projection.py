@@ -16,6 +16,7 @@ from .geometry import NEGATIVE_ENTROPY, Geometry, GeometryKind
 
 _SUM_TOL = 1e-12
 _MAX_BISECT = 200
+_OFF_SIMPLEX_TOL = 1e-9  # beyond float error: the multiplier search failed
 
 
 def _check_entropic_input(z: np.ndarray) -> None:
@@ -39,7 +40,10 @@ def project_simplex(g: Geometry, z) -> np.ndarray:
     u = np.sort(z)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, len(z) + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
+    positive = np.nonzero(u - css / idx > 0)[0]
+    if not len(positive):
+        raise DegenerateInputError("simplex projection: no coordinate stays positive")
+    rho = positive[-1]
     theta = css[rho] / (rho + 1)
     return np.maximum(z - theta, 0.0)
 
@@ -50,11 +54,13 @@ def _clamped_sum(z: np.ndarray, caps: np.ndarray, theta: float) -> float:
 
 def _project_mixed_quadratic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:
     # sum_i clamp(z_i - theta, 0, cap_i) is monotone nonincreasing in theta;
-    # bisect after expanding the lower bracket until it overshoots 1.
+    # bisect after growing the gap below hi until the sum overshoots 1; the
+    # gap grows rather than lo, since near 1e16 hi - 1.0 rounds back to hi
     hi = float(z.max())
-    lo = hi - 1.0
-    while _clamped_sum(z, caps, lo) < 1.0:
-        lo -= 2.0 * (hi - lo)
+    gap = 1.0
+    while _clamped_sum(z, caps, hi - gap) < 1.0:
+        gap *= 3.0
+    lo = hi - gap
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         s = _clamped_sum(z, caps, mid)
@@ -109,9 +115,11 @@ def project_mixed(g: Geometry, z, caps) -> np.ndarray:
         raise ConfigurationError("caps length must match the vector length")
     if np.minimum(caps, 1.0).sum() < 1.0:
         raise ConfigurationError("caps infeasible: sum of min(cap, 1) < 1")
-    if g.kind is GeometryKind.NEGATIVE_ENTROPY:
-        return _project_mixed_entropic(z, caps)
-    return _project_mixed_quadratic(z, caps)
+    entropic = g.kind is GeometryKind.NEGATIVE_ENTROPY
+    w = (_project_mixed_entropic if entropic else _project_mixed_quadratic)(z, caps)
+    if not abs(w.sum() - 1.0) <= _OFF_SIMPLEX_TOL:  # NaN fails too
+        raise DegenerateInputError("capped projection did not reach the simplex")
+    return w
 
 
 def project_orthant_l1(z, lam: float) -> np.ndarray:

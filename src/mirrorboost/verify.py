@@ -1,9 +1,9 @@
 """Re-derive every training-error bound from a stored trace and check it.
 
 The trace carries the edge sequence (plus ||y||_1 where relevant), which is
-all the bounds depend on; the verifier recomputes them from scratch with the
-formulas in ``bounds`` rather than trusting the bound column written at run
-time. A header or record that lacks a value the checks read is a
+all the bounds depend on; the verifier feeds it to ``bounds.RoundChecks``,
+the same checks the trainer runs, rather than trusting the bound column
+written at run time. A header or record that lacks a value the checks read is a
 ``ParseError`` naming the key and the line.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 from . import bounds
 from .boosting import EDGE_TOL
@@ -63,81 +62,40 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
     if algo == "maxmargin":
         detail = "no per-round error bound applies to the margin schedule; "
         return [FamilyReport("maxmargin", True, f"{detail}final margin {rounds[-1].get('margin')}")]
-    if algo == "sparse":
-        n = _header_int(header, "n", 1, math.inf)
-        half = header.get("alpha_mode") == "half"
-        sums = accumulate(bounds.sparse_term(rec["gamma"], rec["y_l1"]) for rec in rounds)
-        checks = (
-            (rec["t"], bounds.within(rec["train_error"], bounds.sparse(s, half)))
-            for rec, s in zip(rounds, sums)
-        )
-        reports = [_report("sparse-training-error", total, checks)]
-        if not half:
-            # ||y_{t+1}||_1 >= 1/N while the ensemble still errs; round t+1's
-            # y_l1 column holds the post-update mass of round t
-            floor = bounds.sparse_mass_floor(n)
-            checks = (
-                (rec["t"], prev["train_error"] <= 0 or bounds.reaches(rec["y_l1"], floor))
-                for prev, rec in zip(rounds, rounds[1:])
-            )
-            reports.append(_report("sparse-mass-floor", total, checks))
-        return reports
-    if algo == "mada":
-        n = _header_int(header, "n", 1, math.inf)
-        checks = (
-            (rec["t"], bounds.reaches(rec["y_l1"], bounds.mada_mass_floor(n, rec["train_error"])))
-            for rec in rounds
-        )
-        return [
-            _report("mada-mass-floor", total, checks),
-            _report("mada-convergence-rate", total, _mada_rate_checks(rounds)),
-        ]
-
     geometry = header.get("geometry")
-    if geometry not in ("entropy", "quadratic"):
+    if algo not in ("sparse", "mada") and geometry not in ("entropy", "quadratic"):
         raise ParseError(f"header 'geometry' must be entropy or quadratic: {geometry!r}", 1)
-    entropic = geometry == "entropy"
-    sums = accumulate(rec["gamma"] * rec["gamma"] for rec in rounds)
+    n = _header_int(header, "n", 1, math.inf) if algo in ("sparse", "mada", "combined") else None
+    k = n_a = None
     if algo == "combined":
         # the edge sequence bounds the primary-subset error, scaled by the
         # feasibility of its error distribution inside the mixed set
-        family = f"combined-primary-error ({geometry})"
-        n = _header_int(header, "n", 1, math.inf)
         n_a = n - _header_int(header, "n_b", 0, n)
         if not n_a:
+            family = f"combined-primary-error ({geometry})"
             return [FamilyReport(family, True, "subset A is empty; the bound is vacuous")]
-        checks = (
-            (rec["t"], bounds.within(rec["eps_a"], bounds.combined_primary(s, entropic, n, n_a)))
-            for rec, s in zip(rounds, sums)
-        )
     elif algo == "smooth":
-        family = f"smooth-training-error ({geometry})"
         k = header.get("k")
         if type(k) not in _NUMBER or k < 1.0:
             raise ParseError(f"header key 'k' must be a number >= 1, got {k!r}", 1)
-        # as in the trainer, the bound applies while the error is >= 1/k
-        checks = (
-            (rec["t"], rec["train_error"] < 1.0 / k
-             or bounds.within(rec["train_error"], bounds.theorem1(s, entropic)))
-            for rec, s in zip(rounds, sums)
+    checks = bounds.RoundChecks(algo, geometry, n, k, n_a, header.get("alpha_mode") == "half")
+    first_bad = dict.fromkeys(checks.families)
+    # round t+1's y_l1 column holds the mass after round t's update
+    after = [rec.get("y_l1") for rec in rounds[1:]] + [None]
+    for rec, mass_after in zip(rounds, after):
+        t = rec["t"]
+        _, held = checks.add(
+            t, rec["gamma"], rec.get("train_error"), rec.get("y_l1"), rec.get("eps_a"), mass_after
         )
-    else:
-        family = f"training-error ({geometry})"
-        checks = (
-            (rec["t"], bounds.within(rec["train_error"], bounds.theorem1(s, entropic)))
-            for rec, s in zip(rounds, sums)
-        )
-    return [_report(family, total, checks)]
-
-
-def _mada_rate_checks(rounds: list[dict]):
-    gamma_min = math.inf
-    for rec in rounds:
-        gamma_min = min(gamma_min, rec["gamma"])
-        err = rec["train_error"]
-        yield rec["t"], bounds.within(err * err, bounds.mada_rate(rec["t"], gamma_min))
-
-
+        for family, holds in held:
+            if not holds and first_bad[family] is None:
+                first_bad[family] = t
+    return [
+        FamilyReport(family, True, f"{total} rounds within bounds")
+        if bad is None
+        else FamilyReport(family, False, f"first violation at round {bad}")
+        for family, bad in first_bad.items()
+    ]
 
 
 def _header_int(header: dict, key: str, lo: int, hi: float) -> int:
@@ -147,11 +105,3 @@ def _header_int(header: dict, key: str, lo: int, hi: float) -> int:
             f"header key {key!r} must be an integer in [{lo}, {hi}], got {value!r}", 1
         )
     return value
-
-
-def _report(family: str, total: int, checks) -> FamilyReport:
-    """Pass, or fail at the first round t of the (t, holds) pairs that does not hold."""
-    first_bad = next((t for t, holds in checks if not holds), None)
-    if first_bad is None:
-        return FamilyReport(family, True, f"{total} rounds within bounds")
-    return FamilyReport(family, False, f"first violation at round {first_bad}")

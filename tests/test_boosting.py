@@ -18,6 +18,7 @@ from mirrorboost.boosting import (
 )
 from mirrorboost.data import Dataset, gen_blobs, gen_noisy
 from mirrorboost.errors import (
+    BoundViolationError,
     ConfigurationError,
     NoWeakLearnabilityError,
     ParseError,
@@ -113,6 +114,12 @@ class TestMaboost:
         data = Dataset([[1.0], [1.0]], [1.0, -1.0])
         with pytest.raises(NoWeakLearnabilityError):
             run(_cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 10), data)
+
+    def test_broken_bound_raises_naming_round_and_family(self, monkeypatch):
+        monkeypatch.setattr("mirrorboost.bounds.theorem1", lambda *_: 0.0)
+        data = gen_noisy(0, 100, 0.1)
+        with pytest.raises(BoundViolationError, match=r"^round 1: the training-error \(entropy\)"):
+            run(_cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 5), data)
 
     def test_determinism(self):
         data = gen_noisy(3, 80, 0.1)

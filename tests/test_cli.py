@@ -245,9 +245,23 @@ class TestProject:
         code, _ = self._project(monkeypatch, capsys, "entropy", "ball", [1, 2])
         assert code == 1
 
-    def test_bad_stdin_exits_one(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
-        assert main(["project", "--geometry", "entropy", "--set", "simplex"]) == 1
+    @pytest.mark.parametrize(
+        "geometry, spec, stdin",
+        [
+            pytest.param("entropy", "simplex", "not json", id="not-json"),
+            pytest.param("entropy", "simplex", "[NaN, 1]", id="nan-entropy"),
+            pytest.param("quadratic", "simplex", "[NaN, 1]", id="nan-quadratic"),
+            pytest.param("entropy", "capped:0.6", "[Infinity, 1]", id="inf-capped"),
+            pytest.param("quadratic", "simplex", "[]", id="empty"),
+            pytest.param("entropy", "simplex", "5", id="scalar"),
+            pytest.param("entropy", "simplex", "[[1, 2]]", id="nested"),
+        ],
+    )
+    def test_bad_stdin_exits_one(self, monkeypatch, capsys, geometry, spec, stdin):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert main(["project", "--geometry", geometry, "--set", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: stdin must hold")
 
 
 class TestBench:

@@ -1,0 +1,51 @@
+"""The benchmark tracer's contract with the package's module layout.
+
+``perfbench/tracing.py`` times each layer by swapping the names listed in
+its ``TARGETS`` on their owners. A refactor that stops calling a layer
+through a module global silently drops that layer from the benchmark, so
+this test installs the tracer against the current package and checks every
+swap, a traced run and the restore. It only reads ``perfbench/``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from mirrorboost.boosting import Algorithm, AlphaMode, BoosterConfig
+from mirrorboost.data import gen_blobs
+from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_swaps_every_target_and_restores_it():
+    tracing = _load_tracing()
+    originals = []
+    for owner, attr, _name, _counter in tracing.TARGETS:
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr} is not a module global"
+        originals.append((owner, attr, owner.__dict__[attr]))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for owner, attr, original in originals:
+            assert owner.__dict__[attr].__wrapped__ is original
+        data = gen_blobs(0, 40, 0.3)
+        tracing.boosting.run(BoosterConfig(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 3, 0.25, 4.0), data)
+        tracing.boosting.run(
+            BoosterConfig(Algorithm.SPARSE, QUADRATIC, 3, alpha_mode=AlphaMode.HALF), data
+        )
+        tracing.boosting.run(BoosterConfig(Algorithm.MABOOST_ACTIVE, QUADRATIC, 3), data)
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original
+    calls = tracer.totals()[2]
+    for layer in ("boosting.run", "stumps.train_stump", "stumps.loss_vector",
+                  "projection.simplex", "projection.mixed", "projection.orthant_l1"):
+        assert calls[layer] > 0, layer

@@ -65,6 +65,10 @@ class TestSimplex:
         assert abs(w.sum() - 1.0) <= 1e-9
         assert np.all(w >= 0)
 
+    def test_quadratic_rounding_to_no_positive_coordinate_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            project_simplex(QUADRATIC, [1e300, 1e300])
+
     @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.kind.value)
     def test_permutation_equivariance(self, g):
         rng = np.random.default_rng(1)
@@ -102,6 +106,19 @@ class TestCappedSimplex:
         # six caps of float(1/6) sum to just under 1: infeasible, not a hang
         with pytest.raises(ConfigurationError):
             project_capped_simplex(QUADRATIC, np.zeros(6), 1.0 / 6.0)
+
+    def test_quadratic_bracket_grows_below_a_huge_max(self):
+        # hi - 1.0 == hi at 1e16: the bracket must still move
+        np.testing.assert_allclose(
+            project_capped_simplex(QUADRATIC, [1e16, 0.0, 0.0], 0.5),
+            [0.5, 0.25, 0.25],
+            atol=1e-9,
+        )
+
+    def test_quadratic_result_off_the_simplex_rejected(self):
+        # 200 bisection steps cannot resolve the multiplier across 1e300
+        with pytest.raises(DegenerateInputError):
+            project_capped_simplex(QUADRATIC, [1e300, 0.0, 0.0], 0.5)
 
     @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.kind.value)
     def test_caps_respected(self, g):
