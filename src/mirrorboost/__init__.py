@@ -12,7 +12,7 @@ from .boosting import (
     run,
 )
 from .data import Dataset, gen_blobs, gen_combined, gen_noisy, load_csv, load_libsvm
-from .geometry import NEGATIVE_ENTROPY, QUADRATIC, Geometry, GeometryKind
+from .geometry import NEGATIVE_ENTROPY, QUADRATIC, Geometry
 from .stumps import Stump, edge, loss_vector, train_stump
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "BoostResult",
     "Dataset",
     "Geometry",
-    "GeometryKind",
     "MadaEta",
     "NEGATIVE_ENTROPY",
     "QUADRATIC",

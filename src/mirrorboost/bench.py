@@ -20,13 +20,7 @@ from . import bounds
 from .boosting import Algorithm, AlphaMode, BoosterConfig, BoostResult, run
 from .data import gen_blobs, gen_combined, gen_noisy
 from .errors import ConfigurationError
-from .geometry import (
-    NEGATIVE_ENTROPY,
-    QUADRATIC,
-    GeometryKind,
-    divergence,
-    mirror_map,
-)
+from .geometry import NEGATIVE_ENTROPY, QUADRATIC, divergence, mirror_map
 from .oracles import (
     constrained_divergence_argmin,
     hypercube_entropic_argmin,
@@ -53,7 +47,7 @@ class CriterionResult:
 
 def _recheck(result: BoostResult, n: int, **kw) -> tuple[list[str], float]:
     """Re-run a run's bound checks: (broken checks, worst train_error - bound)."""
-    checks = bounds.RoundChecks(result.algorithm.value, result.geometry.kind.value, n, **kw)
+    checks = bounds.RoundChecks(result.algorithm.value, result.geometry.value, n, **kw)
     traces = result.traces
     # round t+1's y_l1 holds the mass after round t; the final weights after the last
     after = [tr.y_l1 for tr in traces[1:]] + [float(result.weights.sum())]
@@ -68,14 +62,17 @@ def _recheck(result: BoostResult, n: int, **kw) -> tuple[list[str], float]:
 
 def _thm1_criterion(name, geometry, rounds, formula, limit) -> CriterionResult:
     t0 = time.perf_counter()
-    data = gen_blobs(0, 200, 0.3)
-    result = run(BoosterConfig(Algorithm.MABOOST_ACTIVE, geometry, rounds), data)
-    _, worst = _recheck(result, data.n)
+    worst, ran = -math.inf, 0
+    # the blobs are separated by the first stump; the noisy set runs every round
+    for data in (gen_blobs(0, 200, 0.3), gen_noisy(0, 200, 0.1)):
+        result = run(BoosterConfig(Algorithm.MABOOST_ACTIVE, geometry, rounds), data)
+        worst = max(worst, _recheck(result, data.n)[1])
+        ran += len(result.traces)
     elapsed = time.perf_counter() - t0
     return CriterionResult(
         name,
         f"error - {formula} <= {bounds.SLACK:g}, runtime < {limit:g} s",
-        f"worst gap {worst:.3g} over {len(result.traces)} rounds, {elapsed:.2f} s",
+        f"worst gap {worst:.3g} over {ran} rounds, {elapsed:.2f} s",
         bounds.within(worst, 0.0) and elapsed < limit,
         elapsed,
     )
@@ -239,7 +236,7 @@ def criterion_projection_oracles() -> CriterionResult:
         return float(np.max(np.abs(a - b))) <= tol
 
     for geometry in (QUADRATIC, NEGATIVE_ENTROPY):
-        entropic = geometry.kind is GeometryKind.NEGATIVE_ENTROPY
+        entropic = geometry is NEGATIVE_ENTROPY
         for trial in range(100):
             dim = int(rng.integers(2, 7))
             z = (
@@ -260,7 +257,7 @@ def criterion_projection_oracles() -> CriterionResult:
                 reference = constrained_divergence_argmin(geometry, z, case_caps)
                 if not close(fast, reference):
                     problems.append(
-                        f"{geometry.kind.value}/{label} mismatch on trial {trial}"
+                        f"{geometry.value}/{label} mismatch on trial {trial}"
                     )
 
     for trial in range(100):
@@ -291,7 +288,7 @@ def _lemma_checks(rng) -> list[str]:
     sign_slack = 1e-10  # floating-point headroom on exact-sign inequalities
     for trial in range(1000):
         for geometry in (QUADRATIC, NEGATIVE_ENTROPY):
-            entropic = geometry.kind is GeometryKind.NEGATIVE_ENTROPY
+            entropic = geometry is NEGATIVE_ENTROPY
             draw = (
                 (lambda: _random_entropic_point(rng, dim))
                 if entropic
@@ -304,11 +301,11 @@ def _lemma_checks(rng) -> list[str]:
             safe_proj = np.maximum(proj, 1e-300) if entropic else proj
             lhs = divergence(geometry, x, z)
             if lhs < divergence(geometry, x, safe_proj) - sign_slack:
-                problems.append(f"relaxed pythagorean broken ({geometry.kind.value})")
+                problems.append(f"relaxed pythagorean broken ({geometry.value})")
             if lhs < divergence(geometry, x, safe_proj) + divergence(
                 geometry, safe_proj, z
             ) - sign_slack:
-                problems.append(f"exact pythagorean broken ({geometry.kind.value})")
+                problems.append(f"exact pythagorean broken ({geometry.value})")
             cap = 2.0 / dim
             capped = project_capped_simplex(geometry, z, cap)
             x_capped = project_capped_simplex(geometry, _random_entropic_point(rng, dim), cap)
@@ -316,7 +313,7 @@ def _lemma_checks(rng) -> list[str]:
             if divergence(geometry, x_capped, z) < divergence(
                 geometry, x_capped, safe_capped
             ) + divergence(geometry, safe_capped, z) - sign_slack:
-                problems.append(f"capped exact pythagorean broken ({geometry.kind.value})")
+                problems.append(f"capped exact pythagorean broken ({geometry.value})")
             # three-point identity
             a, b, c = draw(), draw(), draw()
             lhs3 = float((a - b) @ (mirror_map(geometry, c) - mirror_map(geometry, b)))
@@ -326,7 +323,7 @@ def _lemma_checks(rng) -> list[str]:
                 + divergence(geometry, b, c)
             )
             if abs(lhs3 - rhs3) > 1e-10 * max(1.0, abs(rhs3)):
-                problems.append(f"three-point identity broken ({geometry.kind.value})")
+                problems.append(f"three-point identity broken ({geometry.value})")
         # norm / dual-norm inequality, both paired norms
         u, v = rng.normal(size=dim), rng.normal(size=dim)
         if float(u @ v) > 0.5 * float(u @ u) + 0.5 * float(v @ v) + sign_slack:

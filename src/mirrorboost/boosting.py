@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     UsageError,
 )
-from .geometry import Geometry, GeometryKind
+from .geometry import NEGATIVE_ENTROPY, QUADRATIC, Geometry
 from .projection import project_mixed, project_orthant_l1, project_simplex
 from .stumps import Stump, edge, loss_vector, sign_pm, train_stump
 
@@ -73,12 +73,12 @@ class BoosterConfig:
         if not 0.0 <= self.target_error <= 1.0:
             raise ConfigurationError("target_error must be in [0, 1]")
         if self.algorithm is Algorithm.SPARSE:
-            if self.geometry.kind is not GeometryKind.QUADRATIC:
+            if self.geometry is not QUADRATIC:
                 raise ConfigurationError("sparse boosting requires the quadratic geometry")
             if self.alpha_mode is None:
                 raise ConfigurationError("sparse boosting requires an alpha mode")
         if self.algorithm is Algorithm.MADA:
-            if self.geometry.kind is not GeometryKind.NEGATIVE_ENTROPY:
+            if self.geometry is not NEGATIVE_ENTROPY:
                 raise ConfigurationError("the MadaBoost variant requires the entropy geometry")
         if self.algorithm is Algorithm.SMOOTH and self.target_error < 1.0 / self.k:
             raise ConfigurationError("smooth boosting requires target_error >= 1/k")
@@ -155,7 +155,7 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
     n_a = None if flags is None else int((~flags).sum())
     half = config.alpha_mode is AlphaMode.HALF
     checks = bounds.RoundChecks(
-        config.algorithm.value, config.geometry.kind.value, dataset.n, config.k, n_a, half
+        config.algorithm.value, config.geometry.value, dataset.n, config.k, n_a, half
     )
     features, labels = dataset.features, dataset.labels
     result = BoostResult(algorithm=config.algorithm, geometry=config.geometry)
@@ -239,7 +239,7 @@ class _Projected(_Policy):
         algo = self.algo = config.algorithm
         n = self.n
         self.g = config.geometry
-        self.entropic = self.g.kind is GeometryKind.NEGATIVE_ENTROPY
+        self.entropic = self.g is NEGATIVE_ENTROPY
         self.dual_bound = self.g.dual_norm_sq_bound(n)
         self.caps = None
         if algo is Algorithm.SMOOTH:
@@ -386,7 +386,7 @@ def save_model(result: BoostResult, path: str) -> None:
     """Plain-text model: a header line, then one stump per line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
-            f"# algorithm={result.algorithm.value} geometry={result.geometry.kind.value}\n"
+            f"# algorithm={result.algorithm.value} geometry={result.geometry.value}\n"
         )
         for h, eta in result.hypotheses:
             fh.write(f"{h.feature} {h.threshold!r} {h.polarity} {eta!r}\n")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import Geometry, GeometryKind
+from .geometry import QUADRATIC, Geometry
 
 SLACK = 1e-9
 
@@ -132,7 +132,7 @@ class RoundChecks:
 
 def worst_margin_reference_divergence(g: Geometry, n: int) -> float:
     """B_R(e_i, uniform): the constant C in the margin accuracy gap."""
-    if g.kind is GeometryKind.QUADRATIC:
+    if g is QUADRATIC:
         return 0.5 * (1.0 - 1.0 / n)
     return math.log(n)
 

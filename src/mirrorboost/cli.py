@@ -33,8 +33,9 @@ from .projection import (
 from .trace_io import read_trace, write_trace
 from .verify import verify_trace
 
-_GEOMETRIES = {"quadratic": QUADRATIC, "entropy": NEGATIVE_ENTROPY}
-_FORCED_GEOMETRY = {Algorithm.SPARSE: "quadratic", Algorithm.MADA: "entropy"}
+_FORCED_GEOMETRY = {Algorithm.SPARSE: QUADRATIC, Algorithm.MADA: NEGATIVE_ENTROPY}
+# the package has only the entropic hypercube projections and the Euclidean orthant-l1 one
+_SET_GEOMETRY = {"hypercube": NEGATIVE_ENTROPY, "double": NEGATIVE_ENTROPY, "orthant-l1": QUADRATIC}
 
 
 def _parse_gen(spec: str) -> Dataset:
@@ -66,13 +67,11 @@ def _load_dataset(args) -> Dataset:
 
 def _resolve_geometry(algorithm: Algorithm, flag: str | None) -> Geometry:
     forced = _FORCED_GEOMETRY.get(algorithm)
-    if forced is not None:
-        if flag is not None and flag != forced:
-            raise UsageError(
-                f"--algo {algorithm.value} requires --geometry {forced}"
-            )
-        return _GEOMETRIES[forced]
-    return _GEOMETRIES[flag or "entropy"]
+    if forced is None:
+        return Geometry(flag or "entropy")
+    if flag not in (None, forced.value):
+        raise UsageError(f"--algo {algorithm.value} requires --geometry {forced.value}")
+    return forced
 
 
 def cmd_train(args) -> int:
@@ -127,7 +126,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_project(args) -> int:
-    geometry = _GEOMETRIES[args.geometry]
+    geometry = Geometry(args.geometry)
     try:
         vec = np.asarray(json.loads(sys.stdin.read()), dtype=float)
     except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
@@ -135,6 +134,10 @@ def cmd_project(args) -> int:
     if vec.ndim != 1 or not vec.size or not np.isfinite(vec).all():
         raise UsageError("stdin must hold a non-empty 1-D JSON array of finite numbers")
     spec = args.set
+    name = spec.split(":", 1)[0]
+    required = _SET_GEOMETRY.get(name)
+    if required is not None and geometry is not required:
+        raise UsageError(f"--set {name} requires --geometry {required.value}")
     if spec == "simplex":
         out = project_simplex(geometry, vec)
     elif spec.startswith("capped:"):
@@ -142,8 +145,6 @@ def cmd_project(args) -> int:
     elif spec == "hypercube":
         out = project_hypercube_entropic(vec)
     elif spec == "double":
-        if geometry is not NEGATIVE_ENTROPY:
-            raise UsageError("--set double requires --geometry entropy")
         out = project_hypercube_simplex(vec)
     elif spec.startswith("orthant-l1:"):
         out = project_orthant_l1(vec, _spec_float(spec))
@@ -179,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="run a booster and write trace/model files")
     train.add_argument("--algo", required=True, choices=[a.value for a in Algorithm])
-    train.add_argument("--geometry", choices=sorted(_GEOMETRIES))
+    train.add_argument("--geometry", choices=[g.value for g in Geometry])
     train.add_argument("--data", help="CSV (header row) or LIBSVM file")
     train.add_argument("--gen", help="blobs:<seed>:<N>:<margin> | noisy:... | combined:...")
     train.add_argument("--label-column", default="label")
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     project = sub.add_parser("project", help="project a JSON vector from stdin")
-    project.add_argument("--geometry", required=True, choices=sorted(_GEOMETRIES))
+    project.add_argument("--geometry", required=True, choices=[g.value for g in Geometry])
     project.add_argument(
         "--set",
         required=True,

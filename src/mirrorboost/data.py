@@ -1,7 +1,8 @@
 """Dataset container, file formats and seeded synthetic generators.
 
-Generators draw from an explicit splitmix64 stream (constants below) so
-identical seeds reproduce identical datasets on any platform.
+Generators draw from splitmix64 (constants below), whose i-th output is a
+fixed mix of seed + i * gamma, so identical seeds reproduce identical
+datasets on any platform.
 """
 
 from __future__ import annotations
@@ -13,30 +14,24 @@ import numpy as np
 
 from .errors import ConfigurationError, ParseError
 
+# every operand is a uint64 so the arithmetic wraps mod 2**64 under any
+# NumPy casting rules
 _MASK64 = (1 << 64) - 1
-_SM64_GAMMA = 0x9E3779B97F4A7C15
-_SM64_MIX1 = 0xBF58476D1CE4E5B9
-_SM64_MIX2 = 0x94D049BB133111EB
+_SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-class SplitMix64:
-    """splitmix64 PRNG; uniform doubles use the top 53 bits."""
+def splitmix64(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` splitmix64 outputs for ``seed``, as uint64.
 
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _SM64_GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _SM64_MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _SM64_MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) / float(1 << 53)
-
-    def randint(self, n: int) -> int:
-        return self.next_u64() % n
+    Output i (counting from 1) mixes seed + i * gamma mod 2**64.
+    """
+    u = np.uint64
+    z = u(seed & _MASK64) + np.arange(1, count + 1, dtype=u) * _SM64_GAMMA
+    z = (z ^ (z >> u(30))) * _SM64_MIX1
+    z = (z ^ (z >> u(27))) * _SM64_MIX2
+    return z ^ (z >> u(31))
 
 
 @dataclass(frozen=True)
@@ -209,20 +204,10 @@ def gen_blobs(seed: int, n: int, margin: float) -> Dataset:
         raise ConfigurationError("n must be even and >= 2")
     if margin <= 0:
         raise ConfigurationError("margin must be positive")
-    rng = SplitMix64(seed)
-    features = np.empty((n, 2))
-    labels = np.empty(n)
-    half = n // 2
-    for i in range(n):
-        u0 = rng.uniform()
-        u1 = rng.uniform()
-        if i < half:
-            features[i] = (margin + u0, 2.0 * u1 - 1.0)
-            labels[i] = 1.0
-        else:
-            features[i] = (-margin - u0, 2.0 * u1 - 1.0)
-            labels[i] = -1.0
-    return Dataset(features, labels)
+    u = ((splitmix64(seed, 2 * n) >> np.uint64(11)) / float(1 << 53)).reshape(n, 2)
+    sign = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    features = np.column_stack([sign * (margin + u[:, 0]), 2.0 * u[:, 1] - 1.0])
+    return Dataset(features, sign)
 
 
 def gen_noisy(seed: int, n: int, flip_rate: float) -> Dataset:
@@ -234,12 +219,14 @@ def gen_noisy(seed: int, n: int, flip_rate: float) -> Dataset:
     if n_flip == 0:
         return base
     labels = base.labels.copy()
-    rng = SplitMix64(seed ^ 0xA5A5A5A5A5A5A5A5)
-    idx = list(range(n))
-    for i in range(n_flip):  # partial Fisher-Yates picks distinct flip targets
-        j = i + rng.randint(n - i)
-        idx[i], idx[j] = idx[j], idx[i]
-        labels[idx[i]] = -labels[idx[i]]
+    # partial Fisher-Yates: step i swaps i with a uniform pick from [i, n)
+    picks = splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5, n_flip) % np.arange(
+        n, n - n_flip, -1, dtype=np.uint64
+    )
+    idx = np.arange(n)
+    for i, j in enumerate(picks.tolist()):
+        idx[i], idx[i + j] = idx[i + j], idx[i]
+    labels[idx[:n_flip]] *= -1.0
     return Dataset(base.features, labels)
 
 

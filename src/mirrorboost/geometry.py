@@ -11,7 +11,6 @@ which reduces to plain KL on the simplex.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -19,30 +18,23 @@ from scipy.special import xlogy
 from .errors import DomainError
 
 
-class GeometryKind(enum.Enum):
-    QUADRATIC = "quadratic"
-    NEGATIVE_ENTROPY = "entropy"
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """A Bregman geometry bundle.
+class Geometry(enum.Enum):
+    """A Bregman geometry, named by its potential.
 
     ``dual_norm_sq_bound(n)`` is the constant L with ||d||_*^2 <= L for any
     loss vector d in [-1, 1]^n: n for the quadratic geometry (dual norm l2)
     and 1 for negative entropy (dual norm l_inf).
     """
 
-    kind: GeometryKind
+    QUADRATIC = "quadratic"
+    NEGATIVE_ENTROPY = "entropy"
 
     def dual_norm_sq_bound(self, n: int) -> float:
-        if self.kind is GeometryKind.QUADRATIC:
-            return float(n)
-        return 1.0
+        return float(n) if self is Geometry.QUADRATIC else 1.0
 
 
-QUADRATIC = Geometry(GeometryKind.QUADRATIC)
-NEGATIVE_ENTROPY = Geometry(GeometryKind.NEGATIVE_ENTROPY)
+QUADRATIC = Geometry.QUADRATIC
+NEGATIVE_ENTROPY = Geometry.NEGATIVE_ENTROPY
 
 
 def _as_array(x) -> np.ndarray:
@@ -56,7 +48,7 @@ def potential(g: Geometry, x) -> float:
     continuous extension 0 log 0 = 0; requires x >= 0.
     """
     x = _as_array(x)
-    if g.kind is GeometryKind.QUADRATIC:
+    if g is QUADRATIC:
         return 0.5 * float(x @ x)
     if np.any(x < 0):
         raise DomainError("entropy potential requires nonnegative coordinates")
@@ -69,7 +61,7 @@ def mirror_map(g: Geometry, x) -> np.ndarray:
     Quadratic: identity. Negative entropy: 1 + log x, requires x > 0.
     """
     x = _as_array(x)
-    if g.kind is GeometryKind.QUADRATIC:
+    if g is QUADRATIC:
         return x.copy()
     if np.any(x <= 0):
         raise DomainError("entropy mirror map requires strictly positive coordinates")
@@ -79,7 +71,7 @@ def mirror_map(g: Geometry, x) -> np.ndarray:
 def inverse_mirror_map(g: Geometry, theta) -> np.ndarray:
     """Inverse of the mirror map: identity, or exp(theta - 1) for entropy."""
     theta = _as_array(theta)
-    if g.kind is GeometryKind.QUADRATIC:
+    if g is QUADRATIC:
         return theta.copy()
     return np.exp(theta - 1.0)
 
@@ -95,7 +87,7 @@ def divergence(g: Geometry, x, y) -> float:
     y = _as_array(y)
     if x.shape != y.shape:
         raise DomainError("divergence arguments must have matching shapes")
-    if g.kind is GeometryKind.QUADRATIC:
+    if g is QUADRATIC:
         diff = x - y
         return 0.5 * float(diff @ diff)
     if np.any(x < 0):

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .geometry import Geometry, GeometryKind, divergence
+from .geometry import NEGATIVE_ENTROPY, Geometry, divergence
 
 _ENTROPY_FLOOR = 1e-12
 
@@ -28,7 +28,7 @@ def constrained_divergence_argmin(
     if caps is None:
         caps = np.full(n, np.inf)
     caps = np.asarray(caps, dtype=float)
-    lo = _ENTROPY_FLOOR if g.kind is GeometryKind.NEGATIVE_ENTROPY else 0.0
+    lo = _ENTROPY_FLOOR if g is NEGATIVE_ENTROPY else 0.0
     bounds = [(lo, min(c, 1.0)) for c in caps]
     x0 = np.minimum(np.full(n, 1.0 / n), caps)
     x0 = x0 / x0.sum()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError
-from .geometry import NEGATIVE_ENTROPY, Geometry, GeometryKind
+from .geometry import NEGATIVE_ENTROPY, Geometry
 
 _SUM_TOL = 1e-12
 _MAX_BISECT = 200
@@ -33,7 +33,7 @@ def project_simplex(g: Geometry, z) -> np.ndarray:
     projection w_i = max(0, z_i - theta) with theta solving sum w = 1.
     """
     z = np.asarray(z, dtype=float)
-    if g.kind is GeometryKind.NEGATIVE_ENTROPY:
+    if g is NEGATIVE_ENTROPY:
         _check_entropic_input(z)
         return z / z.sum()
     # sort-then-threshold (O(n log n))
@@ -115,7 +115,7 @@ def project_mixed(g: Geometry, z, caps) -> np.ndarray:
         raise ConfigurationError("caps length must match the vector length")
     if np.minimum(caps, 1.0).sum() < 1.0:
         raise ConfigurationError("caps infeasible: sum of min(cap, 1) < 1")
-    entropic = g.kind is GeometryKind.NEGATIVE_ENTROPY
+    entropic = g is NEGATIVE_ENTROPY
     w = (_project_mixed_entropic if entropic else _project_mixed_quadratic)(z, caps)
     if not abs(w.sum() - 1.0) <= _OFF_SIMPLEX_TOL:  # NaN fails too
         raise DegenerateInputError("capped projection did not reach the simplex")

@@ -23,7 +23,7 @@ def write_trace(result: BoostResult, n: int, path: str, k: float | None = None,
     header = {
         "schema": SCHEMA_VERSION,
         "algorithm": result.algorithm.value,
-        "geometry": result.geometry.kind.value,
+        "geometry": result.geometry.value,
         "n": n,
     }
     if k is not None:

@@ -24,7 +24,7 @@ from mirrorboost.errors import (
     ParseError,
     UsageError,
 )
-from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC, GeometryKind
+from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC
 from mirrorboost.stumps import Stump, loss_vector
 
 
@@ -68,7 +68,7 @@ class TestMaboost:
         assert result.final_error == 0.0
         assert result.status == "target_reached"
 
-    @pytest.mark.parametrize("g", [QUADRATIC, NEGATIVE_ENTROPY], ids=lambda g: g.kind.value)
+    @pytest.mark.parametrize("g", [QUADRATIC, NEGATIVE_ENTROPY], ids=lambda g: g.value)
     @pytest.mark.parametrize("algo", [Algorithm.MABOOST_ACTIVE, Algorithm.MABOOST_LAZY])
     def test_bound_invariants_on_noisy_data(self, algo, g):
         data = gen_noisy(1, 120, 0.15)
@@ -76,7 +76,7 @@ class TestMaboost:
         sum_gamma_sq = 0.0
         for tr in result.traces:
             sum_gamma_sq += tr.gamma**2
-            if g.kind is GeometryKind.NEGATIVE_ENTROPY:
+            if g is NEGATIVE_ENTROPY:
                 bound = math.exp(-0.5 * sum_gamma_sq)
             else:
                 bound = 1.0 / (1.0 + sum_gamma_sq)

@@ -228,9 +228,19 @@ class TestProject:
         code, out = self._project(monkeypatch, capsys, "entropy", "double", [0.5, 3])
         assert code == 0 and out == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-12)
 
-    def test_double_quadratic_exits_one(self, monkeypatch, capsys):
-        code, _ = self._project(monkeypatch, capsys, "quadratic", "double", [0.5, 3])
-        assert code == 1
+    @pytest.mark.parametrize(
+        "spec, geometry, required",
+        [
+            ("double", "quadratic", "entropy"),
+            ("hypercube", "quadratic", "entropy"),
+            ("orthant-l1:0.05", "entropy", "quadratic"),
+        ],
+    )
+    def test_double_quadratic_exits_one(self, monkeypatch, capsys, spec, geometry, required):
+        # each of these sets has a projection in one geometry only
+        monkeypatch.setattr("sys.stdin", io.StringIO("[-0.5, 2]"))
+        assert main(["project", "--geometry", geometry, "--set", spec]) == 1
+        assert f"requires --geometry {required}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["capped:abc", "orthant-l1:abc"])
     def test_bad_set_parameter_exits_one(self, monkeypatch, capsys, spec):

@@ -74,7 +74,7 @@ class TestMirrorMap:
             inverse_mirror_map(NEGATIVE_ENTROPY, [1.0, 1.0]), [1.0, 1.0]
         )
 
-    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.kind.value)
+    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.value)
     def test_round_trip(self, g):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -112,7 +112,7 @@ class TestDivergence:
         with pytest.raises(DomainError):
             divergence(NEGATIVE_ENTROPY, [0.5, 0.5], [1.0, 0.0])
 
-    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.kind.value)
+    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.value)
     def test_non_negativity(self, g):
         rng = np.random.default_rng(1)
         for _ in range(1000):
@@ -136,7 +136,7 @@ class TestDivergence:
             l1 = float(np.abs(x - y).sum())
             assert divergence(NEGATIVE_ENTROPY, x, y) >= 0.5 * l1**2 - 1e-10
 
-    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.kind.value)
+    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.value)
     def test_three_point_identity(self, g):
         rng = np.random.default_rng(4)
         for _ in range(500):

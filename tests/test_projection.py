@@ -48,7 +48,7 @@ class TestSimplex:
         with pytest.raises(DegenerateInputError):
             project_simplex(NEGATIVE_ENTROPY, [0.0, 0.0])
 
-    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.kind.value)
+    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.value)
     def test_feasibility_and_idempotence(self, g):
         rng = np.random.default_rng(0)
         for _ in range(300):
@@ -69,7 +69,7 @@ class TestSimplex:
         with pytest.raises(DegenerateInputError):
             project_simplex(QUADRATIC, [1e300, 1e300])
 
-    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.kind.value)
+    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.value)
     def test_permutation_equivariance(self, g):
         rng = np.random.default_rng(1)
         z = _rand_input(rng, g, 6)
@@ -120,7 +120,7 @@ class TestCappedSimplex:
         with pytest.raises(DegenerateInputError):
             project_capped_simplex(QUADRATIC, [1e300, 0.0, 0.0], 0.5)
 
-    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.kind.value)
+    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.value)
     def test_caps_respected(self, g):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -242,7 +242,7 @@ class TestDoubleProjection:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.kind.value)
+    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.value)
     def test_simplex_and_caps_match_numeric_minimizer(self, g):
         rng = np.random.default_rng(9)
         for _ in range(30):
@@ -260,7 +260,7 @@ class TestOracleEquivalence:
                 atol=1e-6,
             )
 
-    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.kind.value)
+    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.value)
     def test_pythagorean_inequalities(self, g):
         rng = np.random.default_rng(10)
         for _ in range(300):
