@@ -13,7 +13,7 @@ from .boosting import (
 )
 from .data import Dataset, gen_blobs, gen_combined, gen_noisy, load_csv, load_libsvm
 from .geometry import NEGATIVE_ENTROPY, QUADRATIC, Geometry
-from .stumps import Stump, edge, loss_vector, train_stump
+from .stumps import Stump, StumpIndex, edge, loss_vector, train_stump
 
 __all__ = [
     "Algorithm",
@@ -27,6 +27,7 @@ __all__ = [
     "QUADRATIC",
     "RoundTrace",
     "Stump",
+    "StumpIndex",
     "edge",
     "ensemble_margin",
     "gen_blobs",

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .geometry import NEGATIVE_ENTROPY, QUADRATIC, Geometry
 from .projection import project_mixed, project_orthant_l1, project_simplex
-from .stumps import Stump, edge, loss_vector, sign_pm, train_stump
+from .stumps import Stump, StumpIndex, edge, loss_vector, sign_pm, train_stump
 
 EDGE_TOL = 1e-12
 
@@ -160,13 +160,14 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
     features, labels = dataset.features, dataset.labels
     result = BoostResult(algorithm=config.algorithm, geometry=config.geometry)
     score = np.zeros(dataset.n)
+    index = StumpIndex(features)  # one sort per run, charged to training
     for t in range(1, config.rounds + 1):
         w = policy.distribution()
         if w is None:
             result.status = "collapsed"
             break
         # layers are called through module globals: perfbench's tracer swaps them
-        h = train_stump(features, labels, w)
+        h = train_stump(features, labels, w, index)
         d = loss_vector(features, labels, h)
         gamma = edge(w, d)
         if gamma <= EDGE_TOL:

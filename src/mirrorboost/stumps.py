@@ -5,7 +5,9 @@ Training enumerates every threshold at midpoints of consecutive distinct
 feature values (plus -inf/+inf sentinels for the constant hypotheses) and
 returns the stump of maximum absolute weighted correlation, with polarity
 chosen so the edge is nonnegative. Ties break to the lowest feature index,
-then the lowest threshold, making the learner fully deterministic.
+then the lowest threshold, making the learner fully deterministic. Each
+column is sorted once per feature matrix (``StumpIndex``) and the sort is
+reused under every weighting, so a call costs O(N d) after that.
 """
 
 from __future__ import annotations
@@ -45,40 +47,76 @@ def edge(w: np.ndarray, d: np.ndarray) -> float:
     return -float(w @ d)
 
 
-def train_stump(features: np.ndarray, labels: np.ndarray, w: np.ndarray) -> Stump:
+class StumpIndex:
+    """The sorted layout of one feature matrix, shared by every weighting.
+
+    Boosting retrains on the same samples under a new distribution each
+    round, so each column is sorted once (the presorted layout of exact
+    greedy tree learners): ``order[:, j]`` is the stable argsort of feature
+    j, and ``ends[j]`` lists, for every split after the -inf sentinel, the
+    last sorted position below it -- each position where the sorted column
+    changes value, then N - 1 for the +inf sentinel.
+    """
+
+    def __init__(self, features: np.ndarray):
+        if features.ndim != 2:
+            raise UsageError(f"features must be an (n, d) matrix, got {features.ndim}-D")
+        n = features.shape[0]
+        # argsort of the transpose: the same stable order, each column contiguous
+        self.order = np.argsort(features.T, kind="stable").T
+        self.ends: list[np.ndarray] = []
+        for j, column in enumerate(self.order.T):
+            xs = features[column, j]
+            self.ends.append(np.append(np.nonzero(xs[1:] != xs[:-1])[0], n - 1))
+
+
+def train_stump(
+    features: np.ndarray, labels: np.ndarray, w: np.ndarray, index: StumpIndex | None = None
+) -> Stump:
     """Best decision stump under sample weights w.
 
     Maximizes |sum_i w_i a_i h(x_i)| over all features, candidate thresholds
     and polarities; the returned polarity makes the edge nonnegative. A
-    zero-edge stump is returned as-is when nothing better exists.
+    zero-edge stump is returned as-is when nothing better exists. ``index``
+    must be the ``StumpIndex`` of ``features``; without one, one is built.
     """
+    if index is None:
+        index = StumpIndex(features)
+    elif index.order.shape != features.shape:
+        raise UsageError(
+            f"stump index built for a {index.order.shape} matrix, features are {features.shape}"
+        )
     n, n_features = features.shape
-    if n == 0:
+    if n == 0 or n_features == 0:
         raise UsageError("cannot train on an empty dataset")
+    if np.shape(labels) != (n,) or np.shape(w) != (n,):
+        raise UsageError(
+            f"labels {np.shape(labels)} and weights {np.shape(w)} must hold one "
+            f"entry per sample ({n})"
+        )
     wa = w * labels
     total = float(wa.sum())
+    if not np.isfinite(total):
+        raise UsageError("weights and labels must be finite")
 
-    best_gamma = -1.0
-    best: tuple[int, float, int] | None = None
-    for j in range(n_features):
-        x = features[:, j]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        csum = np.cumsum(wa[order])
-        # split k: samples [0, k) fall below the threshold (predicted -1)
-        change = np.nonzero(xs[1:] != xs[:-1])[0] + 1
-        ks = np.concatenate(([0], change, [n]))
-        below = np.concatenate(([0.0], csum[change - 1], [csum[-1]]))
-        corr = total - 2.0 * below  # sum w a sign(x - thr) at each split
-        thresholds = np.concatenate(
-            ([-np.inf], 0.5 * (xs[ks[1:-1] - 1] + xs[ks[1:-1]]), [np.inf])
-        )
+    # the -inf split (every sample above it) is the same constant vote for
+    # every feature, so it is scored once, as feature 0's first candidate
+    best_gamma = abs(total)
+    best = (0, -np.inf, 1 if total >= 0 else -1)
+    for j, ends in enumerate(index.ends):
+        column = index.order[:, j]
+        # split k: the samples up to sorted position ends[k] are predicted -1
+        corr = total - 2.0 * np.cumsum(wa[column])[ends]
         gammas = np.abs(corr)
         k = int(np.argmax(gammas))  # first max = lowest threshold
         if gammas[k] > best_gamma:
             best_gamma = float(gammas[k])
             polarity = 1 if corr[k] >= 0 else -1
-            best = (j, float(thresholds[k]), polarity)
+            if k == len(ends) - 1:
+                threshold = np.inf
+            else:
+                c = ends[k] + 1  # the midpoint of sorted positions c - 1 and c
+                threshold = float(0.5 * (features[column[c - 1], j] + features[column[c], j]))
+            best = (j, threshold, polarity)
 
-    assert best is not None
     return Stump(feature=best[0], threshold=best[1], polarity=best[2])

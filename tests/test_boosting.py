@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mirrorboost import boosting, stumps
 from mirrorboost.boosting import (
     Algorithm,
     AlphaMode,
@@ -30,6 +31,32 @@ from mirrorboost.stumps import Stump, loss_vector
 
 def _cfg(algorithm, geometry, rounds, **kw):
     return BoosterConfig(algorithm=algorithm, geometry=geometry, rounds=rounds, **kw)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        _cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 8),
+        _cfg(Algorithm.SMOOTH, QUADRATIC, 8, k=20.0, target_error=0.05),
+        _cfg(Algorithm.SPARSE, QUADRATIC, 8, alpha_mode=AlphaMode.ZERO),
+    ],
+    ids=lambda c: c.algorithm.value,
+)
+def test_stump_index_built_once_per_run(monkeypatch, config):
+    built = []
+
+    class CountingIndex(stumps.StumpIndex):
+        def __init__(self, features):
+            built.append(features)
+            super().__init__(features)
+
+    # train_stump builds its own index when run passes none: count those too
+    monkeypatch.setattr(boosting, "StumpIndex", CountingIndex)
+    monkeypatch.setattr(stumps, "StumpIndex", CountingIndex)
+    data = gen_noisy(0, 200, 0.1)
+    result = run(config, data)
+    assert len(result.traces) >= 5
+    assert len(built) == 1 and built[0] is data.features
 
 
 class TestConfigValidation:

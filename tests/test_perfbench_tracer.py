@@ -10,6 +10,8 @@ swap, a traced run and the restore. It only reads ``perfbench/``.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from mirrorboost.boosting import Algorithm, AlphaMode, BoosterConfig
 from mirrorboost.data import gen_blobs
 from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC
@@ -49,3 +51,9 @@ def test_tracer_swaps_every_target_and_restores_it():
     for layer in ("boosting.run", "stumps.train_stump", "stumps.loss_vector",
                   "projection.simplex", "projection.mixed", "projection.orthant_l1"):
         assert calls[layer] > 0, layer
+    # the threshold counter reads the feature matrix from train_stump's first
+    # positional argument: every call on these features scans all their splits
+    tracer.end_pass()
+    per_call = sum(len(np.unique(column)) + 1 for column in data.features.T)
+    scanned = tracer.counts["stumps.thresholds_scanned"]
+    assert scanned == per_call * calls["stumps.train_stump"] > 0

@@ -2,10 +2,55 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrorboost.errors import UsageError
 from mirrorboost.oracles import best_stump_bruteforce
-from mirrorboost.stumps import Stump, edge, loss_vector, sign_pm, train_stump
+from mirrorboost.stumps import Stump, StumpIndex, edge, loss_vector, sign_pm, train_stump
+
+
+def _train_stump_reference(features, labels, w):
+    """The learner before the presorted index: one argsort per column per call.
+
+    Kept verbatim so the indexed learner can be held to its exact output,
+    tie-breaks included.
+    """
+    n, n_features = features.shape
+    if n == 0:
+        raise UsageError("cannot train on an empty dataset")
+    wa = w * labels
+    total = float(wa.sum())
+
+    best_gamma = -1.0
+    best: tuple[int, float, int] | None = None
+    for j in range(n_features):
+        x = features[:, j]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        csum = np.cumsum(wa[order])
+        # split k: samples [0, k) fall below the threshold (predicted -1)
+        change = np.nonzero(xs[1:] != xs[:-1])[0] + 1
+        ks = np.concatenate(([0], change, [n]))
+        below = np.concatenate(([0.0], csum[change - 1], [csum[-1]]))
+        corr = total - 2.0 * below  # sum w a sign(x - thr) at each split
+        thresholds = np.concatenate(
+            ([-np.inf], 0.5 * (xs[ks[1:-1] - 1] + xs[ks[1:-1]]), [np.inf])
+        )
+        gammas = np.abs(corr)
+        k = int(np.argmax(gammas))  # first max = lowest threshold
+        if gammas[k] > best_gamma:
+            best_gamma = float(gammas[k])
+            polarity = 1 if corr[k] >= 0 else -1
+            best = (j, float(thresholds[k]), polarity)
+
+    assert best is not None
+    return Stump(feature=best[0], threshold=best[1], polarity=best[2])
+
+
+def _exact(h):
+    # repr pins the threshold's bits as the model file writes them
+    return h.feature, repr(h.threshold), h.polarity
 
 
 def test_sign_zero_is_positive():
@@ -74,6 +119,8 @@ def test_zero_edge_surface_not_hidden():
 def test_empty_dataset_rejected():
     with pytest.raises(UsageError):
         train_stump(np.empty((0, 2)), np.empty(0), np.empty(0))
+    with pytest.raises(UsageError):
+        train_stump(np.empty((3, 0)), np.ones(3), np.full(3, 1 / 3))
 
 
 def test_returned_edge_nonnegative_and_consistent():
@@ -125,3 +172,73 @@ def test_determinism_and_tie_break():
     h2 = train_stump(x2, labels, w)
     assert h2.feature < 3
     assert h2 == first
+
+
+@st.composite
+def _stump_problems(draw):
+    """Rounded features (heavy ties), maybe a constant and a duplicated column,
+    labels, and three weightings with zeros, all for one matrix."""
+    n = draw(st.integers(1, 25))
+    d = draw(st.integers(1, 4))
+    cell = st.floats(-3.0, 3.0)
+    cells = draw(st.lists(cell, min_size=n * d, max_size=n * d))
+    x = np.round(np.array(cells).reshape(n, d), draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, d - 1))] = draw(cell)
+    if draw(st.booleans()):
+        x = np.hstack([x, x[:, [draw(st.integers(0, d - 1))]]])
+    labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    weightings = [
+        np.array(draw(st.lists(weight, min_size=n, max_size=n))) for _ in range(3)
+    ]
+    return x, labels, weightings
+
+
+@given(_stump_problems())
+@example((np.array([[0.5, -2.0]]), np.array([-1.0]), [np.ones(1), np.zeros(1), np.full(1, 0.3)]))
+@settings(max_examples=200, deadline=None)
+def test_indexed_learner_matches_reference_exactly(problem):
+    x, labels, weightings = problem
+    index = StumpIndex(x)
+    for w in weightings:
+        expected = _exact(_train_stump_reference(x, labels, w))
+        assert _exact(train_stump(x, labels, w, index)) == expected
+        assert _exact(train_stump(x, labels, w)) == expected
+
+
+@pytest.mark.parametrize("features", [np.zeros(4), np.zeros((4, 2, 1))], ids=["1d", "3d"])
+def test_features_must_be_a_matrix(features):
+    with pytest.raises(UsageError, match="matrix"):
+        train_stump(features, np.ones(4), np.full(4, 0.25))
+    with pytest.raises(UsageError, match="matrix"):
+        StumpIndex(features)
+    with pytest.raises(UsageError, match="matrix"):
+        train_stump(features, np.ones(4), np.full(4, 0.25), StumpIndex(np.zeros((4, 1))))
+
+
+@pytest.mark.parametrize(
+    "labels, w",
+    [
+        (np.ones(3), np.full(4, 0.25)),
+        (np.ones(4), np.full(5, 0.2)),
+        (np.ones((4, 1)), np.full(4, 0.25)),
+    ],
+    ids=["labels", "weights", "label-column"],
+)
+def test_labels_and_weights_must_match_samples(labels, w):
+    with pytest.raises(UsageError, match="one entry per sample"):
+        train_stump(np.zeros((4, 2)), labels, w)
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (4, 3)])
+def test_index_of_another_matrix_rejected(shape):
+    index = StumpIndex(np.zeros(shape))
+    with pytest.raises(UsageError, match="stump index"):
+        train_stump(np.zeros((4, 2)), np.ones(4), np.full(4, 0.25), index)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(UsageError, match="finite"):
+        train_stump(np.zeros((2, 1)), np.ones(2), np.array([0.5, bad]))
