@@ -67,6 +67,8 @@ class BoosterConfig:
         if self.rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
         # k first: the CLI's default smooth target is 1/k, out of range for k < 1
+        if self.k is not None and not math.isfinite(self.k):
+            raise ConfigurationError(f"smoothness parameter k must be finite, got {self.k}")
         if self.algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED):
             if self.k is None or self.k < 1.0:
                 raise ConfigurationError("smoothness parameter k must be >= 1")

@@ -11,7 +11,6 @@ import sys
 
 import numpy as np
 
-from . import bench
 from .boosting import (
     Algorithm,
     AlphaMode,
@@ -163,6 +162,8 @@ def _spec_float(spec: str) -> float:
 
 
 def cmd_bench(args) -> int:
+    from . import bench  # its projection oracles load scipy; no other command needs it
+
     results = bench.run_bench(args.criterion)
     width = max(len(r.name) for r in results)
     all_passed = True

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError
 
@@ -39,6 +38,13 @@ NEGATIVE_ENTROPY = Geometry.NEGATIVE_ENTROPY
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
+
+
+def xlogy(x, y) -> np.ndarray:
+    """x * log(y), exactly 0 where x == 0 and y is not NaN (as scipy.special.xlogy)."""
+    x, y = _as_array(x), _as_array(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((x == 0) & ~np.isnan(y), 0.0, x * np.log(y))
 
 
 def potential(g: Geometry, x) -> float:

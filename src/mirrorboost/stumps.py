@@ -55,7 +55,8 @@ class StumpIndex:
     greedy tree learners): ``order[:, j]`` is the stable argsort of feature
     j, and ``ends[j]`` lists, for every split after the -inf sentinel, the
     last sorted position below it -- each position where the sorted column
-    changes value, then N - 1 for the +inf sentinel.
+    changes value, then N - 1 for the +inf sentinel. A column without ties
+    splits after every position, so its ``ends[j]`` is None, not 0..N-1.
     """
 
     def __init__(self, features: np.ndarray):
@@ -64,10 +65,11 @@ class StumpIndex:
         n = features.shape[0]
         # argsort of the transpose: the same stable order, each column contiguous
         self.order = np.argsort(features.T, kind="stable").T
-        self.ends: list[np.ndarray] = []
+        self.ends: list[np.ndarray | None] = []
         for j, column in enumerate(self.order.T):
             xs = features[column, j]
-            self.ends.append(np.append(np.nonzero(xs[1:] != xs[:-1])[0], n - 1))
+            changes = np.nonzero(xs[1:] != xs[:-1])[0]
+            self.ends.append(None if len(changes) == n - 1 else np.append(changes, n - 1))
 
 
 def train_stump(
@@ -105,17 +107,19 @@ def train_stump(
     best = (0, -np.inf, 1 if total >= 0 else -1)
     for j, ends in enumerate(index.ends):
         column = index.order[:, j]
-        # split k: the samples up to sorted position ends[k] are predicted -1
-        corr = total - 2.0 * np.cumsum(wa[column])[ends]
+        # split k: the samples up to sorted position ends[k] (k without ties)
+        # are predicted -1
+        below = np.cumsum(wa[column])
+        corr = total - 2.0 * (below if ends is None else below[ends])
         gammas = np.abs(corr)
         k = int(np.argmax(gammas))  # first max = lowest threshold
         if gammas[k] > best_gamma:
             best_gamma = float(gammas[k])
             polarity = 1 if corr[k] >= 0 else -1
-            if k == len(ends) - 1:
+            if k == len(corr) - 1:
                 threshold = np.inf
             else:
-                c = ends[k] + 1  # the midpoint of sorted positions c - 1 and c
+                c = (k if ends is None else ends[k]) + 1  # midpoint of positions c - 1 and c
                 threshold = float(0.5 * (features[column[c - 1], j] + features[column[c], j]))
             best = (j, threshold, polarity)
 

@@ -49,6 +49,9 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
     algo = header.get("algorithm")
     if algo not in _RECORD_KEYS:
         return [FamilyReport(str(algo), False, "unknown algorithm in header")]
+    k = header.get("k")
+    if k is not None and (type(k) not in _NUMBER or not math.isfinite(k)):
+        raise ParseError(f"header key 'k' must be a finite number, got {k!r}", 1)
     keys = _RECORD_KEYS[algo]
     for rec, line in zip(rounds, trace.lines):
         for key in keys:
@@ -66,7 +69,7 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
     if algo not in ("sparse", "mada") and geometry not in ("entropy", "quadratic"):
         raise ParseError(f"header 'geometry' must be entropy or quadratic: {geometry!r}", 1)
     n = _header_int(header, "n", 1, math.inf) if algo in ("sparse", "mada", "combined") else None
-    k = n_a = None
+    n_a = None
     if algo == "combined":
         # the edge sequence bounds the primary-subset error, scaled by the
         # feasibility of its error distribution inside the mixed set
@@ -74,10 +77,8 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
         if not n_a:
             family = f"combined-primary-error ({geometry})"
             return [FamilyReport(family, True, "subset A is empty; the bound is vacuous")]
-    elif algo == "smooth":
-        k = header.get("k")
-        if type(k) not in _NUMBER or k < 1.0:
-            raise ParseError(f"header key 'k' must be a number >= 1, got {k!r}", 1)
+    elif algo == "smooth" and (k is None or k < 1.0):
+        raise ParseError(f"header key 'k' must be a number >= 1, got {k!r}", 1)
     checks = bounds.RoundChecks(algo, geometry, n, k, n_a, header.get("alpha_mode") == "half")
     first_bad = dict.fromkeys(checks.families)
     # round t+1's y_l1 column holds the mass after round t's update

@@ -79,6 +79,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             _cfg(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 10, k=10.0, target_error=0.05).validate()
 
+    @pytest.mark.parametrize("algorithm", [Algorithm.SMOOTH, Algorithm.COMBINED])
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_k_must_be_finite(self, algorithm, k):
+        with pytest.raises(ConfigurationError, match="smoothness parameter k"):
+            _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=k, target_error=0.5).validate()
+
     def test_rounds_positive(self):
         with pytest.raises(ConfigurationError):
             _cfg(Algorithm.MABOOST_ACTIVE, QUADRATIC, 0).validate()

@@ -2,6 +2,11 @@
 
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +40,17 @@ class TestTrain:
             "train", "--algo", "smooth", "--k", "0.5",
             "--gen", "blobs:0:100:0.5", "--rounds", "10",
         ]) == 1
+
+    @pytest.mark.parametrize("target", [(), ("--target-eps", "0.5")], ids=["default", "0.5"])
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_non_finite_k_exits_one(self, tmp_path, capsys, k, target):
+        trace = tmp_path / "trace.jsonl"
+        assert main([
+            "train", "--algo", "smooth", "--k", k, *target,
+            "--gen", "blobs:0:100:0.5", "--rounds", "10", "--trace", str(trace),
+        ]) == 1
+        assert "smoothness parameter k" in capsys.readouterr().err
+        assert not trace.exists()
 
     def test_forced_geometry_conflict_exits_one(self):
         assert main([
@@ -187,6 +203,14 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "line 1" in err and f"'{key}'" in err
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_header_non_finite_k_rejected(self, tmp_path, capsys, k):
+        trace = self._trained_trace(tmp_path, "smooth", ("--k", "10"))
+        self._edit(trace, 1, lambda h: json.dumps({**h, "k": k}))
+        assert main(["verify", trace]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and "'k'" in err and "finite" in err
+
     def test_verify_trace_reports_round_trip(self, tmp_path):
         trace = self._trained_trace(tmp_path, "maboost-active")
         reports = verify_trace(read_trace(trace))
@@ -306,3 +330,39 @@ class TestDeterminism:
             ]) == 0
             blobs.append(open(trace, "rb").read() + open(model, "rb").read())
         assert blobs[0] == blobs[1]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _scipy_modules_after(code: str, tmp_path) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    script = code + (
+        "\nimport json"
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    # scipy's import costs several times what training at paper scale does;
+    # only the bench's numeric oracles need it
+    commands = """
+import io, sys
+import mirrorboost
+import mirrorboost.cli
+from mirrorboost.cli import main
+assert main(["train", "--algo", "smooth", "--k", "20", "--gen", "noisy:0:200:0.1",
+             "--rounds", "20", "--trace", "t.jsonl", "--model", "m.txt"]) == 0
+assert main(["verify", "t.jsonl"]) == 0
+sys.stdin = io.StringIO("[0.7, 0.2, 0.1]")
+assert main(["project", "--geometry", "entropy", "--set", "capped:0.5"]) == 0
+"""
+    assert _scipy_modules_after(commands, tmp_path) == []
+    # the control: the bench does load scipy, so the probe can see it
+    assert "scipy.optimize" in _scipy_modules_after("import sys, mirrorboost.bench", tmp_path)

@@ -1,9 +1,12 @@
 """Potential, mirror map and divergence checks for both geometries."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +18,7 @@ from mirrorboost.geometry import (
     inverse_mirror_map,
     mirror_map,
     potential,
+    xlogy,
 )
 
 GEOMETRIES = [QUADRATIC, NEGATIVE_ENTROPY]
@@ -29,6 +33,32 @@ def _rand_point(rng, g, dim):
 def _rand_simplex(rng, dim):
     v = np.exp(rng.normal(size=dim))
     return v / v.sum()
+
+
+class TestXlogy:
+    """The NumPy xlogy keeps scipy off the import path; it must agree with scipy's."""
+
+    EDGES = [0.0, 5e-324, 2.2e-308, 1e-300, 1.0, 1e300, math.inf, math.nan]
+
+    def test_edge_values_equal_scipy(self):
+        x, y = np.array(list(itertools.product(self.EDGES, self.EDGES))).T
+        for sign in (1.0, -1.0):
+            np.testing.assert_array_equal(
+                xlogy(sign * x, y), scipy.special.xlogy(sign * x, y), strict=True
+            )
+
+    def test_random_pairs_within_two_ulp(self):
+        # NumPy's SIMD log is not libm's log, so the last bits may differ
+        rng = np.random.default_rng(7)
+        x, y = 10.0 ** rng.uniform(-300.0, 300.0, size=(2, 100_000))
+        expected = scipy.special.xlogy(x, y)
+        assert np.all(np.abs(xlogy(x, y) - expected) <= 2 * np.spacing(np.abs(expected)))
+
+    def test_zero_times_log_zero_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert xlogy(0.0, 0.0) == 0.0
+            assert np.isnan(xlogy(1.0, -1.0))
 
 
 class TestPotential:

@@ -207,6 +207,15 @@ def test_indexed_learner_matches_reference_exactly(problem):
         assert _exact(train_stump(x, labels, w)) == expected
 
 
+def test_index_stores_split_positions_only_for_columns_with_ties():
+    rng = np.random.default_rng(3)
+    gaussian = rng.normal(size=50)
+    x = np.column_stack([gaussian, np.round(gaussian)])
+    index = StumpIndex(x)
+    assert index.ends[0] is None
+    assert index.ends[1] is not None and len(index.ends[1]) == len(np.unique(x[:, 1]))
+
+
 @pytest.mark.parametrize("features", [np.zeros(4), np.zeros((4, 2, 1))], ids=["1d", "3d"])
 def test_features_must_be_a_matrix(features):
     with pytest.raises(UsageError, match="matrix"):
