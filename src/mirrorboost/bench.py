@@ -2,8 +2,9 @@
 
 Each criterion re-runs the per-round bound checks on the run's records
 (independently of the bound column the booster wrote) and reports expected
-vs observed. The whole bench is deterministic: fixed seeds, fixed datasets,
-fixed order.
+vs observed. ``_criterion`` files each check in ``CRITERIA`` under its name,
+in definition order, and times it. The whole bench is deterministic: fixed
+seeds, fixed datasets, fixed order.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -42,161 +45,151 @@ class CriterionResult:
     expected: str
     observed: str
     passed: bool
-    seconds: float = 0.0
+    seconds: float
 
 
-def _recheck(result: BoostResult, n: int, **kw) -> tuple[list[str], float]:
-    """Re-run a run's bound checks: (broken checks, worst train_error - bound)."""
-    checks = bounds.RoundChecks(result.algorithm.value, result.geometry.value, n, **kw)
-    traces = result.traces
-    # round t+1's y_l1 holds the mass after round t; the final weights after the last
-    after = [tr.y_l1 for tr in traces[1:]] + [float(result.weights.sum())]
-    broken, worst = [], -math.inf
-    for tr, mass_after in zip(traces, after):
-        bound, held = checks.add(tr.t, tr.gamma, tr.train_error, tr.y_l1, tr.eps_a, mass_after)
-        broken += [f"{family} broken at round {tr.t}" for family, holds in held if not holds]
-        if bound is not None:
-            worst = max(worst, tr.train_error - bound)
-    return broken, worst
+CRITERIA: list[tuple[str, Callable[[], CriterionResult]]] = []
 
 
-def _thm1_criterion(name, geometry, rounds, formula, limit) -> CriterionResult:
+def _criterion(name: str):
+    """File a check under ``name`` in ``CRITERIA`` and time it.
+
+    The check returns (expected, observed, passed).
+    """
+    def register(check: Callable[[], tuple[str, str, bool]]) -> Callable[[], CriterionResult]:
+        def timed() -> CriterionResult:
+            t0 = time.perf_counter()
+            expected, observed, passed = check()
+            return CriterionResult(name, expected, observed, passed, time.perf_counter() - t0)
+        CRITERIA.append((name, timed))
+        return timed
+    return register
+
+
+def _recheck_runs(*configs: BoosterConfig) -> tuple[list[str], float, list[BoostResult]]:
+    """Run each config on the blobs and the noisy set and re-run every round's checks.
+
+    Returns the broken checks, each naming its run, the worst train_error -
+    bound, and the runs. The blobs are separated by the first stump; the
+    noisy set runs many rounds.
+    """
+    datasets = (("blobs", gen_blobs(0, 200, 0.3)), ("noisy", gen_noisy(0, 200, 0.1)))
+    broken, worst, results = [], -math.inf, []
+    for config in configs:
+        mode = f"{config.alpha_mode.value}-mode " if config.alpha_mode else ""
+        for label, data in datasets:
+            result = run(config, data)
+            checks = bounds.RoundChecks(config.algorithm.value, config.geometry.value, data.n,
+                                        config.k, half=config.alpha_mode is AlphaMode.HALF)
+            traces = result.traces
+            # round t+1's y_l1 holds the mass after round t; the final weights after the last
+            after = [tr.y_l1 for tr in traces[1:]] + [float(result.weights.sum())]
+            for tr, mass_after in zip(traces, after):
+                bound, held = checks.add(
+                    tr.t, tr.gamma, tr.train_error, tr.y_l1, tr.eps_a, mass_after
+                )
+                broken += [f"{mode}{family} broken at round {tr.t} on {label}"
+                           for family, holds in held if not holds]
+                if bound is not None:
+                    worst = max(worst, tr.train_error - bound)
+            results.append(result)
+    return broken, worst, results
+
+
+def _thm1(geometry, rounds, formula, limit):
     t0 = time.perf_counter()
-    worst, ran = -math.inf, 0
-    # the blobs are separated by the first stump; the noisy set runs every round
-    for data in (gen_blobs(0, 200, 0.3), gen_noisy(0, 200, 0.1)):
-        result = run(BoosterConfig(Algorithm.MABOOST_ACTIVE, geometry, rounds), data)
-        worst = max(worst, _recheck(result, data.n)[1])
-        ran += len(result.traces)
+    _, worst, results = _recheck_runs(BoosterConfig(Algorithm.MABOOST_ACTIVE, geometry, rounds))
     elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        name,
+    ran = sum(len(r.traces) for r in results)
+    return (
         f"error - {formula} <= {bounds.SLACK:g}, runtime < {limit:g} s",
         f"worst gap {worst:.3g} over {ran} rounds, {elapsed:.2f} s",
         bounds.within(worst, 0.0) and elapsed < limit,
-        elapsed,
     )
 
 
-def criterion_thm1_entropy() -> CriterionResult:
-    return _thm1_criterion("thm1-entropy", NEGATIVE_ENTROPY, 200, "exp(-sum gamma^2/2)", 5.0)
+_criterion("thm1-entropy")(partial(_thm1, NEGATIVE_ENTROPY, 200, "exp(-sum gamma^2/2)", 5.0))
+_criterion("thm1-quadratic")(partial(_thm1, QUADRATIC, 500, "1/(1 + sum gamma^2)", 10.0))
 
 
-def criterion_thm1_quadratic() -> CriterionResult:
-    return _thm1_criterion("thm1-quadratic", QUADRATIC, 500, "1/(1 + sum gamma^2)", 10.0)
-
-
-def criterion_lazy_bounds() -> CriterionResult:
-    t0 = time.perf_counter()
-    worst = -math.inf
-    rounds = 0
-    for data in (gen_blobs(0, 200, 0.3), gen_noisy(0, 200, 0.1)):
-        for geometry, budget in ((NEGATIVE_ENTROPY, 200), (QUADRATIC, 500)):
-            result = run(
-                BoosterConfig(Algorithm.MABOOST_LAZY, geometry, budget), data
-            )
-            worst = max(worst, _recheck(result, data.n)[1])
-            rounds += len(result.traces)
-    return CriterionResult(
-        "lazy-bounds",
+@_criterion("lazy-bounds")
+def _lazy_bounds():
+    _, worst, results = _recheck_runs(
+        BoosterConfig(Algorithm.MABOOST_LAZY, NEGATIVE_ENTROPY, 200),
+        BoosterConfig(Algorithm.MABOOST_LAZY, QUADRATIC, 500),
+    )
+    return (
         f"lazy updates meet the same round-by-round bounds, gap <= {bounds.SLACK:g}",
-        f"worst gap {worst:.3g} over {rounds} rounds",
+        f"worst gap {worst:.3g} over {sum(len(r.traces) for r in results)} rounds",
         bounds.within(worst, 0.0),
-        time.perf_counter() - t0,
     )
 
 
-def criterion_smooth_regime() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("smooth-regime")
+def _smooth_regime():
     k = 20.0
-    data = gen_blobs(0, 200, 0.3)
-    result = run(
-        BoosterConfig(
-            Algorithm.SMOOTH, NEGATIVE_ENTROPY, 500, target_error=1.0 / k, k=k
-        ),
-        data,
+    broken, _, results = _recheck_runs(
+        BoosterConfig(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 500, target_error=1.0 / k, k=k)
     )
-    gamma_obs = min(tr.gamma for tr in result.traces)
-    round_budget = math.ceil(2.0 * math.log(k) / gamma_obs**2) + 1
-    reached_at = next(
-        (tr.t for tr in result.traces if tr.train_error <= 1.0 / k), None
-    )
-    cap_ok = all(tr.max_weight <= k / 200 + 1e-15 for tr in result.traces)
-    passed = reached_at is not None and reached_at <= round_budget and cap_ok
-    return CriterionResult(
-        "smooth-regime",
-        f"error <= 1/k within {round_budget} rounds; max weight <= k/N",
-        f"reached at round {reached_at}; caps respected: {cap_ok}",
-        passed,
-        time.perf_counter() - t0,
+    budgets, reached = [], []
+    for result in results:
+        gamma_obs = min(tr.gamma for tr in result.traces)
+        budgets.append(math.ceil(2.0 * math.log(k) / gamma_obs**2) + 1)
+        reached.append(next((tr.t for tr in result.traces if tr.train_error <= 1.0 / k), None))
+    cap_ok = all(tr.max_weight <= k / 200 + 1e-15 for r in results for tr in r.traces)
+    passed = all(r is not None and r <= b for r, b in zip(reached, budgets))
+    return (
+        f"error <= 1/k within {budgets[0]} rounds on blobs, {budgets[1]} on noisy; "
+        "max weight <= k/N; smooth bound every round",
+        f"reached at round {reached[0]} on blobs, {reached[1]} on noisy; "
+        f"caps respected: {cap_ok}; violations: {broken or 'none'}",
+        passed and cap_ok and not broken,
     )
 
 
-def criterion_combined_sets() -> CriterionResult:
-    t0 = time.perf_counter()
-    data = gen_combined(0, 150, 50, 0.3)
+@_criterion("combined-sets")
+def _combined_sets():
     result = run(
-        BoosterConfig(
-            Algorithm.COMBINED, NEGATIVE_ENTROPY, 500, target_error=0.02, k=4.0
-        ),
-        data,
+        BoosterConfig(Algorithm.COMBINED, NEGATIVE_ENTROPY, 500, target_error=0.02, k=4.0),
+        gen_combined(0, 150, 50, 0.3),
     )
     final = result.traces[-1]
-    passed = final.eps_b <= 0.25
-    return CriterionResult(
-        "combined-sets",
+    return (
         "eps_B <= 0.25 within 500 rounds (hard); eps_A <= 0.02 (soft report)",
         f"eps_B {final.eps_b:.3g}, eps_A {final.eps_a:.3g} after {len(result.traces)} rounds",
-        passed,
-        time.perf_counter() - t0,
+        final.eps_b <= 0.25,
     )
 
 
-def criterion_sparse_thm4() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("sparse-thm4")
+def _sparse_thm4():
     n = 200
-    problems = []
-    for mode in (AlphaMode.ZERO, AlphaMode.HALF):
-        for data in (gen_blobs(0, n, 0.3), gen_noisy(0, n, 0.1)):
-            result = run(
-                BoosterConfig(Algorithm.SPARSE, QUADRATIC, 100, alpha_mode=mode),
-                data,
-            )
-            broken, _ = _recheck(result, n, half=mode is AlphaMode.HALF)
-            problems += [f"{mode.value}-mode {check}" for check in broken]
-    half_noisy = run(
-        BoosterConfig(Algorithm.SPARSE, QUADRATIC, 50, alpha_mode=AlphaMode.HALF),
-        gen_noisy(0, n, 0.1),
-    )
-    min_nnz = min(tr.nnz for tr in half_noisy.traces)
+    problems, _, results = _recheck_runs(*(
+        BoosterConfig(Algorithm.SPARSE, QUADRATIC, 100, alpha_mode=mode)
+        for mode in (AlphaMode.ZERO, AlphaMode.HALF)
+    ))
+    min_nnz = min(tr.nnz for tr in results[-1].traces[:50])  # half-mode, noisy
     if min_nnz >= n:
         problems.append("half-mode produced no sparsity within 50 rounds")
-    return CriterionResult(
-        "sparse-thm4",
+    return (
         "c-weighted bound each round; ||y||_1 >= 1/N while erring; half-mode nnz < N",
         f"violations: {problems or 'none'}; min nnz {min_nnz}/{n}",
         not problems,
-        time.perf_counter() - t0,
     )
 
 
-def criterion_mada_thm5() -> CriterionResult:
-    t0 = time.perf_counter()
-    n = 200
-    problems = []
-    for data in (gen_blobs(0, n, 0.3), gen_noisy(0, n, 0.1)):
-        result = run(BoosterConfig(Algorithm.MADA, NEGATIVE_ENTROPY, 500), data)
-        problems += _recheck(result, n)[0]
-    return CriterionResult(
-        "mada-thm5",
+@_criterion("mada-thm5")
+def _mada_thm5():
+    problems, _, _ = _recheck_runs(BoosterConfig(Algorithm.MADA, NEGATIVE_ENTROPY, 500))
+    return (
         "||y||_1 >= N * error and error^2 <= 1/(t * gamma_min^2) every round",
         f"violations: {problems or 'none'}",
         not problems,
-        time.perf_counter() - t0,
     )
 
 
-def criterion_maxmargin_thm2() -> CriterionResult:
+@_criterion("maxmargin-thm2")
+def _maxmargin_thm2():
     t0 = time.perf_counter()
     n = 100
     result = run(
@@ -208,13 +201,10 @@ def criterion_maxmargin_thm2() -> CriterionResult:
     nu = bounds.margin_accuracy_gap(len(result.traces), 1.0, c, gamma_min)
     margin = result.traces[-1].margin
     elapsed = time.perf_counter() - t0
-    passed = margin >= gamma_min - nu and margin > 0 and elapsed < 30.0
-    return CriterionResult(
-        "maxmargin-thm2",
+    return (
         f"margin >= gamma_min - nu = {gamma_min - nu:.3g} and margin > 0, runtime < 30 s",
         f"margin {margin:.4g} after {len(result.traces)} rounds, {elapsed:.1f} s",
-        passed,
-        elapsed,
+        margin >= gamma_min - nu and margin > 0 and elapsed < 30.0,
     )
 
 
@@ -227,8 +217,8 @@ def _random_simplex_point(rng, dim):
     return v / v.sum()
 
 
-def criterion_projection_oracles() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("projection-oracles")
+def _projection_oracles():
     rng = np.random.default_rng(7)
     problems: list[str] = []
 
@@ -273,12 +263,10 @@ def criterion_projection_oracles() -> CriterionResult:
             problems.append(f"hypercube mismatch on trial {trial}")
 
     problems.extend(_lemma_checks(rng))
-    return CriterionResult(
-        "projection-oracles",
+    return (
         "all projections match numeric minimizers (1e-6); lemma checks hold",
         f"violations: {problems[:3] or 'none'} ({len(problems)} total)",
         not problems,
-        time.perf_counter() - t0,
     )
 
 
@@ -349,8 +337,8 @@ def _lemma_checks(rng) -> list[str]:
     return problems
 
 
-def criterion_adaboost_degeneration() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("adaboost-degeneration")
+def _adaboost_degeneration():
     from .stumps import edge, loss_vector, train_stump
 
     data = gen_noisy(3, 60, 0.1)
@@ -371,17 +359,15 @@ def criterion_adaboost_degeneration() -> CriterionResult:
     direct = w * np.exp(eta * d)
     direct /= direct.sum()
     gap = float(np.max(np.abs(stepped - direct)))
-    return CriterionResult(
-        "adaboost-degeneration",
+    return (
         "active entropic round equals the multiplicative-weights round to 1e-10",
         f"max coordinate gap {gap:.3g}",
         gap <= 1e-10,
-        time.perf_counter() - t0,
     )
 
 
-def criterion_cli_determinism() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion("cli-determinism")
+def _cli_determinism():
     import contextlib
     import io
 
@@ -408,38 +394,16 @@ def criterion_cli_determinism() -> CriterionResult:
                 model_bytes = fh.read()
             outputs.append((code, trace_bytes, model_bytes))
     identical = outputs[0] == outputs[1] and outputs[0][0] == 0
-    return CriterionResult(
-        "cli-determinism",
+    return (
         "two identical train invocations yield byte-identical trace and model",
         f"identical: {identical}",
         identical,
-        time.perf_counter() - t0,
     )
 
 
-CRITERIA = [
-    ("thm1-entropy", criterion_thm1_entropy),
-    ("thm1-quadratic", criterion_thm1_quadratic),
-    ("lazy-bounds", criterion_lazy_bounds),
-    ("smooth-regime", criterion_smooth_regime),
-    ("combined-sets", criterion_combined_sets),
-    ("sparse-thm4", criterion_sparse_thm4),
-    ("mada-thm5", criterion_mada_thm5),
-    ("maxmargin-thm2", criterion_maxmargin_thm2),
-    ("projection-oracles", criterion_projection_oracles),
-    ("adaboost-degeneration", criterion_adaboost_degeneration),
-    ("cli-determinism", criterion_cli_determinism),
-]
-
-
 def run_bench(criterion: str | None = None) -> list[CriterionResult]:
-    names = [name for name, _ in CRITERIA]
-    if criterion is not None:
-        if criterion not in names:
-            raise ConfigurationError(
-                f"unknown criterion {criterion!r}; known: {', '.join(names)}"
-            )
-        selected = [(n, f) for n, f in CRITERIA if n == criterion]
-    else:
-        selected = CRITERIA
-    return [fn() for _, fn in selected]
+    """Run every criterion in ``CRITERIA`` order, or only the one named."""
+    checks = dict(CRITERIA)
+    if criterion is not None and criterion not in checks:
+        raise ConfigurationError(f"unknown criterion {criterion!r}; known: {', '.join(checks)}")
+    return [check() for name, check in CRITERIA if criterion in (None, name)]

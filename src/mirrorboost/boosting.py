@@ -72,6 +72,10 @@ class BoosterConfig:
         if self.algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED):
             if self.k is None or self.k < 1.0:
                 raise ConfigurationError("smoothness parameter k must be >= 1")
+        elif self.k is not None:
+            raise ConfigurationError(f"k is for smooth and combined, not {self.algorithm.value}")
+        if self.alpha_mode is not None and self.algorithm is not Algorithm.SPARSE:
+            raise ConfigurationError(f"alpha_mode is for sparse, not {self.algorithm.value}")
         if not 0.0 <= self.target_error <= 1.0:
             raise ConfigurationError("target_error must be in [0, 1]")
         if self.algorithm is Algorithm.SPARSE:

@@ -16,14 +16,25 @@ from .geometry import NEGATIVE_ENTROPY, Geometry
 
 _SUM_TOL = 1e-12
 _MAX_BISECT = 200
-_OFF_SIMPLEX_TOL = 1e-9  # beyond float error: the multiplier search failed
+_OFF_SIMPLEX_TOL = 1e-9  # beyond float error: the projection failed
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _check_entropic_input(z: np.ndarray) -> None:
+def _check_entropic_input(z: np.ndarray) -> float:
+    """Reject negative or all-zero input; return the largest entry."""
     if np.any(z < 0):
         raise DomainError("entropic projection requires nonnegative input")
-    if z.sum() <= 0:
+    z_max = z.max(initial=0.0)  # unlike the sum, cannot overflow
+    if z_max <= 0:
         raise DegenerateInputError("entropic projection of an all-zero vector")
+    return z_max
+
+
+def _on_simplex(w: np.ndarray) -> np.ndarray:
+    """Return w, or raise if its sum is not 1 up to float error; a NaN sum raises."""
+    if not abs(w.sum() - 1.0) <= _OFF_SIMPLEX_TOL:
+        raise DegenerateInputError("projection did not reach the simplex")
+    return w
 
 
 def project_simplex(g: Geometry, z) -> np.ndarray:
@@ -34,8 +45,10 @@ def project_simplex(g: Geometry, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     if g is NEGATIVE_ENTROPY:
-        _check_entropic_input(z)
-        return z / z.sum()
+        z_max = _check_entropic_input(z)
+        if z_max > _FLOAT_MAX / len(z):  # the sum may overflow; the result is scale-free
+            z = z / z_max
+        return _on_simplex(z / z.sum())
     # sort-then-threshold (O(n log n))
     u = np.sort(z)[::-1]
     css = np.cumsum(u) - 1.0
@@ -45,7 +58,7 @@ def project_simplex(g: Geometry, z) -> np.ndarray:
         raise DegenerateInputError("simplex projection: no coordinate stays positive")
     rho = positive[-1]
     theta = css[rho] / (rho + 1)
-    return np.maximum(z - theta, 0.0)
+    return _on_simplex(np.maximum(z - theta, 0.0))
 
 
 def _clamped_sum(z: np.ndarray, caps: np.ndarray, theta: float) -> float:
@@ -115,11 +128,8 @@ def project_mixed(g: Geometry, z, caps) -> np.ndarray:
         raise ConfigurationError("caps length must match the vector length")
     if np.minimum(caps, 1.0).sum() < 1.0:
         raise ConfigurationError("caps infeasible: sum of min(cap, 1) < 1")
-    entropic = g is NEGATIVE_ENTROPY
-    w = (_project_mixed_entropic if entropic else _project_mixed_quadratic)(z, caps)
-    if not abs(w.sum() - 1.0) <= _OFF_SIMPLEX_TOL:  # NaN fails too
-        raise DegenerateInputError("capped projection did not reach the simplex")
-    return w
+    project = _project_mixed_entropic if g is NEGATIVE_ENTROPY else _project_mixed_quadratic
+    return _on_simplex(project(z, caps))
 
 
 def project_orthant_l1(z, lam: float) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 A stump is h(x) = polarity * sign(x[feature] - threshold) with sign(0) = +1.
 Training enumerates every threshold at midpoints of consecutive distinct
-feature values (plus -inf/+inf sentinels for the constant hypotheses) and
+feature values, or at the upper value where the midpoint rounds onto the
+lower one (plus -inf/+inf sentinels for the constant hypotheses), and
 returns the stump of maximum absolute weighted correlation, with polarity
 chosen so the edge is nonnegative. Ties break to the lowest feature index,
 then the lowest threshold, making the learner fully deterministic. Each
@@ -108,9 +109,12 @@ def train_stump(
     for j, ends in enumerate(index.ends):
         column = index.order[:, j]
         # split k: the samples up to sorted position ends[k] (k without ties)
-        # are predicted -1
-        below = np.cumsum(wa[column])
-        corr = total - 2.0 * (below if ends is None else below[ends])
+        # are predicted -1, so its correlation is total - 2 * their weight
+        corr = np.cumsum(wa[column])
+        if ends is not None:
+            corr = corr[ends]
+        corr *= -2.0  # in place; the same bits as total - 2.0 * corr
+        corr += total
         gammas = np.abs(corr)
         k = int(np.argmax(gammas))  # first max = lowest threshold
         if gammas[k] > best_gamma:
@@ -119,8 +123,11 @@ def train_stump(
             if k == len(corr) - 1:
                 threshold = np.inf
             else:
-                c = (k if ends is None else ends[k]) + 1  # midpoint of positions c - 1 and c
-                threshold = float(0.5 * (features[column[c - 1], j] + features[column[c], j]))
+                c = (k if ends is None else ends[k]) + 1  # split between positions c - 1 and c
+                lo, hi = features[column[c - 1], j], features[column[c], j]
+                mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi can overflow
+                # a midpoint rounded onto lo would put lo above the split
+                threshold = float(mid if mid > lo else hi)
             best = (j, threshold, polarity)
 
     return Stump(feature=best[0], threshold=best[1], polarity=best[2])

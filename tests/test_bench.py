@@ -1,0 +1,37 @@
+"""The acceptance bench's criterion table and its recheck of broken bounds."""
+
+from mirrorboost import bench
+from mirrorboost.bench import CRITERIA, run_bench
+
+
+def test_criterion_table_is_pinned():
+    assert [name for name, _ in CRITERIA] == [
+        "thm1-entropy",
+        "thm1-quadratic",
+        "lazy-bounds",
+        "smooth-regime",
+        "combined-sets",
+        "sparse-thm4",
+        "mada-thm5",
+        "maxmargin-thm2",
+        "projection-oracles",
+        "adaboost-degeneration",
+        "cli-determinism",
+    ]
+    [result] = run_bench("thm1-entropy")
+    assert result.name == "thm1-entropy" and result.seconds > 0
+
+
+def test_broken_check_names_its_run(monkeypatch):
+    # the trainer checks its own rounds, so the records are corrupted after it
+    train = bench.run
+
+    def run_ending_in_error(config, data):
+        result = train(config, data)
+        result.traces[-1].train_error = 1.0
+        return result
+
+    monkeypatch.setattr(bench, "run", run_ending_in_error)
+    [result] = run_bench("sparse-thm4")
+    assert not result.passed
+    assert "half-mode sparse-training-error broken at round 100 on noisy" in result.observed

@@ -89,6 +89,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             _cfg(Algorithm.MABOOST_ACTIVE, QUADRATIC, 0).validate()
 
+    @pytest.mark.parametrize(
+        "algorithm", [a for a in Algorithm if a not in (Algorithm.SMOOTH, Algorithm.COMBINED)]
+    )
+    def test_k_rejected_where_unused(self, algorithm):
+        with pytest.raises(ConfigurationError, match="k is for smooth and combined"):
+            _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=4.0).validate()
+
+    @pytest.mark.parametrize("algorithm", [a for a in Algorithm if a is not Algorithm.SPARSE])
+    def test_alpha_mode_rejected_where_unused(self, algorithm):
+        k = 4.0 if algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED) else None
+        config = _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=k, target_error=0.5,
+                      alpha_mode=AlphaMode.HALF)
+        with pytest.raises(ConfigurationError, match="alpha_mode is for sparse"):
+            config.validate()
+
 
 class TestMaboost:
     def test_single_perfect_stump_entropy(self):

@@ -65,6 +65,36 @@ class TestTrain:
             "train", "--algo", "maboost-active", "--data", str(p), "--rounds", "10",
         ]) == 2
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param(["-1,1.0", "1,1.0000000000000002"], id="adjacent-doubles"),
+            pytest.param(["-1,1.4e308", "1,1.7e308", "1,1.6e308", "-1,1.5e308"], id="huge"),
+        ],
+    )
+    def test_one_stump_separable_csv_trains_to_zero(self, tmp_path, capsys, rows):
+        p = tmp_path / "pair.csv"
+        p.write_text("label,f0\n" + "\n".join(rows) + "\n")
+        assert main([
+            "train", "--algo", "maboost-active", "--data", str(p), "--rounds", "5",
+        ]) == 0
+        assert "train_error=0.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "extra, option",
+        [
+            (("--algo", "maboost-active", "--k", "0.5"), "k"),
+            (("--algo", "mada", "--alpha-mode", "half"), "alpha_mode"),
+        ],
+    )
+    def test_option_the_algorithm_ignores_exits_one(self, tmp_path, capsys, extra, option):
+        trace = tmp_path / "t.jsonl"
+        assert main([
+            "train", *extra, "--gen", "noisy:0:50:0.1", "--rounds", "3", "--trace", str(trace),
+        ]) == 1
+        assert f"{option} is for" in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_bad_gen_spec_exits_one(self):
         assert main([
             "train", "--algo", "maboost-active", "--gen", "spiral:1:2", "--rounds", "5",
@@ -270,6 +300,17 @@ class TestProject:
     def test_bad_set_parameter_exits_one(self, monkeypatch, capsys, spec):
         code, _ = self._project(monkeypatch, capsys, "quadratic", spec, [0.5, 3])
         assert code == 1
+
+    def test_entropy_simplex_of_huge_entries(self, monkeypatch, capsys):
+        # the sum overflows; the normalization does not depend on scale
+        code, out = self._project(monkeypatch, capsys, "entropy", "simplex", [1e308, 1e308])
+        assert code == 0 and out == [0.5, 0.5]
+
+    def test_quadratic_simplex_off_the_simplex_exits_one(self, monkeypatch, capsys):
+        # theta rounds at 1e15: the clipped result would sum to 1.125
+        monkeypatch.setattr("sys.stdin", io.StringIO("[-1e15, -1e15, -1e15]"))
+        assert main(["project", "--geometry", "quadratic", "--set", "simplex"]) == 1
+        assert "did not reach the simplex" in capsys.readouterr().err
 
     def test_domain_error_exits_one(self, monkeypatch, capsys):
         code, _ = self._project(monkeypatch, capsys, "entropy", "hypercube", [-1, 2])

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirrorboost.errors import ConfigurationError, DegenerateInputError, DomainError
+from mirrorboost.errors import (
+    ConfigurationError,
+    DegenerateInputError,
+    DomainError,
+    MirrorBoostError,
+)
 from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC, divergence
 from mirrorboost.oracles import (
     constrained_divergence_argmin,
@@ -281,3 +286,47 @@ class TestOracleEquivalence:
             v = rng.random(5)  # arbitrary feasible point in [0, 1]^5
             grad = np.log(y / z)
             assert float((v - y) @ grad) >= -1e-10
+
+
+@st.composite
+def _projection_problems(draw):
+    """A geometry; 1-8 entries of magnitude 1e-300..1e300 drawn from a pool,
+    so entries repeat; no caps, or caps down to (1 + 1e-15)/n on some or
+    all coordinates; and a power of two to scale the entries by."""
+    g = draw(st.sampled_from(GEOMETRIES))
+    exponent = st.one_of(st.integers(-3, 2), st.integers(-300, 299))
+    magnitude = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), exponent)
+    signs = [1.0] if g is NEGATIVE_ENTROPY else [-1.0, 1.0]
+    entry = st.builds(lambda s, m: s * m, st.sampled_from(signs), magnitude)
+    pool = draw(st.lists(entry, min_size=1, max_size=8))
+    n = draw(st.integers(1, 8))
+    z = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    cap, caps = None, None
+    if draw(st.booleans()):
+        cap = draw(st.floats(1.0 + 1e-15, n + 1e-15)) / n
+        capped = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        caps = np.where(capped, cap, np.inf)
+    return g, z, cap, caps, 2.0 ** draw(st.integers(-20, 20))
+
+
+def _project(g, z, caps):
+    return project_simplex(g, z) if caps is None else project_mixed(g, z, caps)
+
+
+@given(_projection_problems())
+@example((QUADRATIC, np.full(3, -1e15), None, None, 1.0))  # theta rounds off the simplex
+@settings(max_examples=300, deadline=None)
+def test_projection_lands_in_the_simplex_or_raises(problem):
+    g, z, cap, caps, scale = problem
+    try:
+        w = _project(g, z, caps)
+    except MirrorBoostError:
+        return
+    upper = 1.0 if caps is None else np.minimum(caps, 1.0)
+    assert abs(w.sum() - 1.0) <= 1e-9
+    assert np.all(w >= 0.0) and np.all(w <= upper + 1e-9)
+    if g is NEGATIVE_ENTROPY:
+        np.testing.assert_array_equal(_project(g, z * scale, caps), w)
+    moderate = np.all((np.abs(z) >= 1e-3) & (np.abs(z) <= 1e3))
+    if moderate and (cap is None or cap * len(z) >= 1.2):
+        np.testing.assert_allclose(w, constrained_divergence_argmin(g, z, caps), atol=1e-6)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mirrorboost.errors import UsageError
@@ -156,6 +156,24 @@ def test_zero_weight_samples_keep_candidate_geometry():
     w = np.array([0.5, 0.5, 0.0])
     h = train_stump(x, labels, w)
     assert edge(w, loss_vector(x, labels, h)) == pytest.approx(1.0)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_finite, _finite, st.sampled_from([-1.0, 1.0]))
+@example(1.0, 1.0000000000000002, -1.0)  # the midpoint rounds onto the lower value
+@example(1.4e308, 1.7e308, -1.0)  # the sum of the two overflows
+@example(0.0, 5e-324, 1.0)  # the midpoint of subnormals rounds onto the lower value
+@settings(max_examples=300, deadline=None)
+def test_two_distinct_values_with_opposite_labels_separate(a, b, label):
+    assume(a != b)
+    x = np.array([[a], [b]])
+    labels = np.array([label, -label])
+    w = np.array([0.5, 0.5])
+    h = train_stump(x, labels, w)
+    assert edge(w, loss_vector(x, labels, h)) == 1.0
+    assert best_stump_bruteforce(x, labels, w) == 1.0
 
 
 def test_determinism_and_tie_break():
