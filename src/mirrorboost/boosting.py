@@ -184,7 +184,7 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
             result.status = "zero_edge"
             break
 
-        pred = h.predict(features)
+        pred = -labels * d  # h's ±1 votes, exactly: labels are ±1
         eta = policy.step(t, gamma, score, pred)
         result.hypotheses.append((h, eta))
         score += eta * pred

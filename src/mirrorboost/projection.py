@@ -9,6 +9,8 @@ functions are pure.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError
@@ -61,22 +63,29 @@ def project_simplex(g: Geometry, z) -> np.ndarray:
     return _on_simplex(np.maximum(z - theta, 0.0))
 
 
-def _clamped_sum(z: np.ndarray, caps: np.ndarray, theta: float) -> float:
-    return float(np.minimum(np.maximum(z - theta, 0.0), caps).sum())
+def _clamped_sum(z: np.ndarray, caps: np.ndarray, theta: float, out: np.ndarray) -> float:
+    """sum_i clamp(z_i - theta, 0, cap_i), with the clamped vector left in out."""
+    np.subtract(z, theta, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, caps, out=out)
+    return float(out.sum())
 
 
-def _project_mixed_quadratic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:
+def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> float:
     # sum_i clamp(z_i - theta, 0, cap_i) is monotone nonincreasing in theta;
     # bisect after growing the gap below hi until the sum overshoots 1; the
     # gap grows rather than lo, since near 1e16 hi - 1.0 rounds back to hi
     hi = float(z.max())
     gap = 1.0
-    while _clamped_sum(z, caps, hi - gap) < 1.0:
+    while (s := _clamped_sum(z, caps, hi - gap, buf)) < 1.0:
+        if s >= 1.0 - _SUM_TOL and (buf == caps).all():
+            # barely feasible caps: all are full, so the sum grows no more
+            return hi - gap
         gap *= 3.0
     lo = hi - gap
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        s = _clamped_sum(z, caps, mid)
+        s = _clamped_sum(z, caps, mid, buf)
         if abs(s - 1.0) <= _SUM_TOL:
             lo = hi = mid
             break
@@ -84,8 +93,12 @@ def _project_mixed_quadratic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:
             lo = mid
         else:
             hi = mid
-    theta = 0.5 * (lo + hi)
-    w = np.minimum(np.maximum(z - theta, 0.0), caps)
+    return 0.5 * (lo + hi)
+
+
+def _project_mixed_quadratic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    w = np.empty_like(z)  # scratch for every clamped sum, then the result
+    _clamped_sum(z, caps, _mixed_theta(z, caps, w), w)
     s = w.sum()
     if s > 0:  # absorb residual bisection error on the free coordinates
         free = (w > 0) & (w < caps)
@@ -96,13 +109,17 @@ def _project_mixed_quadratic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:
 
 
 def _project_mixed_entropic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    _check_entropic_input(z)
+    z_max = _check_entropic_input(z)
+    if z_max > _FLOAT_MAX / len(z):  # the sums may overflow; the result is scale-free
+        z = z / z_max
     n = len(z)
     w = np.empty(n)
     fixed = np.zeros(n, dtype=bool)
     for _ in range(n):
-        budget = 1.0 - caps[fixed].sum()
         free = ~fixed
+        if not free.any():  # barely feasible caps: every coordinate at its cap
+            break
+        budget = 1.0 - caps[fixed].sum()
         zs = z[free].sum()
         if zs <= 0:
             raise DegenerateInputError("no mass left on uncapped coordinates")
@@ -126,7 +143,9 @@ def project_mixed(g: Geometry, z, caps) -> np.ndarray:
     caps = np.asarray(caps, dtype=float)
     if len(caps) != len(z):
         raise ConfigurationError("caps length must match the vector length")
-    if np.minimum(caps, 1.0).sum() < 1.0:
+    upper = np.minimum(caps, 1.0)
+    # the exact sum decides only when the float sum falls short of 1
+    if upper.sum() < 1.0 and math.fsum([*upper, -1.0]) < 0.0:
         raise ConfigurationError("caps infeasible: sum of min(cap, 1) < 1")
     project = _project_mixed_entropic if g is NEGATIVE_ENTROPY else _project_mixed_quadratic
     return _on_simplex(project(z, caps))

@@ -64,10 +64,18 @@ class StumpIndex:
         if features.ndim != 2:
             raise UsageError(f"features must be an (n, d) matrix, got {features.ndim}-D")
         n = features.shape[0]
-        # argsort of the transpose: the same stable order, each column contiguous
-        self.order = np.argsort(features.T, kind="stable").T
+        # the default (SIMD) sort of the transpose, each column contiguous; a
+        # strictly increasing result is the only sorted order, so it is the
+        # stable one, and only a column with ties, -0.0 beside 0.0 or NaN is
+        # sorted again stably
+        self.order = np.argsort(features.T).T
         self.ends: list[np.ndarray | None] = []
         for j, column in enumerate(self.order.T):
+            xs = features[column, j]
+            if (xs[1:] > xs[:-1]).all():
+                self.ends.append(None)
+                continue
+            column[:] = np.argsort(features[:, j], kind="stable")
             xs = features[column, j]
             changes = np.nonzero(xs[1:] != xs[:-1])[0]
             self.ends.append(None if len(changes) == n - 1 else np.append(changes, n - 1))

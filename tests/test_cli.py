@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,15 @@ class TestProject:
         # the sum overflows; the normalization does not depend on scale
         code, out = self._project(monkeypatch, capsys, "entropy", "simplex", [1e308, 1e308])
         assert code == 0 and out == [0.5, 0.5]
+
+    def test_entropy_capped_of_huge_entries(self, monkeypatch, capsys):
+        # the sum overflows; the capped normalization does not depend on scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = self._project(
+                monkeypatch, capsys, "entropy", "capped:0.5", [1e308, 1e308, 1e308]
+            )
+        assert code == 0 and out == [1.0 / 3.0] * 3
 
     def test_quadratic_simplex_off_the_simplex_exits_one(self, monkeypatch, capsys):
         # theta rounds at 1e15: the clipped result would sum to 1.125

@@ -1,8 +1,11 @@
 """Projection operators: worked examples, feasibility, oracle equivalence."""
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mirrorboost.errors import (
@@ -18,6 +21,8 @@ from mirrorboost.oracles import (
     orthant_l1_argmin,
 )
 from mirrorboost.projection import (
+    _on_simplex,
+    _project_mixed_quadratic,
     project_capped_simplex,
     project_hypercube_entropic,
     project_hypercube_simplex,
@@ -27,6 +32,22 @@ from mirrorboost.projection import (
 )
 
 GEOMETRIES = [QUADRATIC, NEGATIVE_ENTROPY]
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the body after ``seconds``: a hang fails, not stalls."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _rand_input(rng, g, dim):
@@ -171,6 +192,14 @@ class TestMixedCaps:
         with pytest.raises(ConfigurationError):
             project_mixed(QUADRATIC, [1.0, 1.0], [0.3])
 
+    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.value)
+    def test_barely_feasible_caps_project_onto_the_caps(self, g):
+        # 100 caps of float(0.01) sum to just over 1 exactly but to
+        # 0.9999999999999999 in floats, which no theta ever passes
+        with _deadline(10):
+            w = project_capped_simplex(g, np.linspace(1.0, 2.0, 100), 0.01)
+        np.testing.assert_array_equal(w, np.full(100, 0.01))
+
 
 class TestOrthantL1:
     def test_positive_part(self):
@@ -294,19 +323,30 @@ def _projection_problems(draw):
     so entries repeat; no caps, or caps down to (1 + 1e-15)/n on some or
     all coordinates; and a power of two to scale the entries by."""
     g = draw(st.sampled_from(GEOMETRIES))
+    z = draw(_pooled_entries([1.0] if g is NEGATIVE_ENTROPY else [-1.0, 1.0]))
+    cap, caps = None, None
+    if draw(st.booleans()):
+        cap, caps = draw(_caps(len(z)))
+    return g, z, cap, caps, 2.0 ** draw(st.integers(-20, 20))
+
+
+@st.composite
+def _pooled_entries(draw, signs):
+    """1-8 entries of magnitude 1e-300..1e300 drawn from a pool, so they repeat."""
     exponent = st.one_of(st.integers(-3, 2), st.integers(-300, 299))
     magnitude = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), exponent)
-    signs = [1.0] if g is NEGATIVE_ENTROPY else [-1.0, 1.0]
     entry = st.builds(lambda s, m: s * m, st.sampled_from(signs), magnitude)
     pool = draw(st.lists(entry, min_size=1, max_size=8))
     n = draw(st.integers(1, 8))
-    z = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
-    cap, caps = None, None
-    if draw(st.booleans()):
-        cap = draw(st.floats(1.0 + 1e-15, n + 1e-15)) / n
-        capped = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        caps = np.where(capped, cap, np.inf)
-    return g, z, cap, caps, 2.0 ** draw(st.integers(-20, 20))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@st.composite
+def _caps(draw, n):
+    """A cap down to (1 + 1e-15)/n on some or all of n coordinates, inf elsewhere."""
+    cap = draw(st.floats(1.0 + 1e-15, n + 1e-15)) / n
+    capped = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return cap, np.where(capped, cap, np.inf)
 
 
 def _project(g, z, caps):
@@ -315,6 +355,7 @@ def _project(g, z, caps):
 
 @given(_projection_problems())
 @example((QUADRATIC, np.full(3, -1e15), None, None, 1.0))  # theta rounds off the simplex
+@example((QUADRATIC, np.array([400.0, -1.0, -1.0, 400.0]), None, None, 1.0))  # SLSQP stalls
 @settings(max_examples=300, deadline=None)
 def test_projection_lands_in_the_simplex_or_raises(problem):
     g, z, cap, caps, scale = problem
@@ -330,3 +371,69 @@ def test_projection_lands_in_the_simplex_or_raises(problem):
     moderate = np.all((np.abs(z) >= 1e-3) & (np.abs(z) <= 1e3))
     if moderate and (cap is None or cap * len(z) >= 1.2):
         np.testing.assert_allclose(w, constrained_divergence_argmin(g, z, caps), atol=1e-6)
+
+
+def _project_mixed_quadratic_reference(z, caps):
+    """The capped bisection before its scratch buffer: three temporaries a step.
+
+    Kept verbatim so the buffered version can be held to its exact output.
+    """
+    _SUM_TOL, _MAX_BISECT = 1e-12, 200
+
+    def _clamped_sum(z, caps, theta):
+        return float(np.minimum(np.maximum(z - theta, 0.0), caps).sum())
+
+    hi = float(z.max())
+    gap = 1.0
+    while _clamped_sum(z, caps, hi - gap) < 1.0:
+        gap *= 3.0
+    lo = hi - gap
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        s = _clamped_sum(z, caps, mid)
+        if abs(s - 1.0) <= _SUM_TOL:
+            lo = hi = mid
+            break
+        if s > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    theta = 0.5 * (lo + hi)
+    w = np.minimum(np.maximum(z - theta, 0.0), caps)
+    s = w.sum()
+    if s > 0:  # absorb residual bisection error on the free coordinates
+        free = (w > 0) & (w < caps)
+        if free.any():
+            w[free] += (1.0 - s) / free.sum()
+            w = np.minimum(np.maximum(w, 0.0), caps)
+    return w
+
+
+def _outcome(project, z, caps):
+    """The result's bytes, or the type of the error the simplex check raises."""
+    try:
+        return _on_simplex(project(z, caps)).tobytes()
+    except MirrorBoostError as exc:
+        return type(exc)
+
+
+@st.composite
+def _mixed_quadratic_problems(draw):
+    """Signed pooled entries and caps that the reference can bisect: below a
+    float sum of 1 for min(cap, 1), its bracket would grow forever."""
+    z = draw(_pooled_entries([-1.0, 1.0]))
+    _, caps = draw(_caps(len(z)))
+    assume(np.minimum(caps, 1.0).sum() >= 1.0)
+    return z, caps
+
+
+@given(_mixed_quadratic_problems())
+@example((np.array([0.9, 0.3, 0.0]), np.full(3, 0.5)))
+@example((np.array([1e16, 0.0, 0.0]), np.full(3, 0.5)))
+@example((np.array([1e300, 0.0, 0.0]), np.full(3, 0.5)))
+@settings(max_examples=300, deadline=None)
+def test_buffered_bisection_matches_reference_exactly(problem):
+    z, caps = problem
+    assert _outcome(_project_mixed_quadratic, z, caps) == _outcome(
+        _project_mixed_quadratic_reference, z, caps
+    )

@@ -269,3 +269,38 @@ def test_index_of_another_matrix_rejected(shape):
 def test_non_finite_weights_rejected(bad):
     with pytest.raises(UsageError, match="finite"):
         train_stump(np.zeros((2, 1)), np.ones(2), np.array([0.5, bad]))
+
+
+@st.composite
+def _sort_problems(draw):
+    """Columns with ties, -0.0 beside 0.0, constant columns and NaN, n >= 1."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 4))
+    cell = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan]),
+        st.floats(-1e3, 1e3, allow_nan=False),
+    )
+    x = np.array(draw(st.lists(cell, min_size=n * d, max_size=n * d))).reshape(n, d)
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, d - 1))] = draw(cell)
+    return x
+
+
+@given(_sort_problems())
+@example(np.array([[0.0], [-0.0], [0.0], [-0.0]]))
+@example(np.array([[np.nan, 2.0], [1.0, 2.0], [np.nan, 2.0]]))
+@example(np.array([[3.0, -1.0]]))
+@settings(max_examples=300, deadline=None)
+def test_index_order_is_the_stable_argsort(x):
+    index = StumpIndex(x)
+    for j in range(x.shape[1]):
+        np.testing.assert_array_equal(index.order[:, j], np.argsort(x[:, j], kind="stable"))
+
+
+def test_index_order_is_stable_on_a_large_tied_column():
+    # a column long enough that the default sort's order among ties differs
+    rng = np.random.default_rng(4)
+    x = np.column_stack([rng.normal(size=5000), rng.integers(0, 7, 5000).astype(float)])
+    index = StumpIndex(x)
+    for j in range(2):
+        np.testing.assert_array_equal(index.order[:, j], np.argsort(x[:, j], kind="stable"))
