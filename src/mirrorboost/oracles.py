@@ -28,7 +28,14 @@ def constrained_divergence_argmin(
     if caps is None:
         caps = np.full(n, np.inf)
     caps = np.asarray(caps, dtype=float)
-    lo = _ENTROPY_FLOOR if g is NEGATIVE_ENTROPY else 0.0
+    if g is NEGATIVE_ENTROPY:
+        lo = _ENTROPY_FLOOR
+    else:
+        # sum x = 1 on the feasible set, so shifting z moves the objective by a
+        # constant; with max z at 0 the free coordinates' gradients are small,
+        # and SLSQP's line search still sees their differences (at z ~ 400 it
+        # stopped 1.5e-6 short of the minimizer)
+        lo, z = 0.0, z - z.max()
     bounds = [(lo, min(c, 1.0)) for c in caps]
     x0 = np.minimum(np.full(n, 1.0 / n), caps)
     x0 = x0 / x0.sum()
@@ -51,39 +58,7 @@ def constrained_divergence_argmin(
             constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0}],
             options={"maxiter": 500, "ftol": 1e-14},
         )
-    return _polish(g, z, np.asarray(res.x), lo, np.minimum(caps, 1.0))
-
-
-def _polish(g: Geometry, z: np.ndarray, x: np.ndarray, lo: float, hi: np.ndarray) -> np.ndarray:
-    """Re-solve SLSQP's answer exactly on the active set it found.
-
-    SLSQP can stall about 1e-6 short of the minimizer when the divergence is
-    large (quadratic entries near 1e3). Holding the coordinates within ``tol``
-    of a bound there, the rest solve one equation, x_i = z_i - tau
-    (quadratic) or x_i = s z_i (entropic), summing to 1. A candidate whose
-    unclipped values v (z - tau or s z) lie below lo where held at lo, above
-    hi where held at hi and in [lo, hi] where free meets the KKT conditions,
-    so it is the minimizer. If no candidate does, SLSQP's answer stands.
-    """
-    for tol in (1e-9, 1e-7, 1e-5):
-        at_lo = x <= lo + tol
-        at_hi = ~at_lo & (x >= hi - tol) & (hi < 1.0)  # x_i = 1 is the free z_i - (z_i - 1)
-        free = ~(at_lo | at_hi)
-        if not free.any():
-            continue
-        held = np.where(at_hi, hi, lo)
-        budget = 1.0 - held[~free].sum()
-        if g is NEGATIVE_ENTROPY:
-            v = z * (budget / z[free].sum())
-        else:
-            v = z - (z[free].sum() - budget) / free.sum()
-        if (
-            np.all(v[at_lo] <= lo + 1e-12)
-            and np.all(v[at_hi] >= hi[at_hi] - 1e-12)
-            and np.all((v[free] >= lo) & (v[free] <= hi[free]))
-        ):
-            return np.where(free, v, held)
-    return x
+    return np.asarray(res.x)
 
 
 def orthant_l1_argmin(z: np.ndarray, lam: float) -> np.ndarray:

@@ -22,14 +22,15 @@ _OFF_SIMPLEX_TOL = 1e-9  # beyond float error: the projection failed
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _check_entropic_input(z: np.ndarray) -> float:
-    """Reject negative or all-zero input; return the largest entry."""
+def _entropic_input(z: np.ndarray) -> np.ndarray:
+    """Reject negative or all-zero input; return z, divided by its largest
+    entry when its sum may overflow (entropic results are scale-free)."""
     if np.any(z < 0):
         raise DomainError("entropic projection requires nonnegative input")
     z_max = z.max(initial=0.0)  # unlike the sum, cannot overflow
     if z_max <= 0:
         raise DegenerateInputError("entropic projection of an all-zero vector")
-    return z_max
+    return z / z_max if z_max > _FLOAT_MAX / len(z) else z
 
 
 def _on_simplex(w: np.ndarray) -> np.ndarray:
@@ -47,9 +48,7 @@ def project_simplex(g: Geometry, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     if g is NEGATIVE_ENTROPY:
-        z_max = _check_entropic_input(z)
-        if z_max > _FLOAT_MAX / len(z):  # the sum may overflow; the result is scale-free
-            z = z / z_max
+        z = _entropic_input(z)
         return _on_simplex(z / z.sum())
     # sort-then-threshold (O(n log n))
     u = np.sort(z)[::-1]
@@ -109,9 +108,7 @@ def _project_mixed_quadratic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:
 
 
 def _project_mixed_entropic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    z_max = _check_entropic_input(z)
-    if z_max > _FLOAT_MAX / len(z):  # the sums may overflow; the result is scale-free
-        z = z / z_max
+    z = _entropic_input(z)
     n = len(z)
     w = np.empty(n)
     fixed = np.zeros(n, dtype=bool)

@@ -64,21 +64,24 @@ class StumpIndex:
         if features.ndim != 2:
             raise UsageError(f"features must be an (n, d) matrix, got {features.ndim}-D")
         n = features.shape[0]
-        # the default (SIMD) sort of the transpose, each column contiguous; a
-        # strictly increasing result is the only sorted order, so it is the
-        # stable one, and only a column with ties, -0.0 beside 0.0 or NaN is
-        # sorted again stably
+        # the default (SIMD) sort of the transpose, each column contiguous; it
+        # may order equal values (ties, -0.0 beside 0.0, NaNs) any way, so
+        # each run of them is put back in index order, as the stable sort has it
         self.order = np.argsort(features.T).T
         self.ends: list[np.ndarray | None] = []
         for j, column in enumerate(self.order.T):
             xs = features[column, j]
-            if (xs[1:] > xs[:-1]).all():
-                self.ends.append(None)
-                continue
-            column[:] = np.argsort(features[:, j], kind="stable")
-            xs = features[column, j]
-            changes = np.nonzero(xs[1:] != xs[:-1])[0]
-            self.ends.append(None if len(changes) == n - 1 else np.append(changes, n - 1))
+            changes = xs[1:] != xs[:-1]  # NaN != NaN: each NaN is its own split
+            self.ends.append(None if changes.all() else np.append(np.nonzero(changes)[0], n - 1))
+            new_run = changes & ~np.isnan(xs[:-1])  # NaNs sort last, so they tie
+            if not new_run.all():
+                # run r's keys r*n + i sort by run, then by sample index i
+                run = np.zeros(n, dtype=np.intp)
+                np.cumsum(new_run, out=run[1:])
+                run *= n
+                keys = run + column
+                keys.sort()
+                column[:] = keys - run
 
 
 def train_stump(

@@ -356,6 +356,7 @@ def _project(g, z, caps):
 @given(_projection_problems())
 @example((QUADRATIC, np.full(3, -1e15), None, None, 1.0))  # theta rounds off the simplex
 @example((QUADRATIC, np.array([400.0, -1.0, -1.0, 400.0]), None, None, 1.0))  # SLSQP stalls
+@example((QUADRATIC, np.array([200.0, 200.0, -25.0, -10.0]), None, None, 1.0))
 @settings(max_examples=300, deadline=None)
 def test_projection_lands_in_the_simplex_or_raises(problem):
     g, z, cap, caps, scale = problem

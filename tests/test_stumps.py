@@ -297,10 +297,23 @@ def test_index_order_is_the_stable_argsort(x):
         np.testing.assert_array_equal(index.order[:, j], np.argsort(x[:, j], kind="stable"))
 
 
-def test_index_order_is_stable_on_a_large_tied_column():
-    # a column long enough that the default sort's order among ties differs
+def test_index_order_is_stable_on_large_tied_columns():
+    # columns long enough that the default sort's order among ties differs
     rng = np.random.default_rng(4)
-    x = np.column_stack([rng.normal(size=5000), rng.integers(0, 7, 5000).astype(float)])
+    x = np.column_stack(
+        [
+            rng.normal(size=5000),
+            rng.integers(0, 7, 5000).astype(float),
+            rng.choice([np.nan, 0.0, -0.0, 1.0], 5000),
+        ]
+    )
     index = StumpIndex(x)
-    for j in range(2):
-        np.testing.assert_array_equal(index.order[:, j], np.argsort(x[:, j], kind="stable"))
+    for j in range(3):
+        stable = np.argsort(x[:, j], kind="stable")
+        np.testing.assert_array_equal(index.order[:, j], stable)
+        xs = x[stable, j]
+        ends = np.append(np.nonzero(xs[1:] != xs[:-1])[0], len(xs) - 1)
+        if j == 0:
+            assert index.ends[j] is None
+        else:
+            np.testing.assert_array_equal(index.ends[j], ends)
