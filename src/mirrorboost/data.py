@@ -8,11 +8,12 @@ datasets on any platform.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, reads_file
 
 # every operand is a uint64 so the arithmetic wraps mod 2**64 under any
 # NumPy casting rules
@@ -88,12 +89,55 @@ def _map_label(raw: str, line: int) -> float:
     raise ParseError(f"label must be -1, 0 or +1, got {raw!r}", line)
 
 
+@reads_file
 def load_csv(path: str, label_column: str = "label", subset_column: str | None = None) -> Dataset:
     """Load a numeric CSV with a header row.
 
     Label values may be {-1, +1} or {0, 1} (0 maps to -1). The optional
-    subset column holds 'A' / 'B' markers.
+    subset column holds 'A' / 'B' markers. NumPy's C parser reads the rows;
+    a file it rejects goes to the row loop, the only source of parse errors.
     """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = [c.strip() for c in next(csv.reader(fh), [])]
+        try:
+            label_idx = header.index(label_column)
+            subset_idx = None if subset_column is None else header.index(subset_column)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                table = np.loadtxt(
+                    _lines_without_separators(fh), delimiter=",", quotechar='"', comments=None,
+                    ndmin=2, converters={} if subset_idx is None else {subset_idx: _subset_bit},
+                )
+        except ValueError:  # a missing column, or a cell or row the C parser rejects
+            return _load_csv_rows(path, label_column, subset_column)
+    # loadtxt takes its width from the first row, not from the header, and
+    # would read a subset column that is also the label column as 0/1 labels
+    if not len(table) or table.shape[1] != len(header) or subset_idx == label_idx:
+        return _load_csv_rows(path, label_column, subset_column)
+    labels = table[:, label_idx]
+    if not np.isin(labels, (-1.0, 0.0, 1.0)).all():
+        return _load_csv_rows(path, label_column, subset_column)
+    keep = [i for i in range(len(header)) if i not in (label_idx, subset_idx)]
+    flags = None if subset_idx is None else table[:, subset_idx] == 1.0
+    labels = np.where(labels == 0.0, -1.0, labels)
+    return Dataset(np.ascontiguousarray(table[:, keep]), labels, flags)
+
+
+def _lines_without_separators(fh):
+    # NumPy's float parser strips U+001C..U+001F as whitespace and float() does
+    # not, so a line holding one is left to the row loop
+    for line in fh:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("ASCII separator")
+        yield line
+
+
+def _subset_bit(cell: str) -> int:
+    return ("A", "B").index(cell.strip())  # ValueError for any other marker
+
+
+def _load_csv_rows(path: str, label_column: str, subset_column: str | None) -> Dataset:
+    """``load_csv`` one row and one ``float()`` per cell at a time."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -157,6 +201,7 @@ def save_csv(dataset: Dataset, path: str) -> None:
             writer.writerow(row)
 
 
+@reads_file
 def load_libsvm(path: str) -> Dataset:
     """Load the sparse LIBSVM text format: ``<label> idx:value ...`` (1-based)."""
     labels, entries = [], []

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the file-reading wrapper that raises them."""
+
+import functools
 
 
 class MirrorBoostError(Exception):
@@ -37,3 +39,18 @@ class ParseError(MirrorBoostError, ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def reads_file(load):
+    """Wrap ``load(path, ...)``: an unreadable path is a UsageError, bad UTF-8 a ParseError."""
+
+    @functools.wraps(load)
+    def wrapper(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except OSError as exc:
+            raise UsageError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path!r} is not UTF-8 text: {exc.reason}") from None
+
+    return wrapper

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .boosting import BoostResult, RoundTrace
-from .errors import ParseError
+from .errors import ParseError, reads_file
 
 SCHEMA_VERSION = 1
 
@@ -55,6 +55,7 @@ def _record(tr: RoundTrace) -> dict:
     return rec
 
 
+@reads_file
 def read_trace(path: str) -> TraceFile:
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()

@@ -105,6 +105,43 @@ class TestTrain:
         assert main(["train", "--algo", "maboost-active", "--rounds", "5"]) == 1
 
 
+class TestUnreadableFiles:
+    """Files that cannot be opened or decoded exit 1 with a one-line error."""
+
+    @pytest.mark.parametrize(
+        "name,content,message",
+        [
+            ("missing.csv", None, "cannot read"),
+            ("adir", "dir", "cannot read"),
+            ("d.csv", b"label,f0\n1,0.5\n-1,\xff\n", "is not UTF-8 text"),
+            ("d.libsvm", b"+1 1:0.5\n-1 1:\xe9\n", "is not UTF-8 text"),
+        ],
+    )
+    def test_train_data(self, tmp_path, capsys, name, content, message):
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        assert main([
+            "train", "--algo", "maboost-active", "--data", str(path), "--rounds", "2",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and str(path) in err
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [(None, "cannot read"), (b'{"schema": 1}\n{"t": 1, "gamma": 0.\xb5}\n', "is not UTF-8 text")],
+    )
+    def test_verify_trace(self, tmp_path, capsys, content, message):
+        path = tmp_path / "trace.jsonl"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and str(path) in err
+
+
 class TestVerify:
     def _trained_trace(self, tmp_path, algo, extra=()):
         trace = str(tmp_path / "trace.jsonl")

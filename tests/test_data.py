@@ -1,13 +1,19 @@
 """Dataset validation, CSV/LIBSVM parsing and the seeded generators."""
 
+import csv
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from mirrorboost import data
 from mirrorboost.data import (
     DEFAULT_MARGIN,
     Dataset,
+    _map_label,
     gen_blobs,
     gen_combined,
     gen_noisy,
@@ -16,8 +22,141 @@ from mirrorboost.data import (
     save_csv,
     splitmix64,
 )
-from mirrorboost.errors import ConfigurationError, ParseError
+from mirrorboost.errors import ConfigurationError, ParseError, UsageError
 from mirrorboost.stumps import edge, loss_vector, train_stump
+
+
+def _load_csv_reference(path: str, label_column: str = "label", subset_column: str | None = None) -> Dataset:
+    """load_csv as it was before NumPy's C parser read the rows (verbatim)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file", 1) from None
+        header = [c.strip() for c in header]
+        if label_column not in header:
+            raise ParseError(f"missing label column {label_column!r}", 1)
+        label_idx = header.index(label_column)
+        subset_idx = None
+        if subset_column is not None:
+            if subset_column not in header:
+                raise ParseError(f"missing subset column {subset_column!r}", 1)
+            subset_idx = header.index(subset_column)
+        feature_idx = [
+            i for i in range(len(header)) if i not in (label_idx, subset_idx)
+        ]
+
+        rows, labels, flags = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} cells, got {len(row)}", lineno
+                )
+            labels.append(_map_label(row[label_idx].strip(), lineno))
+            if subset_idx is not None:
+                marker = row[subset_idx].strip()
+                if marker not in ("A", "B"):
+                    raise ParseError(f"subset marker must be A or B, got {marker!r}", lineno)
+                flags.append(marker == "B")
+            vals = []
+            for i in feature_idx:
+                try:
+                    vals.append(float(row[i]))
+                except ValueError:
+                    raise ParseError(f"non-numeric cell {row[i]!r}", lineno) from None
+            rows.append(vals)
+    if not rows:
+        raise ParseError("no data rows", 2)
+    return Dataset(
+        np.array(rows), np.array(labels),
+        np.array(flags) if flags else None,
+    )
+
+
+def _outcome(load, path, subset_column):
+    """Everything a caller can observe of one load: the arrays' bytes, or the error."""
+    try:
+        ds = load(path, subset_column=subset_column)
+    except Exception as exc:  # the error itself is the outcome
+        return type(exc), str(exc), getattr(exc, "line", None)
+    flags = ds.subset_flags
+    return (
+        ds.features.dtype, ds.features.shape, ds.features.tobytes(),
+        ds.labels.dtype, ds.labels.tobytes(),
+        None if flags is None else (flags.dtype, flags.tobytes()),
+    )
+
+
+# cells the row loop reads, and cells it rejects
+_FEATURES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from([
+        "-0.0", "0", ".5", "5.", "+.5e-3", "1e-400", " 1.5", "1.5 ", "\t2", "\xa01.5",
+        "1.5\xa0", "\u20031", "1_0", "\u0661", '"1.5"', '" 2 "', '"1.5" ', '"1.5"0', '"1\n"',
+        '"2\r\n"',
+    ]),
+)
+_BAD_FEATURES = st.sampled_from([
+    "nan", "-nan", "inf", "-Infinity", "1e400", "\x1c1.5", "1.5\x1f", "1__0", '"1,5"',
+    ' "1.5"', '1"5', '"1.5', '""', "", "0x10", "1d5", "1.5\x00", "\x0c3\x0b",
+])
+_LABELS = st.sampled_from(
+    ["1", "-1", "0", "+1", "1.0", "-0", "-0.0", " 1", "1\x1c", '"-1"', "\u0661"]
+)
+_BAD_LABELS = st.sampled_from(["3", "nan", "1_0_", "", "0.5", "A"])
+_MARKERS = st.sampled_from(["A", "B", " A", "B\x1d", '"B"', "\xa0A"])
+_BAD_MARKERS = st.sampled_from(["C", "a", "", "A B", "1"])
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text with features, a label and maybe a subset column, and the subset_column to ask for.
+
+    Half the files use only cells and lines the row loop reads and ask for
+    the subset column they have; the other half mix in cells it rejects,
+    lines of the wrong width, blank-looking lines that are not empty and
+    subset columns that are absent or are the label.
+    """
+    noisy = draw(st.booleans())
+    d = draw(st.integers(1 - noisy, 3))
+    subset = draw(st.booleans())
+    names = [f"f{j}" for j in range(d)] + ["label"] + ["subset"] * subset
+    names = draw(st.permutations(names))
+    if draw(st.booleans()):
+        names = [f" {c} " if c == "label" else c for c in names]
+    cells = {"label": (_LABELS, _BAD_LABELS), "subset": (_MARKERS, _BAD_MARKERS)}
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(1 - noisy, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank"] + ["spaces", "wide", "narrow"] * noisy))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", "  \t", ","])))
+            continue
+        row = []
+        for c in names:
+            good, bad = cells.get(c.strip(), (_FEATURES, _BAD_FEATURES))
+            row.append(draw(st.one_of(good, good, good, bad) if noisy else good))
+        if kind == "wide":
+            row.append(draw(st.sampled_from(["", "1.5"])))
+        elif kind == "narrow":
+            row.pop()
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines)
+    if draw(st.booleans()):
+        text += newline
+    if noisy:
+        return text, draw(st.sampled_from([None, "subset", "label", "absent"]))
+    return text, "subset" if subset else None
+
+
+_CLEAN = "label,f0,f1,subset\n1,0.5,-0.0,A\n0,-1.5,2.0,B\n-0.0,3e-300,-1.5,A\n"
+_CLEAN_NO_SUBSET = "label,f0,f1\n1,0.5,-0.0\n0,-1.5,2.0\n-0.0,3e-300,-1.5\n"
 
 
 class TestDataset:
@@ -85,6 +224,71 @@ class TestCsv:
         with pytest.raises(ParseError) as e:
             load_csv(str(p))
         assert e.value.line == 1
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_csv_files())
+    @example(("label,f0\n1,0.5\n-1,0.25,9\n", None))  # a later row wider than the header
+    @example(("label,f0\n1,0.5,9\n-1,0.25,9\n", None))  # every row wider than the header
+    @example(("label,f0\n1,\x1c0.5\n", None))  # NumPy strips U+001C, float() does not
+    @example(("label,subset\nA,A\n", "label"))  # the label column doubles as the subset
+    @example(("label,f0\n\n", None))
+    @example(("label,f0\n1,0.5\n \n", None))
+    def test_matches_the_row_by_row_reference(self, tmp_path, drawn):
+        text, subset_column = drawn
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_csv, str(p), subset_column) == _outcome(
+            _load_csv_reference, str(p), subset_column
+        )
+
+    def test_clean_file_never_reaches_the_row_loop(self, tmp_path, monkeypatch):
+        p = tmp_path / "d.csv"
+        p.write_text(_CLEAN)
+
+        def row_loop(*args):
+            raise AssertionError("row loop called")
+
+        monkeypatch.setattr(data, "_load_csv_rows", row_loop)
+        ds = load_csv(str(p), subset_column="subset")
+        assert ds.n == 3 and ds.d == 2
+
+    @pytest.mark.parametrize("text,subset_column", [(_CLEAN_NO_SUBSET, None), (_CLEAN, "subset")])
+    def test_layout_and_dtypes(self, tmp_path, text, subset_column):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        ds = load_csv(str(p), subset_column=subset_column)
+        f = ds.features
+        assert f.shape == (3, 2) and f.dtype == np.float64
+        assert f.flags.c_contiguous and not f.flags.writeable
+        assert ds.labels.dtype == np.float64 and not ds.labels.flags.writeable
+        # 0 and -0.0 both map to -1.0
+        assert ds.labels.tobytes() == np.array([1.0, -1.0, -1.0]).tobytes()
+        if subset_column is None:
+            assert ds.subset_flags is None
+        else:
+            assert ds.subset_flags.dtype == bool
+            np.testing.assert_array_equal(ds.subset_flags, [False, True, False])
+
+    def test_header_only_file_raises_without_a_warning(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("label,f0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="no data rows") as e:
+                load_csv(str(p))
+        assert e.value.line == 2
+
+    def test_unreadable_files_raise_package_errors(self, tmp_path):
+        with pytest.raises(UsageError, match="cannot read"):
+            load_csv(str(tmp_path / "missing.csv"))
+        with pytest.raises(UsageError, match="cannot read"):
+            load_csv(str(tmp_path))
+        # a bad byte past the first block of text the C parser reads
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"label,f0\n" + b"1,0.5\n" * 4000 + b"-1,\xff\n")
+        with pytest.raises(ParseError, match="is not UTF-8 text"):
+            load_csv(str(p))
 
     def test_round_trip_bit_exact(self, tmp_path):
         ds = gen_combined(5, 10, 6, 0.3)
