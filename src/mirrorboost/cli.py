@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 no weak learnability.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -175,8 +176,17 @@ def cmd_bench(args) -> int:
     return 0 if all_passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises UsageError (exit 1) instead of exiting 2;
+    its subparsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+@functools.cache  # built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mirrorboost")
+    parser = _Parser(prog="mirrorboost")
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="run a booster and write trace/model files")
@@ -219,9 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NoWeakLearnabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

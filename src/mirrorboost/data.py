@@ -8,6 +8,8 @@ datasets on any platform.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -98,8 +100,8 @@ def load_csv(path: str, label_column: str = "label", subset_column: str | None =
     a file it rejects goes to the row loop, the only source of parse errors.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        header = [c.strip() for c in next(csv.reader(fh), [])]
         try:
+            header = [c.strip() for c in next(csv.reader(fh), [])]
             label_idx = header.index(label_column)
             subset_idx = None if subset_column is None else header.index(subset_column)
             with warnings.catch_warnings():
@@ -108,7 +110,7 @@ def load_csv(path: str, label_column: str = "label", subset_column: str | None =
                     _lines_without_separators(fh), delimiter=",", quotechar='"', comments=None,
                     ndmin=2, converters={} if subset_idx is None else {subset_idx: _subset_bit},
                 )
-        except ValueError:  # a missing column, or a cell or row the C parser rejects
+        except (ValueError, csv.Error):  # a missing column, or a cell or row the C parser rejects
             return _load_csv_rows(path, label_column, subset_column)
     # loadtxt takes its width from the first row, not from the header, and
     # would read a subset column that is also the label column as 0/1 labels
@@ -136,10 +138,20 @@ def _subset_bit(cell: str) -> int:
     return ("A", "B").index(cell.strip())  # ValueError for any other marker
 
 
+def _csv_rows(fh):
+    """csv.reader rows; a csv.Error, such as a cell over the field size
+    limit, becomes a ParseError at the reader's line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
+
+
 def _load_csv_rows(path: str, label_column: str, subset_column: str | None) -> Dataset:
     """``load_csv`` one row and one ``float()`` per cell at a time."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -205,7 +217,7 @@ def save_csv(dataset: Dataset, path: str) -> None:
 def load_libsvm(path: str) -> Dataset:
     """Load the sparse LIBSVM text format: ``<label> idx:value ...`` (1-based)."""
     labels, entries = [], []
-    max_idx = 0
+    max_idx = max_line = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -224,15 +236,31 @@ def load_libsvm(path: str) -> Dataset:
                 if idx < 1:
                     raise ParseError(f"feature index must be >= 1, got {idx}", lineno)
                 row[idx - 1] = val
-                max_idx = max(max_idx, idx)
+                if idx > max_idx:
+                    max_idx, max_line = idx, lineno
             entries.append(row)
     if not labels:
         raise ParseError("no data lines", 1)
+    memory = _memory_bytes()
+    if 8 * len(labels) * max_idx > memory:  # refuse before allocating the dense matrix
+        raise ParseError(
+            f"feature index {max_idx} needs a dense {len(labels)} x {max_idx} matrix, "
+            f"more than the {memory / 2**30:.3g} GiB of memory",
+            max_line,
+        )
     features = np.zeros((len(labels), max(max_idx, 1)))
     for i, row in enumerate(entries):
         for j, v in row.items():
             features[i, j] = v
     return Dataset(features, np.array(labels))
+
+
+def _memory_bytes() -> float:
+    """Physical memory in bytes, or inf where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 DEFAULT_MARGIN = 0.5

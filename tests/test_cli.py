@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from mirrorboost import cli
 from mirrorboost.cli import main
 from mirrorboost.trace_io import read_trace
 from mirrorboost.verify import verify_trace
@@ -103,6 +104,52 @@ class TestTrain:
 
     def test_data_and_gen_mutually_exclusive(self):
         assert main(["train", "--algo", "maboost-active", "--rounds", "5"]) == 1
+
+    @pytest.mark.parametrize(
+        "name,content,message",
+        [
+            ("big.csv", b"label,f0\n1,0.5\n-1," + b"x" * 140_000 + b"\n",
+             "error: line 3: field larger than field limit"),
+            ("huge.libsvm", b"+1 99999999999:0.5\n-1 1:0.2\n",
+             "error: line 1: feature index 99999999999 needs a dense 2 x 99999999999 matrix"),
+        ],
+    )
+    def test_data_the_loaders_reject_exits_one(self, tmp_path, capsys, name, content, message):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main([
+            "train", "--algo", "maboost-active", "--data", str(path), "--rounds", "2",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
+
+class TestArguments:
+    """argparse's errors exit 1, like every other usage error; 2 means no weak
+    learnability."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["train", "--algo", "nope", "--gen", "noisy:0:50:0.1", "--rounds", "3"],
+             "argument --algo: invalid choice: 'nope'"),
+            (["train", "--algo", "smooth", "--gen", "noisy:0:50:0.1", "--rounds", "x"],
+             "argument --rounds: invalid int value: 'x'"),
+            (["verify"], "the following arguments are required: trace"),
+        ],
+    )
+    def test_argparse_error_exits_one(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--help"])
+        assert e.value.code == 0 and "--algo" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestUnreadableFiles:
@@ -444,6 +491,7 @@ def test_commands_do_not_import_scipy(tmp_path):
 import io, sys
 import mirrorboost
 import mirrorboost.cli
+from mirrorboost import cli
 from mirrorboost.cli import main
 assert main(["train", "--algo", "smooth", "--k", "20", "--gen", "noisy:0:200:0.1",
              "--rounds", "20", "--trace", "t.jsonl", "--model", "m.txt"]) == 0

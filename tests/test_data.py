@@ -290,6 +290,14 @@ class TestCsv:
         with pytest.raises(ParseError, match="is not UTF-8 text"):
             load_csv(str(p))
 
+    @pytest.mark.parametrize("lines,line", [(["label,f0", "1,0.5", "-1,{}"], 3), (["label,{}", "1,0.5"], 1)])
+    def test_cell_over_the_field_limit_is_a_parse_error(self, tmp_path, lines, line):
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join(lines).format("x" * 140_000) + "\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as e:
+            load_csv(str(p))
+        assert e.value.line == line
+
     def test_round_trip_bit_exact(self, tmp_path):
         ds = gen_combined(5, 10, 6, 0.3)
         p = tmp_path / "d.csv"
@@ -322,6 +330,15 @@ class TestLibsvm:
         p.write_text("+1 0:0.5\n")
         with pytest.raises(ParseError):
             load_libsvm(str(p))
+
+    @pytest.mark.parametrize("index", ["99999999999", "9" * 400])
+    def test_index_too_large_for_memory_names_its_line(self, tmp_path, monkeypatch, index):
+        monkeypatch.setattr(np, "zeros", None)  # the check must come before the matrix
+        p = tmp_path / "d.libsvm"
+        p.write_text(f"-1 1:0.2\n+1 {index}:0.5\n-1 7:0.1\n")
+        with pytest.raises(ParseError, match=f"feature index {index} needs a dense 3 x") as e:
+            load_libsvm(str(p))
+        assert e.value.line == 2
 
     def test_agreement_with_csv(self, tmp_path):
         csv_p = tmp_path / "d.csv"
