@@ -143,7 +143,8 @@ def ensemble_margin(hypotheses: list[tuple[Stump, float]], dataset: Dataset) -> 
 
 
 def _error(score: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(sign_pm(score) != labels))
+    """The share of ±1 labels that sign(score), with sign(0) = +1, gets wrong."""
+    return int(np.count_nonzero((score >= 0) != (labels > 0))) / len(labels)
 
 
 def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
@@ -184,14 +185,16 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
             result.status = "zero_edge"
             break
 
-        pred = -labels * d  # h's ±1 votes, exactly: labels are ±1
-        eta = policy.step(t, gamma, score, pred)
+        # minus h's ±1 votes, exactly, as labels are ±1; subtracting them
+        # adds the votes bit for bit
+        anti = labels * d
+        eta = policy.step(t, gamma, score, anti)
         result.hypotheses.append((h, eta))
-        score += eta * pred
+        score -= eta * anti
         err = _error(score, labels)
         policy.update(eta, d)
         trace = policy.record(t, gamma, eta, err, score)
-        mass_after = float(policy.weights().sum())
+        mass_after = float(policy.weights().sum()) if checks.reads_mass else None
         trace.bound, held = checks.add(t, gamma, err, trace.y_l1, trace.eps_a, mass_after)
         for family, holds in held:
             if not holds:
@@ -263,7 +266,7 @@ class _Projected(_Policy):
             self.z = np.full(n, -math.log(n)) if self.entropic else np.full(n, 1.0 / n)
         self.sum_eta = 0.0
 
-    def step(self, t, gamma, score, pred) -> float:
+    def step(self, t, gamma, score, anti) -> float:
         if self.algo is Algorithm.MAX_MARGIN:
             return gamma / (self.dual_bound * math.sqrt(t))
         return gamma / self.dual_bound
@@ -333,7 +336,7 @@ class _Sparse(_Policy):
     def weights(self) -> np.ndarray:
         return self.y
 
-    def step(self, t, gamma, score, pred) -> float:
+    def step(self, t, gamma, score, anti) -> float:
         if self.half:
             self.alpha = min(1.0, 0.5 * gamma * self.y_l1)
             return gamma * self.y_l1 / (2.0 * self.n)
@@ -362,10 +365,10 @@ class _Mada(_Policy):
         self.log_z = np.zeros(self.n)
         self.prev_err = 1.0  # ensemble error before any hypothesis, taken pessimistically
 
-    def step(self, t, gamma, score, pred) -> float:
+    def step(self, t, gamma, score, anti) -> float:
         eta = self.prev_err * gamma
         if self.config.mada_eta is MadaEta.FIXED_POINT:
-            eta = _error(score + eta * pred, self.labels) * gamma
+            eta = _error(score - eta * anti, self.labels) * gamma
         return eta
 
     def update(self, eta, d) -> None:
@@ -391,12 +394,10 @@ _POLICIES = {Algorithm.SPARSE: _Sparse, Algorithm.MADA: _Mada}
 
 def save_model(result: BoostResult, path: str) -> None:
     """Plain-text model: a header line, then one stump per line."""
+    lines = [f"# algorithm={result.algorithm.value} geometry={result.geometry.value}\n"]
+    lines += [f"{h.feature} {h.threshold!r} {h.polarity} {eta!r}\n" for h, eta in result.hypotheses]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# algorithm={result.algorithm.value} geometry={result.geometry.value}\n"
-        )
-        for h, eta in result.hypotheses:
-            fh.write(f"{h.feature} {h.threshold!r} {h.polarity} {eta!r}\n")
+        fh.write("".join(lines))
 
 
 def load_model(path: str) -> tuple[str, str, list[tuple[Stump, float]]]:

@@ -62,7 +62,7 @@ def mada_mass_floor(n: int, error: float) -> float:
 
 def mada_rate(t: int, gamma_min: float) -> float:
     """MadaBoost's rate: error^2 <= 1/(t gamma_min^2) after t rounds."""
-    return 1.0 / (t * gamma_min**2)
+    return 1.0 / (t * (gamma_min * gamma_min))  # ** would raise OverflowError
 
 
 class RoundChecks:
@@ -80,6 +80,7 @@ class RoundChecks:
         self.sum_gamma_sq = 0.0
         self.sum_term = 0.0
         self.gamma_min = math.inf
+        self.reads_mass = algorithm == "sparse" and not half  # the sparse floor
         if algorithm == "sparse":
             floor = () if half else ("sparse-mass-floor",)
             self.families = ("sparse-training-error", *floor)
@@ -108,7 +109,7 @@ class RoundChecks:
             bound = sparse(self.sum_term, self.half)
             checks = [(family, within(error, bound))]
             # without a penalty, ||y||_1 stays >= 1/N while the ensemble errs
-            if not self.half and mass_after is not None and error > 0.0:
+            if self.reads_mass and mass_after is not None and error > 0.0:
                 checks.append((self.families[1], reaches(mass_after, sparse_mass_floor(self.n))))
             return bound, checks
         if self.algorithm == "mada":

@@ -43,7 +43,7 @@ _PUSH = 2.0**20 * _HUGE  # moves an entry past every breakpoint, without overflo
 def _entropic_input(z: np.ndarray) -> np.ndarray:
     """Reject negative or all-zero input; return z, divided by its largest
     entry when its sum may overflow (entropic results are scale-free)."""
-    if np.any(z < 0):
+    if (z < 0).any():
         raise DomainError("entropic projection requires nonnegative input")
     z_max = z.max(initial=0.0)  # unlike the sum, cannot overflow
     if z_max <= 0:
@@ -70,9 +70,9 @@ def project_simplex(g: Geometry, z) -> np.ndarray:
         return _on_simplex(z / z.sum())
     # sort-then-threshold (O(n log n))
     u = np.sort(z)[::-1]
-    css = np.cumsum(u) - 1.0
+    css = u.cumsum() - 1.0
     idx = np.arange(1, len(z) + 1)
-    positive = np.nonzero(u - css / idx > 0)[0]
+    positive = (u - css / idx > 0).nonzero()[0]
     if not len(positive):
         raise DegenerateInputError("simplex projection: no coordinate stays positive")
     rho = positive[-1]
@@ -163,17 +163,6 @@ class _Piece:
             return -math.inf, math.inf
         return self.s - md - r, self.s - md + r
 
-    def step(self, mid: float) -> int | None:
-        """The bisection's step at mid when the bounds settle it, else None.
-
-        Past an end T is monotone, so there only the bound at that end in
-        one direction holds.
-        """
-        low, high = self.bounds(min(max(mid, self.lo), self.hi))
-        low = _bisection_step(low) if mid <= self.hi else -1
-        high = _bisection_step(high) if mid >= self.lo else 1
-        return low if low == high else None
-
 
 def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> float:
     # sum_i clamp(z_i - theta, 0, cap_i) is monotone nonincreasing in theta;
@@ -199,7 +188,17 @@ def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> float:
             piece = None
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        step = None if piece is None else piece.step(mid)
+        step = None
+        if piece is not None:
+            # _bisection_step's answer when it gives one on both bounds (it is
+            # monotone); past an end only the monotone bound at that end holds
+            low, high = piece.bounds(min(max(mid, piece.lo), piece.hi))
+            if low - 1.0 > _SUM_TOL and mid <= piece.hi:
+                step = 1
+            elif 1.0 - high > _SUM_TOL and mid >= piece.lo:
+                step = -1
+            elif 1.0 - low <= _SUM_TOL and high - 1.0 <= _SUM_TOL and piece.lo <= mid <= piece.hi:
+                step = 0
         if step is None:
             s = _clamped_sum(z, caps, mid, buf)
             step = _bisection_step(s)
@@ -224,13 +223,14 @@ def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> float:
 
 def _project_mixed_quadratic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:
     w = np.empty_like(z)  # scratch for every clamped sum, then the result
-    _clamped_sum(z, caps, _mixed_theta(z, caps, w), w)
-    s = w.sum()
+    s = _clamped_sum(z, caps, _mixed_theta(z, caps, w), w)
     if s > 0:  # absorb residual bisection error on the free coordinates
         free = (w > 0) & (w < caps)
-        if free.any():
-            w[free] += (1.0 - s) / free.sum()
-            w = np.minimum(np.maximum(w, 0.0), caps)
+        m = np.count_nonzero(free)
+        if m:
+            w[free] += (1.0 - s) / m
+            np.maximum(w, 0.0, out=w)
+            np.minimum(w, caps, out=w)
     return w
 
 
@@ -241,13 +241,14 @@ def _project_mixed_entropic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:
     fixed = np.zeros(n, dtype=bool)
     for _ in range(n):
         free = ~fixed
-        if not free.any():  # barely feasible caps: every coordinate at its cap
+        z_free = z[free]
+        if not len(z_free):  # barely feasible caps: every coordinate at its cap
             break
         budget = 1.0 - caps[fixed].sum()
-        zs = z[free].sum()
+        zs = z_free.sum()
         if zs <= 0:
             raise DegenerateInputError("no mass left on uncapped coordinates")
-        w[free] = budget * z[free] / zs
+        w[free] = budget * z_free / zs
         over = free & (w > caps)
         if not over.any():
             break

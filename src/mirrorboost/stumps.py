@@ -13,6 +13,7 @@ reused under every weighting, so a call costs O(N d) after that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,8 @@ class Stump:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Evaluate the stump on an (n, d) feature matrix; outputs in {-1, +1}."""
-        return self.polarity * sign_pm(features[:, self.feature] - self.threshold)
+        p = float(self.polarity)
+        return np.where(features[:, self.feature] - self.threshold >= 0, p, -p)
 
 
 def loss_vector(features: np.ndarray, labels: np.ndarray, h: Stump) -> np.ndarray:
@@ -110,26 +112,26 @@ def train_stump(
         )
     wa = w * labels
     total = float(wa.sum())
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise UsageError("weights and labels must be finite")
 
     # the -inf split (every sample above it) is the same constant vote for
     # every feature, so it is scored once, as feature 0's first candidate
     best_gamma = abs(total)
     best = (0, -np.inf, 1 if total >= 0 else -1)
-    for j, ends in enumerate(index.ends):
-        column = index.order[:, j]
+    for j, (ends, column) in enumerate(zip(index.ends, index.order.T)):
         # split k: the samples up to sorted position ends[k] (k without ties)
         # are predicted -1, so its correlation is total - 2 * their weight
-        corr = np.cumsum(wa[column])
+        corr = wa[column].cumsum()
         if ends is not None:
             corr = corr[ends]
         corr *= -2.0  # in place; the same bits as total - 2.0 * corr
         corr += total
-        gammas = np.abs(corr)
-        k = int(np.argmax(gammas))  # first max = lowest threshold
-        if gammas[k] > best_gamma:
-            best_gamma = float(gammas[k])
+        gammas = abs(corr)
+        k = int(gammas.argmax())  # first max = lowest threshold
+        gamma = float(gammas[k])
+        if gamma > best_gamma:
+            best_gamma = gamma
             polarity = 1 if corr[k] >= 0 else -1
             if k == len(corr) - 1:
                 threshold = np.inf

@@ -9,6 +9,7 @@ from .boosting import BoostResult, RoundTrace
 from .errors import ParseError, reads_file
 
 SCHEMA_VERSION = 1
+_ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds
 
 
 @dataclass
@@ -32,10 +33,10 @@ def write_trace(result: BoostResult, n: int, path: str, k: float | None = None,
         header["alpha_mode"] = alpha_mode
     if n_b is not None:
         header["n_b"] = n_b
+    encode = _ENCODER.encode
+    lines = [encode(header), *(encode(_record(tr)) for tr in result.traces), ""]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for tr in result.traces:
-            fh.write(json.dumps(_record(tr), sort_keys=True) + "\n")
+        fh.write("\n".join(lines))
 
 
 def _record(tr: RoundTrace) -> dict:
@@ -63,7 +64,7 @@ def read_trace(path: str) -> TraceFile:
         raise ParseError("empty trace file", 1)
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int over the digit limit
         raise ParseError(f"bad header: {exc}", 1) from None
     if not isinstance(header, dict) or header.get("schema") != SCHEMA_VERSION:
         raise ParseError("missing or unsupported schema header", 1)
@@ -75,7 +76,7 @@ def read_trace(path: str) -> TraceFile:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ParseError(f"bad record: {exc}", lineno) from None
         if not isinstance(rec, dict):
             raise ParseError("a round record must be a JSON object", lineno)

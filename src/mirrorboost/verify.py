@@ -17,8 +17,6 @@ from .boosting import EDGE_TOL
 from .errors import ParseError
 from .trace_io import TraceFile
 
-# JSON numbers; bool is excluded on purpose
-_NUMBER = (int, float)
 # the record keys each algorithm's checks read (all but maxmargin read gamma)
 _RECORD_KEYS = {
     "maboost-active": ("gamma", "train_error"),
@@ -50,12 +48,13 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
     if algo not in _RECORD_KEYS:
         return [FamilyReport(str(algo), False, "unknown algorithm in header")]
     k = header.get("k")
-    if k is not None and (type(k) not in _NUMBER or not math.isfinite(k)):
+    if k is not None and not (_number(k) and math.isfinite(k)):
         raise ParseError(f"header key 'k' must be a finite number, got {k!r}", 1)
     keys = _RECORD_KEYS[algo]
     for rec, line in zip(rounds, trace.lines):
         for key in keys:
-            if type(rec.get(key)) not in _NUMBER:
+            value = rec.get(key)
+            if type(value) is not float and not _number(value):  # floats skip the call
                 raise ParseError(f"key {key!r} is missing or not a number", line)
         # a round is only recorded when its edge clears the zero-edge test
         if keys and rec["gamma"] <= EDGE_TOL:
@@ -68,7 +67,7 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
     geometry = header.get("geometry")
     if algo not in ("sparse", "mada") and geometry not in ("entropy", "quadratic"):
         raise ParseError(f"header 'geometry' must be entropy or quadratic: {geometry!r}", 1)
-    n = _header_int(header, "n", 1, math.inf) if algo in ("sparse", "mada", "combined") else None
+    n = _header_int(header, "n", 1, 2**53) if algo in ("sparse", "mada", "combined") else None
     n_a = None
     if algo == "combined":
         # the edge sequence bounds the primary-subset error, scaled by the
@@ -97,6 +96,12 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
         else FamilyReport(family, False, f"first violation at round {bad}")
         for family, bad in first_bad.items()
     ]
+
+
+def _number(value) -> bool:
+    """A JSON number the checks can use: bool is not one, and neither is an
+    int beyond 2**53, as float arithmetic on it or on its square could overflow."""
+    return type(value) is float or type(value) is int and abs(value) <= 2**53
 
 
 def _header_int(header: dict, key: str, lo: int, hi: float) -> int:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrorboost import boosting, stumps
 from mirrorboost.boosting import (
@@ -26,7 +28,7 @@ from mirrorboost.errors import (
     UsageError,
 )
 from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC
-from mirrorboost.stumps import Stump, loss_vector
+from mirrorboost.stumps import Stump, loss_vector, sign_pm
 
 
 def _cfg(algorithm, geometry, rounds, **kw):
@@ -383,6 +385,26 @@ class TestMada:
         for tr in result.traces:
             gamma_min = min(gamma_min, tr.gamma)
             assert tr.train_error**2 <= 1.0 / (tr.t * gamma_min**2) + 1e-9
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])),
+            st.sampled_from([-1.0, 1.0]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([(-0.0, -1.0), (np.nan, 1.0), (np.nan, -1.0), (0.0, -1.0)])
+@settings(max_examples=300, deadline=None)
+def test_error_is_the_share_the_sign_vote_gets_wrong(pairs):
+    """The counted error is np.mean(sign_pm(score) != labels), as a Python float."""
+    score, labels = (np.array(column) for column in zip(*pairs))
+    got = boosting._error(score, labels)
+    assert type(got) is float
+    assert got == float(np.mean(sign_pm(score) != labels))
 
 
 class TestEnsemble:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mirrorboost.bounds import RoundChecks
+from mirrorboost.bounds import RoundChecks, mada_rate
 
 
 def _held(checks):
@@ -104,6 +104,12 @@ class TestMada:
         # 0.15^2 <= 1/(100 * 0.5^2) = 0.04, but not <= 1/(100 * 1.0^2)
         _, checks = rc.add(100, 1.0, 0.15, y_l1=10.0)
         assert checks[1] == ("mada-convergence-rate", True)
+
+    def test_rate_with_a_huge_edge_fails_instead_of_overflowing(self):
+        # gamma_min**2 would raise OverflowError; the square is inf, the rate 0
+        assert mada_rate(1, 1e200) == 0.0
+        _, checks = RoundChecks("mada", "entropy", 200).add(1, 1e200, 0.1, y_l1=150.0)
+        assert checks == [("mada-mass-floor", True), ("mada-convergence-rate", False)]
 
 
 def test_max_margin_has_no_per_round_bound():

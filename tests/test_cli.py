@@ -7,12 +7,17 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrorboost import cli
+from mirrorboost.boosting import Algorithm
 from mirrorboost.cli import main
+from mirrorboost.errors import NoWeakLearnabilityError
 from mirrorboost.trace_io import read_trace
 from mirrorboost.verify import verify_trace
 
@@ -326,6 +331,40 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "line 1" in err and "'k'" in err and "finite" in err
 
+    def test_mada_trace_with_a_huge_gamma_fails(self, tmp_path, capsys):
+        trace = tmp_path / "huge.jsonl"
+        trace.write_text(
+            '{"algorithm": "mada", "geometry": "entropy", "n": 200, "schema": 1}\n'
+            '{"bound": null, "eta": 0.1, "gamma": 1e200, "max_weight": 0.01, "nnz": 200, '
+            '"t": 1, "train_error": 0.1, "y_l1": 150.0}\n'
+        )
+        assert main(["verify", str(trace)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS mada-mass-floor: 1 rounds within bounds",
+            "FAIL mada-convergence-rate: first violation at round 1",
+        ]
+
+    @pytest.mark.parametrize(
+        "k,record,message",
+        [
+            ("4", '"gamma": 1' + "0" * 400, "line 2: key 'gamma' is missing or not a number"),
+            ("1" + "0" * 400, '"gamma": 0.5', "line 1: header key 'k' must be a finite number"),
+            ("4", '"gamma": 1' + "0" * 5000, "line 2: bad record: Exceeds the limit"),
+            ("1" + "0" * 5000, '"gamma": 0.5', "line 1: bad header: Exceeds the limit"),
+        ],
+        ids=["gamma", "k", "record-digits", "header-digits"],
+    )
+    def test_integer_beyond_two_to_the_53_exits_one(
+        self, tmp_path, capsys, k, record, message
+    ):
+        trace = tmp_path / "big.jsonl"
+        trace.write_text(
+            f'{{"algorithm": "smooth", "geometry": "entropy", "k": {k}, "schema": 1}}\n'
+            f'{{"t": 1, "train_error": 0.1, {record}}}\n'
+        )
+        assert main(["verify", str(trace)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_verify_trace_reports_round_trip(self, tmp_path):
         trace = self._trained_trace(tmp_path, "maboost-active")
         reports = verify_trace(read_trace(trace))
@@ -502,3 +541,168 @@ assert main(["project", "--geometry", "entropy", "--set", "capped:0.5"]) == 0
     assert _scipy_modules_after(commands, tmp_path) == []
     # the control: the bench does load scipy, so the probe can see it
     assert "scipy.optimize" in _scipy_modules_after("import sys, mirrorboost.bench", tmp_path)
+
+
+# --- drawn command lines and files ---------------------------------------------
+
+
+def _mostly(draw, usual, odd):
+    """One of the usual values, or one time in six one of the odd ones, if any."""
+    return draw(st.sampled_from(odd if odd and draw(st.integers(0, 5)) == 0 else usual))
+
+
+_ODD_CELLS = ["", " ", "x", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "1_0", '"1"',
+              "١", "1,5", "A", "2"]
+_GOOD_NUMBERS = [0.05, 0.1, 0.5, 1.0, 0.0, 150.0]
+_ODD_NUMBERS = [-1.0, 1e-13, 1e200, 1e308, -1e308, math.nan, math.inf, -math.inf, 5e-324,
+                "0.5", None, True, 10**400]
+
+
+@st.composite
+def _csv_bytes(draw):
+    columns = ["label", "f0", *draw(st.sampled_from([[], ["f1"], ["subset"], ["f1", "subset"]]))]
+    if draw(st.integers(0, 5)) == 0:
+        columns = draw(st.lists(st.sampled_from(["label", "f0", "subset", ""]), max_size=3))
+    usual = {"label": ["1", "-1", "0", "+1"], "subset": ["A", "B", "0", "1"]}
+    odd = draw(st.sampled_from([[], _ODD_CELLS]))  # a clean file or a dirty one
+    rows = [
+        [_mostly(draw, usual.get(c, ["0", "1", "-1", "0.5", "3", "-0", "2.25"]), odd)
+         for c in columns] + ([] if not odd or draw(st.integers(0, 7)) else ["x"])
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    end = _mostly(draw, ["\n"], ["\r\n", "\r"])
+    return end.join([",".join(columns), *(",".join(r) for r in rows), ""]).encode()
+
+
+@st.composite
+def _libsvm_bytes(draw):
+    lines = []
+    dirty = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 6))):
+        label = _mostly(draw, ["+1", "-1", "1", "0"], dirty and ["2", "x", ""])
+        entries = [
+            f"{_mostly(draw, ['1', '2', '3'], dirty and ['0', '-1', 'x', '99999999999'])}:"
+            f"{_mostly(draw, ['0.5', '-1', '2', '0'], dirty and _ODD_CELLS)}"
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        lines.append(" ".join([label, *entries]) + "\n")
+    return "".join(lines).encode()
+
+
+@st.composite
+def _trace_bytes(draw):
+    algorithm = _mostly(draw, [a.value for a in Algorithm], ["nope", 7, None])
+    header = {"schema": _mostly(draw, [1], [2, "1", None]), "algorithm": algorithm}
+    for key, usual, odd in (
+        ("geometry", ["entropy", "quadratic"], ["nope", None]),
+        ("n", [1, 2, 200], [0, -1, 10**30, 1.5, "200", True]),
+        ("k", [1.0, 4, 20.0], [0.5, math.nan, math.inf, "4"]),
+        ("n_b", [0, 1, 100], [300, -1, "1"]),
+        ("alpha_mode", ["zero", "half"], ["nope"]),
+    ):
+        if draw(st.booleans()):
+            header[key] = _mostly(draw, usual, odd)
+    lines = [json.dumps(header)]
+    for t in range(1, draw(st.integers(0, 4)) + 1):
+        record = {"t": _mostly(draw, [t], [t + 1, "1", None])}
+        for key in ("gamma", "eta", "train_error", "bound", "max_weight", "y_l1", "eps_a"):
+            if draw(st.integers(0, 7)):
+                record[key] = _mostly(draw, _GOOD_NUMBERS, _ODD_NUMBERS)
+        lines.append(json.dumps(record))
+    if draw(st.integers(0, 5)) == 0:
+        lines.append(draw(st.sampled_from(["", "{", "[1]", "null", "x", "NaN"])))
+    return "\n".join(lines).encode() + _mostly(draw, [b"\n"], [b"", b"\n\n"])
+
+
+# the options each algorithm takes; _ODD_OPTIONS adds one that may be wrong for it
+_ALGO_OPTIONS = {
+    "smooth": [("--k", ["4", "20", "1"]), ("--geometry", ["entropy", "quadratic"])],
+    "combined": [("--k", ["4", "8"]), ("--subset-column", ["subset"])],
+    "sparse": [("--alpha-mode", ["zero", "half"])],
+    "mada": [("--mada-eta", ["previous_error", "fixed_point"])],
+}
+_ODD_OPTIONS = [
+    ("--geometry", ["entropy", "quadratic", "nope"]),
+    ("--k", ["0.5", "nan", "inf", "1e308", "-1"]),
+    ("--target-eps", ["0", "0.1", "1", "2", "nan", "-0.5"]),
+    ("--alpha-mode", ["zero", "half"]),
+    ("--label-column", ["label", "f0", "nope"]),
+    ("--subset-column", ["subset", "label", "f0", "nope"]),
+    ("--rounds", ["0", "-3", "x"]),
+    ("--algo", ["nope"]),
+]
+
+
+@st.composite
+def _cli_calls(draw):
+    """argv and the bytes of the file it reads: train on a drawn CSV or LIBSVM
+    file or a small generated set, or verify a drawn trace."""
+    kind = draw(st.sampled_from(["csv", "libsvm", "gen", "trace"]))
+    if kind == "trace":
+        content = draw(st.one_of(_trace_bytes(), st.binary(max_size=40)))
+        return ["verify", "{file}"], "trace.jsonl", content
+    algo = draw(st.sampled_from([a.value for a in Algorithm]))
+    argv = ["train", "--algo", algo, "--rounds", draw(st.sampled_from(["1", "2", "5"])),
+            "--trace", "{dir}/t.jsonl", "--model", "{dir}/m.txt"]
+    options = _ALGO_OPTIONS.get(algo, [("--geometry", ["entropy", "quadratic"])])
+    if draw(st.integers(0, 3)) == 0:
+        options = options + [draw(st.sampled_from(_ODD_OPTIONS))]
+    for option, values in options:
+        if draw(st.integers(0, 7)):
+            argv += [option, draw(st.sampled_from(values))]
+    if kind == "gen":
+        spec = _mostly(draw, ["blobs:0:6:0.3", "noisy:1:6:0.4", "combined:0:4:4:0.3"], [
+            "noisy:0:1:0.0", "noisy:0:0:0.1", "noisy:0:-2:0.1", "blobs:0:3:nan",
+            "combined:0:0:0:0", "noisy:x:3:0.1", "nope",
+        ])
+        return argv + ["--gen", spec], None, None
+    if kind == "csv":
+        content = draw(st.one_of(_csv_bytes(), _csv_bytes(), st.binary(max_size=40)))
+        return argv + ["--data", "{file}"], "data.csv", content
+    return argv + ["--data", "{file}"], "data.libsvm", draw(_libsvm_bytes())
+
+
+@settings(max_examples=250, deadline=None)
+@given(_cli_calls())
+@example((["train", "--algo", "maboost-active", "--rounds", "2", "--data", "{file}"],
+          "data.csv", b"label,f0\n1,0.5\n-1,0.5\n"))  # no stump has an edge: exit 2
+@example((["verify", "{file}"], "trace.jsonl",
+          b'{"algorithm": "mada", "geometry": "entropy", "n": 200, "schema": 1}\n'
+          b'{"gamma": 1e200, "t": 1, "train_error": 0.1, "y_l1": NaN}\n'))
+@example((["train", "--algo", "sparse", "--alpha-mode", "zero", "--rounds", "2",
+           "--data", "{file}"], "data.libsvm", b"+1 99999999999:0.5\n-1 1:1\n"))
+@example((["train", "--algo", "smooth", "--k", "4", "--rounds", "2", "--data", "{file}"],
+          "data.csv", b"label,f0\n1," + b"7" * 140_000 + b"\n"))  # over the CSV field limit
+def test_drawn_calls_return_a_documented_exit_code(tmp_path_factory, call):
+    """Every call returns 0, 1 or 2, returns 2 only for NoWeakLearnabilityError,
+    and raises nothing."""
+    template, name, content = call
+    folder = tmp_path_factory.mktemp("drawn")
+    path = folder / (name or "unused")
+    if content is not None:
+        path.write_bytes(content)
+    argv = [a.format(file=path, dir=folder) for a in template]
+    run, raised = cli.run, []
+
+    def recording_run(*args):
+        try:
+            return run(*args)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        cli.run = recording_run
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(argv)
+    except (Exception, SystemExit) as exc:
+        pytest.fail(f"{argv} raised {type(exc).__name__}: {exc}")
+    finally:
+        cli.run = run
+    assert code in (0, 1, 2), (argv, code)
+    no_edge = [type(e) for e in raised] == [NoWeakLearnabilityError]
+    assert (code == 2) == no_edge, (argv, code, err.getvalue())
+    if code:
+        assert err.getvalue().startswith("error: ") or argv[0] == "verify", err.getvalue()

@@ -435,6 +435,9 @@ def _mixed_quadratic_problems(draw):
 @example((np.array([0.9, 0.3, 0.0]), np.full(3, 0.5)))
 @example((np.array([1e16, 0.0, 0.0]), np.full(3, 0.5)))
 @example((np.array([1e300, 0.0, 0.0]), np.full(3, 0.5)))
+# roots on a breakpoint: the bounds at a piece's end settle no step past it
+@example((np.array([-0.125, -0.875]), np.array([0.875, 0.5])))
+@example((np.array([-0.125, 0.625, -0.25, -0.625]), np.full(4, np.inf)))
 @settings(max_examples=300, deadline=None)
 def test_buffered_bisection_matches_reference_exactly(problem):
     z, caps = problem

@@ -63,6 +63,31 @@ def test_stump_predict_polarity():
     np.testing.assert_array_equal(Stump(0, 0.0, -1).predict(x), [1.0, -1.0, -1.0])
 
 
+_any_float = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7e308])
+)
+
+
+@given(
+    st.lists(st.tuples(_any_float, _any_float), min_size=1, max_size=12),
+    st.integers(0, 1),
+    _any_float,
+    st.sampled_from([-1, 1]),
+)
+@example([(0.0, -0.0), (-0.0, 1.0)], 0, 0.0, 1)  # x - t = -0.0 counts as >= 0
+@example([(np.inf, np.nan), (-np.inf, 0.0)], 0, np.inf, -1)  # inf - inf is NaN
+@example([(np.nan, np.inf), (1.0, -np.inf)], 1, -np.inf, 1)
+@settings(max_examples=300, deadline=None)
+def test_predict_is_polarity_times_the_sign(rows, feature, threshold, polarity):
+    """One np.where gives polarity * sign_pm(x - threshold), bit for bit."""
+    x = np.array(rows)
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = polarity * sign_pm(x[:, feature] - threshold)
+        got = Stump(feature, threshold, polarity).predict(x)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_loss_vector_signs():
     x = np.array([[-1.0], [1.0]])
     labels = np.array([-1.0, 1.0])

@@ -1,0 +1,103 @@
+"""The trace and model writers hold to the per-line writers they replaced.
+
+Both now build a file's text first and write it once; the bytes must be
+those of one ``json.dumps(..., sort_keys=True)`` (trace) or f-string (model)
+write per line, whatever the values: None, NaN, inf and np.float64 included.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mirrorboost.boosting import Algorithm, BoostResult, RoundTrace, save_model
+from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC
+from mirrorboost.stumps import Stump
+from mirrorboost.trace_io import SCHEMA_VERSION, _record, write_trace
+
+_value = st.one_of(
+    st.floats(),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324]),
+    st.floats().map(np.float64),
+)
+_optional = st.one_of(st.none(), _value)
+
+
+def _write_trace_reference(result, n, path, k=None, alpha_mode=None, n_b=None):
+    """The writer before it built the file's text: one json.dumps and write per line."""
+    header = {
+        "schema": SCHEMA_VERSION,
+        "algorithm": result.algorithm.value,
+        "geometry": result.geometry.value,
+        "n": n,
+    }
+    if k is not None:
+        header["k"] = k
+    if alpha_mode is not None:
+        header["alpha_mode"] = alpha_mode
+    if n_b is not None:
+        header["n_b"] = n_b
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for tr in result.traces:
+            fh.write(json.dumps(_record(tr), sort_keys=True) + "\n")
+
+
+def _save_model_reference(result, path):
+    """The model writer before it built the file's text: one write per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"# algorithm={result.algorithm.value} geometry={result.geometry.value}\n"
+        )
+        for h, eta in result.hypotheses:
+            fh.write(f"{h.feature} {h.threshold!r} {h.polarity} {eta!r}\n")
+
+
+@st.composite
+def _results(draw):
+    traces = [
+        RoundTrace(
+            t, draw(_value), draw(_value), draw(_value), draw(_optional), draw(_value),
+            draw(st.integers(0, 10**6)), *(draw(_optional) for _ in range(4)),
+        )
+        for t in range(1, draw(st.integers(0, 6)) + 1)
+    ]
+    hypotheses = draw(st.lists(
+        st.tuples(
+            st.builds(Stump, st.integers(0, 99), _value, st.sampled_from([-1, 1])), _value
+        ),
+        max_size=6,
+    ))
+    algorithm = draw(st.sampled_from(list(Algorithm)))
+    geometry = draw(st.sampled_from([NEGATIVE_ENTROPY, QUADRATIC]))
+    return BoostResult(algorithm, geometry, hypotheses=hypotheses, traces=traces)
+
+
+_settings = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_settings
+@given(
+    _results(),
+    st.integers(1, 10**6),
+    _optional,
+    st.sampled_from([None, "zero", "half"]),
+    st.one_of(st.none(), st.integers(0, 10**6)),
+)
+def test_write_trace_writes_the_per_line_bytes(tmp_path, result, n, k, alpha_mode, n_b):
+    got, expected = tmp_path / "got.jsonl", tmp_path / "expected.jsonl"
+    write_trace(result, n, str(got), k=k, alpha_mode=alpha_mode, n_b=n_b)
+    _write_trace_reference(result, n, str(expected), k=k, alpha_mode=alpha_mode, n_b=n_b)
+    assert got.read_bytes() == expected.read_bytes()
+
+
+@_settings
+@given(_results())
+def test_save_model_writes_the_per_line_bytes(tmp_path, result):
+    got, expected = tmp_path / "got.txt", tmp_path / "expected.txt"
+    save_model(result, str(got))
+    _save_model_reference(result, str(expected))
+    assert got.read_bytes() == expected.read_bytes()
