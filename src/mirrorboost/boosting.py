@@ -357,7 +357,8 @@ class _Mada(_Policy):
     to the unit hypercube and normalizes. The step couples to the ensemble
     error: eta_t = eps * gamma_t, where eps is the previous round's ensemble
     error by default or a one-step fixed-point refinement of the circular
-    definition.
+    definition, which keeps the previous-error step when that one already
+    separates the data.
     """
 
     def __init__(self, config: BoosterConfig, dataset: Dataset):
@@ -368,7 +369,8 @@ class _Mada(_Policy):
     def step(self, t, gamma, score, anti) -> float:
         eta = self.prev_err * gamma
         if self.config.mada_eta is MadaEta.FIXED_POINT:
-            eta = _error(score - eta * anti, self.labels) * gamma
+            # a step that already separates the data refines to 0: keep it
+            eta = _error(score - eta * anti, self.labels) * gamma or eta
         return eta
 
     def update(self, eta, d) -> None:

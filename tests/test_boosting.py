@@ -386,6 +386,17 @@ class TestMada:
             gamma_min = min(gamma_min, tr.gamma)
             assert tr.train_error**2 <= 1.0 / (tr.t * gamma_min**2) + 1e-9
 
+    def test_fixed_point_keeps_a_step_that_separates(self):
+        """One stump separates the blobs: the step at the previous error
+        leaves no error, so its refinement is 0 and the first step is kept."""
+        result = run(
+            _cfg(Algorithm.MADA, NEGATIVE_ENTROPY, 5, mada_eta=MadaEta.FIXED_POINT),
+            gen_blobs(0, 6, 0.3),
+        )
+        assert [tr.train_error for tr in result.traces] == [0.0]
+        assert result.traces[0].eta == result.traces[0].gamma > 0.0
+        assert result.status == "perfect"
+
 
 @given(
     st.lists(

@@ -87,6 +87,16 @@ class TestTrain:
         ]) == 0
         assert "train_error=0.0" in capsys.readouterr().out
 
+    def test_mada_fixed_point_separable_run_verifies(self, tmp_path, capsys):
+        trace = str(tmp_path / "t.jsonl")
+        assert main([
+            "train", "--algo", "mada", "--mada-eta", "fixed_point",
+            "--gen", "blobs:0:6:0.3", "--rounds", "5", "--trace", trace,
+        ]) == 0
+        assert capsys.readouterr().out.startswith("rounds=1 train_error=0.0 ")
+        assert main(["verify", trace]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "extra, option",
         [
