@@ -82,8 +82,7 @@ def _recheck_runs(*configs: BoosterConfig) -> tuple[list[str], float, list[Boost
             checks = bounds.RoundChecks(config.algorithm.value, config.geometry.value, data.n,
                                         config.k, half=config.alpha_mode is AlphaMode.HALF)
             traces = result.traces
-            # round t+1's y_l1 holds the mass after round t; the final weights after the last
-            after = [tr.y_l1 for tr in traces[1:]] + [float(result.weights.sum())]
+            after = bounds.masses_after([tr.y_l1 for tr in traces], float(result.weights.sum()))
             for tr, mass_after in zip(traces, after):
                 bound, held = checks.add(
                     tr.t, tr.gamma, tr.train_error, tr.y_l1, tr.eps_a, mass_after

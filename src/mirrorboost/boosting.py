@@ -25,6 +25,7 @@ from .errors import (
     NoWeakLearnabilityError,
     ParseError,
     UsageError,
+    reads_file,
 )
 from .geometry import NEGATIVE_ENTROPY, QUADRATIC, Geometry
 from .projection import project_mixed, project_orthant_l1, project_simplex
@@ -123,6 +124,9 @@ def predict(hypotheses: list[tuple[Stump, float]], features: np.ndarray) -> np.n
     """Sign of the weighted vote over all stored hypotheses; sign(0) = +1."""
     if not hypotheses:
         raise UsageError("cannot predict with an empty ensemble")
+    d = features.shape[1]
+    if any(h.feature >= d for h, _ in hypotheses):
+        raise UsageError(f"the ensemble reads a feature beyond the data's {d} columns")
     return sign_pm(vote_score(hypotheses, features))
 
 
@@ -402,6 +406,7 @@ def save_model(result: BoostResult, path: str) -> None:
         fh.write("".join(lines))
 
 
+@reads_file
 def load_model(path: str) -> tuple[str, str, list[tuple[Stump, float]]]:
     """Read a model file back: (algorithm, geometry, hypotheses)."""
     with open(path, encoding="utf-8") as fh:
@@ -419,9 +424,15 @@ def load_model(path: str) -> tuple[str, str, list[tuple[Stump, float]]]:
                 continue
             try:
                 feat, thr, pol, eta = line.split()
-                hypotheses.append((Stump(int(feat), float(thr), int(pol)), float(eta)))
+                h, eta = Stump(int(feat), float(thr), int(pol)), float(eta)
             except ValueError:
                 raise ParseError(
                     f"expected 'feature threshold polarity eta', got {line.strip()!r}", lineno
                 ) from None
+            # a threshold may be a -inf or +inf sentinel, never NaN
+            bad = h.feature < 0 or h.polarity not in (-1, 1) or math.isnan(h.threshold)
+            if bad or not math.isfinite(eta):
+                raise ParseError("expected feature >= 0, a threshold, polarity ±1 and a finite "
+                                 f"eta, got {line.strip()!r}", lineno)
+            hypotheses.append((h, eta))
     return algorithm, geometry, hypotheses

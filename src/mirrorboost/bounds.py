@@ -65,12 +65,19 @@ def mada_rate(t: int, gamma_min: float) -> float:
     return 1.0 / (t * (gamma_min * gamma_min))  # ** would raise OverflowError
 
 
+def masses_after(y_l1s: list, last: float | None) -> list:
+    """||y||_1 after each round's update: round t+1's ``y_l1`` column is the mass
+    after round t, and ``last`` the mass after the last round (None: unknown)."""
+    return [*y_l1s[1:], last]
+
+
 class RoundChecks:
     """The per-round bound checks of one run, with the running state they need.
 
     Built from a trace header's strings, so ``verify`` builds it from a
     stored header exactly as the trainer and the bench do from a config.
-    ``families`` names every check the run can report, in report order.
+    ``families`` names every check the run can report, in report order, and
+    ``keys`` the round-record keys ``add`` reads.
     """
 
     def __init__(self, algorithm: str, geometry: str, n: int, k: float | None = None,
@@ -81,6 +88,10 @@ class RoundChecks:
         self.sum_term = 0.0
         self.gamma_min = math.inf
         self.reads_mass = algorithm == "sparse" and not half  # the sparse floor
+        # in the order verify names the first missing one
+        mass = ("y_l1",) if algorithm in ("sparse", "mada") else ()
+        error = "eps_a" if algorithm == "combined" else "train_error"
+        self.keys = () if algorithm == "maxmargin" else ("gamma", *mass, error)
         if algorithm == "sparse":
             floor = () if half else ("sparse-mass-floor",)
             self.families = ("sparse-training-error", *floor)

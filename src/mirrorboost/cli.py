@@ -93,19 +93,9 @@ def cmd_train(args) -> int:
     )
     result = run(config, dataset)
     if args.trace:
-        n_b = (
-            int(dataset.subset_flags.sum())
-            if algorithm is Algorithm.COMBINED and dataset.subset_flags is not None
-            else None
-        )
-        write_trace(
-            result,
-            dataset.n,
-            args.trace,
-            k=args.k,
-            alpha_mode=args.alpha_mode,
-            n_b=n_b,
-        )
+        # run has rejected a combined dataset without subset flags
+        n_b = int(dataset.subset_flags.sum()) if algorithm is Algorithm.COMBINED else None
+        write_trace(result, dataset.n, args.trace, k=args.k, alpha_mode=args.alpha_mode, n_b=n_b)
     if args.model:
         save_model(result, args.model)
     final = result.traces[-1] if result.traces else None

@@ -287,6 +287,8 @@ def project_mixed(g: Geometry, z, caps) -> np.ndarray:
     if len(caps) != len(z):
         raise ConfigurationError("caps length must match the vector length")
     upper = np.minimum(caps, 1.0)
+    if not upper.min(initial=0.0) >= 0.0:  # a NaN minimum fails the test too
+        raise ConfigurationError("caps must be nonnegative numbers, not negative or NaN")
     # the exact sum decides only when the float sum falls short of 1
     if upper.sum() < 1.0 and math.fsum([*upper, -1.0]) < 0.0:
         raise ConfigurationError("caps infeasible: sum of min(cap, 1) < 1")

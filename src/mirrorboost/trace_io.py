@@ -21,18 +21,10 @@ class TraceFile:
 
 def write_trace(result: BoostResult, n: int, path: str, k: float | None = None,
                 alpha_mode: str | None = None, n_b: int | None = None) -> None:
-    header = {
-        "schema": SCHEMA_VERSION,
-        "algorithm": result.algorithm.value,
-        "geometry": result.geometry.value,
-        "n": n,
-    }
-    if k is not None:
-        header["k"] = k
-    if alpha_mode is not None:
-        header["alpha_mode"] = alpha_mode
-    if n_b is not None:
-        header["n_b"] = n_b
+    header = {"schema": SCHEMA_VERSION, "algorithm": result.algorithm.value,
+              "geometry": result.geometry.value, "n": n, "k": k, "alpha_mode": alpha_mode,
+              "n_b": n_b}
+    header = {key: value for key, value in header.items() if value is not None}
     encode = _ENCODER.encode
     lines = [encode(header), *(encode(_record(tr)) for tr in result.traces), ""]
     with open(path, "w", encoding="utf-8") as fh:
@@ -40,20 +32,9 @@ def write_trace(result: BoostResult, n: int, path: str, k: float | None = None,
 
 
 def _record(tr: RoundTrace) -> dict:
-    rec = {
-        "t": tr.t,
-        "gamma": tr.gamma,
-        "eta": tr.eta,
-        "train_error": tr.train_error,
-        "bound": tr.bound,
-        "max_weight": tr.max_weight,
-        "nnz": tr.nnz,
-    }
-    for key in ("margin", "eps_a", "eps_b", "y_l1"):
-        value = getattr(tr, key)
-        if value is not None:
-            rec[key] = value
-    return rec
+    """A round's record: the fields of ``RoundTrace`` that are set, and ``bound`` (null
+    where no bound applies)."""
+    return {key: value for key, value in vars(tr).items() if value is not None or key == "bound"}
 
 
 @reads_file

@@ -3,8 +3,9 @@
 The trace carries the edge sequence (plus ||y||_1 where relevant), which is
 all the bounds depend on; the verifier feeds it to ``bounds.RoundChecks``,
 the same checks the trainer runs, rather than trusting the bound column
-written at run time. A header or record that lacks a value the checks read is a
-``ParseError`` naming the key and the line.
+written at run time. The header is checked first, then each record for the
+keys the checks read (``RoundChecks.keys``); a value that is missing or unusable
+is a ``ParseError`` naming the key and the line.
 """
 
 from __future__ import annotations
@@ -13,20 +14,9 @@ import math
 from dataclasses import dataclass
 
 from . import bounds
-from .boosting import EDGE_TOL
+from .boosting import EDGE_TOL, Algorithm
 from .errors import ParseError
 from .trace_io import TraceFile
-
-# the record keys each algorithm's checks read (all but maxmargin read gamma)
-_RECORD_KEYS = {
-    "maboost-active": ("gamma", "train_error"),
-    "maboost-lazy": ("gamma", "train_error"),
-    "smooth": ("gamma", "train_error"),
-    "combined": ("gamma", "eps_a"),
-    "sparse": ("gamma", "y_l1", "train_error"),
-    "mada": ("gamma", "y_l1", "train_error"),
-    "maxmargin": (),
-}
 
 
 @dataclass
@@ -43,24 +33,13 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
     header, rounds = trace.header, trace.rounds
     if not rounds:
         return [FamilyReport("empty-trace", True, "no rounds recorded; vacuous pass")]
-
-    algo = header.get("algorithm")
-    if algo not in _RECORD_KEYS:
-        return [FamilyReport(str(algo), False, "unknown algorithm in header")]
+    try:
+        algo = Algorithm(header.get("algorithm")).value
+    except ValueError:
+        return [FamilyReport(str(header.get("algorithm")), False, "unknown algorithm in header")]
     k = header.get("k")
     if k is not None and not (_number(k) and math.isfinite(k)):
         raise ParseError(f"header key 'k' must be a finite number, got {k!r}", 1)
-    keys = _RECORD_KEYS[algo]
-    for rec, line in zip(rounds, trace.lines):
-        for key in keys:
-            value = rec.get(key)
-            if type(value) is not float and not _number(value):  # floats skip the call
-                raise ParseError(f"key {key!r} is missing or not a number", line)
-        # a round is only recorded when its edge clears the zero-edge test
-        if keys and rec["gamma"] <= EDGE_TOL:
-            raise ParseError(f"'gamma' must be a positive edge, got {rec['gamma']!r}", line)
-
-    total = len(rounds)
     if algo == "maxmargin":
         detail = "no per-round error bound applies to the margin schedule; "
         return [FamilyReport("maxmargin", True, f"{detail}final margin {rounds[-1].get('margin')}")]
@@ -73,15 +52,24 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
         # the edge sequence bounds the primary-subset error, scaled by the
         # feasibility of its error distribution inside the mixed set
         n_a = n - _header_int(header, "n_b", 0, n)
-        if not n_a:
-            family = f"combined-primary-error ({geometry})"
-            return [FamilyReport(family, True, "subset A is empty; the bound is vacuous")]
     elif algo == "smooth" and (k is None or k < 1.0):
         raise ParseError(f"header key 'k' must be a number >= 1, got {k!r}", 1)
     checks = bounds.RoundChecks(algo, geometry, n, k, n_a, header.get("alpha_mode") == "half")
+    keys = checks.keys
+    for rec, line in zip(rounds, trace.lines):
+        for key in keys:
+            value = rec.get(key)
+            if type(value) is not float and not _number(value):  # floats skip the call
+                raise ParseError(f"key {key!r} is missing or not a number", line)
+        # a round is only recorded when its edge clears the zero-edge test
+        if rec["gamma"] <= EDGE_TOL:
+            raise ParseError(f"'gamma' must be a positive edge, got {rec['gamma']!r}", line)
+
+    if not checks.families:  # combined with an empty subset A
+        family = f"combined-primary-error ({geometry})"
+        return [FamilyReport(family, True, "subset A is empty; the bound is vacuous")]
     first_bad = dict.fromkeys(checks.families)
-    # round t+1's y_l1 column holds the mass after round t's update
-    after = [rec.get("y_l1") for rec in rounds[1:]] + [None]
+    after = bounds.masses_after([rec.get("y_l1") for rec in rounds], None)
     for rec, mass_after in zip(rounds, after):
         t = rec["t"]
         _, held = checks.add(
@@ -90,6 +78,7 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
         for family, holds in held:
             if not holds and first_bad[family] is None:
                 first_bad[family] = t
+    total = len(rounds)
     return [
         FamilyReport(family, True, f"{total} rounds within bounds")
         if bad is None

@@ -453,9 +453,40 @@ class TestEnsemble:
         with pytest.raises(UsageError):
             load_model(str(path))
 
-    @pytest.mark.parametrize("line", ["0 abc 1 0.5", "0 0.0 1", "0 0.0 1 0.5 7"])
+    # the last five parse as numbers: polarity 2, feature -1 (which would read
+    # the last column), a NaN threshold and non-finite etas
+    @pytest.mark.parametrize("line", [
+        "0 abc 1 0.5", "0 0.0 1", "0 0.0 1 0.5 7",
+        "0 0.5 2 1.0", "-1 0.5 1 1.0", "0 nan 1 1.0", "0 0.5 1 nan", "0 0.5 1 inf",
+    ])
     def test_model_malformed_line_rejected(self, tmp_path, line):
         path = tmp_path / "bad.txt"
         path.write_text(f"# algorithm=maboost-active geometry=entropy\n0 0.0 1 0.5\n{line}\n")
         with pytest.raises(ParseError, match="line 3"):
             load_model(str(path))
+
+    def test_model_sentinel_thresholds_and_zero_eta_load(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("# algorithm=mada geometry=entropy\n0 -inf 1 0.0\n1 inf -1 0.5\n")
+        _, _, hyps = load_model(str(path))
+        assert hyps == [(Stump(0, -math.inf, 1), 0.0), (Stump(1, math.inf, -1), 0.5)]
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda path: None, UsageError, "cannot read"),
+            (lambda path: path.mkdir(), UsageError, "cannot read"),
+            (lambda path: path.write_bytes(b"# algorithm=mada geometry=\xff\n"), ParseError,
+             "is not UTF-8 text"),
+        ],
+        ids=["missing", "directory", "not-utf8"],
+    )
+    def test_model_file_unreadable_is_typed(self, tmp_path, make, error, message):
+        path = tmp_path / "m.txt"
+        make(path)
+        with pytest.raises(error, match=message):
+            load_model(str(path))
+
+    def test_predict_feature_beyond_the_columns_rejected(self):
+        with pytest.raises(UsageError, match="2 columns"):
+            predict([(Stump(0, 0.0, 1), 1.0), (Stump(2, 0.0, 1), 1.0)], np.zeros((3, 2)))

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from mirrorboost.bounds import RoundChecks, mada_rate
+from mirrorboost.boosting import Algorithm
+from mirrorboost.bounds import RoundChecks, mada_rate, masses_after
 
 
 def _held(checks):
@@ -116,3 +117,38 @@ def test_max_margin_has_no_per_round_bound():
     rc = RoundChecks("maxmargin", "entropy", 10)
     assert rc.families == ()
     assert rc.add(1, 0.5, 0.5) == (None, [])
+
+
+# the record keys verify required of each algorithm before RoundChecks named them
+_OLD_RECORD_KEYS = {
+    "maboost-active": ("gamma", "train_error"),
+    "maboost-lazy": ("gamma", "train_error"),
+    "smooth": ("gamma", "train_error"),
+    "combined": ("gamma", "eps_a"),
+    "sparse": ("gamma", "y_l1", "train_error"),
+    "mada": ("gamma", "y_l1", "train_error"),
+    "maxmargin": (),
+}
+
+
+@pytest.mark.parametrize("algorithm", [a.value for a in Algorithm])
+@pytest.mark.parametrize("half", [False, True])
+def test_keys_are_the_record_keys_verify_required(algorithm, half):
+    n_a = 5 if algorithm == "combined" else None
+    assert RoundChecks(algorithm, "entropy", 10, 4.0, n_a, half).keys == _OLD_RECORD_KEYS[algorithm]
+
+
+def test_combined_without_subset_a_still_names_its_keys():
+    assert RoundChecks("combined", "entropy", 10, n_a=0).keys == ("gamma", "eps_a")
+
+
+class TestMassesAfter:
+    def test_last_mass_known(self):
+        assert masses_after([1.0, 0.8, 0.5], 0.3) == [0.8, 0.5, 0.3]
+
+    def test_last_mass_unknown(self):
+        assert masses_after([1.0, 0.8, 0.5], None) == [0.8, 0.5, None]
+
+    def test_one_round(self):
+        assert masses_after([1.0], 0.7) == [0.7]
+        assert masses_after([None], None) == [None]

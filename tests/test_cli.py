@@ -333,6 +333,30 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "line 1" in err and f"'{key}'" in err
 
+    @pytest.mark.parametrize(
+        "algo,extra,key",
+        [("smooth", ("--k", "10"), "k"), ("combined", ("--k", "8"), "n_b"),
+         ("maboost-active", (), "geometry")],
+    )
+    def test_header_error_reported_before_a_record_error(
+        self, tmp_path, capsys, algo, extra, key
+    ):
+        gen = ("--gen", "combined:0:150:50:0.3") if algo == "combined" else ()
+        trace = self._trained_trace(tmp_path, algo, (*extra, *gen))
+        self._edit(trace, 1, lambda h: json.dumps({k: v for k, v in h.items() if k != key}))
+        self._edit(trace, 2, lambda rec: json.dumps({**rec, "gamma": "0.5"}))
+        assert main(["verify", trace]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1:") and f"'{key}'" in err
+
+    @pytest.mark.parametrize("algorithm", ["boost", None, ["smooth"], {"a": 1}], ids=repr)
+    def test_unknown_algorithm_fails(self, tmp_path, capsys, algorithm):
+        trace = self._trained_trace(tmp_path, "maboost-active")
+        self._edit(trace, 1, lambda h: json.dumps({**h, "algorithm": algorithm}))
+        capsys.readouterr()
+        assert main(["verify", trace]) == 1
+        assert capsys.readouterr().out == f"FAIL {algorithm}: unknown algorithm in header\n"
+
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf], ids=repr)
     def test_header_non_finite_k_rejected(self, tmp_path, capsys, k):
         trace = self._trained_trace(tmp_path, "smooth", ("--k", "10"))

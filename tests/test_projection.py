@@ -197,6 +197,13 @@ class TestMixedCaps:
             project_mixed(QUADRATIC, [1.0, 1.0], [0.3])
 
     @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.value)
+    @pytest.mark.parametrize("cap", [-0.5, -5e-324, np.nan, -np.inf], ids=repr)
+    def test_negative_or_nan_cap_rejected(self, g, cap):
+        # the other two caps reach the sum of 1 alone, so only the cap's sign can decide
+        with pytest.raises(ConfigurationError, match="negative or NaN"):
+            project_mixed(g, np.ones(3), [1.0, 1.0, cap])
+
+    @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.value)
     def test_barely_feasible_caps_project_onto_the_caps(self, g):
         # 100 caps of float(0.01) sum to just over 1 exactly but to
         # 0.9999999999999999 in floats, which no theta ever passes
@@ -378,10 +385,13 @@ def test_projection_lands_in_the_simplex_or_raises(problem):
         np.testing.assert_allclose(w, constrained_divergence_argmin(g, z, caps), atol=1e-6)
 
 
-def _caps_infeasible_reference(caps):
-    """project_mixed's feasibility rule, written out: infeasible when the float
-    sum of min(cap, 1) falls below 1 and so does the exact sum."""
+def _caps_rejected_reference(caps):
+    """project_mixed's feasibility rule, written out: a negative or NaN cap is
+    rejected, and so are caps whose float sum of min(cap, 1) falls below 1 when
+    the exact sum does too."""
     upper = np.minimum(caps, 1.0)
+    if np.isnan(upper).any() or (upper < 0.0).any():
+        return True
     return bool(upper.sum() < 1.0 and math.fsum([*upper, -1.0]) < 0.0)
 
 
@@ -411,14 +421,11 @@ def test_feasibility_decision_matches_the_minimum_rule(caps):
     """The entropic projection of ones ends in at most n steps, so the test
     sees project_mixed's decision without a quadratic bisection."""
     try:
-        with np.errstate(all="ignore"):  # NaN and negative caps reach the projection
-            project_mixed(NEGATIVE_ENTROPY, np.ones(len(caps)), caps)
-        infeasible = False
-    except ConfigurationError as exc:
-        infeasible = "caps infeasible" in str(exc)
-    except MirrorBoostError:
-        infeasible = False
-    assert infeasible == _caps_infeasible_reference(caps)
+        project_mixed(NEGATIVE_ENTROPY, np.ones(len(caps)), caps)
+        rejected = False
+    except ConfigurationError:
+        rejected = True
+    assert rejected == _caps_rejected_reference(caps)
 
 
 def _project_mixed_quadratic_reference(z, caps):

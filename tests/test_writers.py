@@ -3,6 +3,8 @@
 Both now build a file's text first and write it once; the bytes must be
 those of one ``json.dumps(..., sort_keys=True)`` (trace) or f-string (model)
 write per line, whatever the values: None, NaN, inf and np.float64 included.
+The trace reference also keeps the header and record keys written out one by
+one, as they were before ``write_trace`` took them from ``RoundTrace``'s fields.
 """
 
 import json
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from mirrorboost.boosting import Algorithm, BoostResult, RoundTrace, save_model
 from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC
 from mirrorboost.stumps import Stump
-from mirrorboost.trace_io import SCHEMA_VERSION, _record, write_trace
+from mirrorboost.trace_io import SCHEMA_VERSION, write_trace
 
 _value = st.one_of(
     st.floats(),
@@ -22,6 +24,25 @@ _value = st.one_of(
     st.floats().map(np.float64),
 )
 _optional = st.one_of(st.none(), _value)
+
+
+def _record_reference(tr):
+    """A round's record with its keys written out: the seven fixed columns, then
+    each optional one only when set."""
+    rec = {
+        "t": tr.t,
+        "gamma": tr.gamma,
+        "eta": tr.eta,
+        "train_error": tr.train_error,
+        "bound": tr.bound,
+        "max_weight": tr.max_weight,
+        "nnz": tr.nnz,
+    }
+    for key in ("margin", "eps_a", "eps_b", "y_l1"):
+        value = getattr(tr, key)
+        if value is not None:
+            rec[key] = value
+    return rec
 
 
 def _write_trace_reference(result, n, path, k=None, alpha_mode=None, n_b=None):
@@ -41,7 +62,7 @@ def _write_trace_reference(result, n, path, k=None, alpha_mode=None, n_b=None):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for tr in result.traces:
-            fh.write(json.dumps(_record(tr), sort_keys=True) + "\n")
+            fh.write(json.dumps(_record_reference(tr), sort_keys=True) + "\n")
 
 
 def _save_model_reference(result, path):
