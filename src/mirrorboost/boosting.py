@@ -44,6 +44,10 @@ class Algorithm(enum.Enum):
     MADA = "mada"
 
 
+# the geometry each of these boosters is defined in; the others take either
+FORCED_GEOMETRY = {Algorithm.SPARSE: QUADRATIC, Algorithm.MADA: NEGATIVE_ENTROPY}
+
+
 class AlphaMode(enum.Enum):
     ZERO = "zero"
     HALF = "half"
@@ -79,14 +83,11 @@ class BoosterConfig:
             raise ConfigurationError(f"alpha_mode is for sparse, not {self.algorithm.value}")
         if not 0.0 <= self.target_error <= 1.0:
             raise ConfigurationError("target_error must be in [0, 1]")
-        if self.algorithm is Algorithm.SPARSE:
-            if self.geometry is not QUADRATIC:
-                raise ConfigurationError("sparse boosting requires the quadratic geometry")
-            if self.alpha_mode is None:
-                raise ConfigurationError("sparse boosting requires an alpha mode")
-        if self.algorithm is Algorithm.MADA:
-            if self.geometry is not NEGATIVE_ENTROPY:
-                raise ConfigurationError("the MadaBoost variant requires the entropy geometry")
+        forced = FORCED_GEOMETRY.get(self.algorithm, self.geometry)
+        if self.geometry is not forced:
+            raise ConfigurationError(f"{self.algorithm.value} requires the {forced.value} geometry")
+        if self.algorithm is Algorithm.SPARSE and self.alpha_mode is None:
+            raise ConfigurationError("sparse boosting requires an alpha mode")
         if self.algorithm is Algorithm.SMOOTH and self.target_error < 1.0 / self.k:
             raise ConfigurationError("smooth boosting requires target_error >= 1/k")
 
@@ -278,11 +279,8 @@ class _Projected(_Policy):
     def update(self, eta, d) -> None:
         if self.lazy:
             self.z += eta * d
-            if self.entropic:
-                shifted = np.exp(self.z - self.z.max())
-                self.w = shifted / shifted.sum()
-            else:
-                self.w = project_simplex(self.g, self.z)
+            z = np.exp(self.z - self.z.max()) if self.entropic else self.z
+            self.w = project_simplex(self.g, z)
             return
         z = self.w * np.exp(eta * d) if self.entropic else self.w + eta * d
         if self.caps is None:

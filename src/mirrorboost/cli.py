@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .boosting import (
+    FORCED_GEOMETRY,
     Algorithm,
     AlphaMode,
     BoosterConfig,
@@ -33,7 +34,6 @@ from .projection import (
 from .trace_io import read_trace, write_trace
 from .verify import verify_trace
 
-_FORCED_GEOMETRY = {Algorithm.SPARSE: QUADRATIC, Algorithm.MADA: NEGATIVE_ENTROPY}
 # the package has only the entropic hypercube projections and the Euclidean orthant-l1 one
 _SET_GEOMETRY = {"hypercube": NEGATIVE_ENTROPY, "double": NEGATIVE_ENTROPY, "orthant-l1": QUADRATIC}
 
@@ -66,7 +66,7 @@ def _load_dataset(args) -> Dataset:
 
 
 def _resolve_geometry(algorithm: Algorithm, flag: str | None) -> Geometry:
-    forced = _FORCED_GEOMETRY.get(algorithm)
+    forced = FORCED_GEOMETRY.get(algorithm)
     if forced is None:
         return Geometry(flag or "entropy")
     if flag not in (None, forced.value):

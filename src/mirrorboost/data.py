@@ -277,6 +277,12 @@ def gen_blobs(seed: int, n: int, margin: float) -> Dataset:
         raise ConfigurationError("n must be even and >= 2")
     if margin <= 0:
         raise ConfigurationError("margin must be positive")
+    memory = _memory_bytes()
+    if 32 * n > memory:  # 2n uint64 draws and n x 2 features, refused before allocating
+        raise ConfigurationError(
+            f"n = {n} samples need {32 * n / 2**30:.3g} GiB, "
+            f"more than the {memory / 2**30:.3g} GiB of memory"
+        )
     u = ((splitmix64(seed, 2 * n) >> np.uint64(11)) / float(1 << 53)).reshape(n, 2)
     sign = np.where(np.arange(n) < n // 2, 1.0, -1.0)
     features = np.column_stack([sign * (margin + u[:, 0]), 2.0 * u[:, 1] - 1.0])

@@ -10,14 +10,16 @@ The capped bisection settles most of its steps without a pass over z. The
 exact sum T(theta) = sum_i clamp(z_i - theta, 0, cap_i) is linear, with
 slope -m, on each piece between consecutive breakpoints z_i and z_i - cap_i
 (Duchi et al., ICML 2008); m counts the coordinates strictly between 0 and
-their cap. A pass at theta_0 classifies every coordinate, which gives the
-piece around theta_0, its slope, and the float sum there. A float sum of
-nonnegative terms, none of which goes through more than h additions, lies
-within gamma_h = h u / (1 - h u) of the exact sum, u = 2**-53 (Higham, SIAM
-J. Sci. Comput. 1993); NumPy sums pairwise, so h grows like log2 n
-(_sum_depth). Rounding z_i - theta adds at most u per term. So, for a
-midpoint on the piece, or beyond its end in the one direction monotonicity
-allows, the float sum that a pass would return lies in a known interval.
+their cap. A pass at theta_0 whose sum overshoots 1 makes theta_0 the
+bisection's lo, which only rises; it classifies every coordinate, which
+gives the piece from theta_0 up to the next breakpoint, its slope, and the
+float sum there. A float sum of nonnegative terms, none of which goes
+through more than h additions, lies within gamma_h = h u / (1 - h u) of the
+exact sum, u = 2**-53 (Higham, SIAM J. Sci. Comput. 1993); NumPy sums
+pairwise, so h grows like log2 n (_sum_depth). Rounding z_i - theta adds
+at most u per term. So, for a midpoint on the piece, the float sum that a
+pass would return lies in a known interval; above the piece's end it lies
+below the interval's top there, since the sum falls as theta rises.
 When the bisection's three-way test (within _SUM_TOL of 1, above, below)
 gives one answer on the whole interval, the step is taken without the
 pass. Every step takes the same branch as a full pass would, so theta is
@@ -119,51 +121,31 @@ class _Piece:
     """A stretch [lo, hi] of theta on which the exact clamped sum is
     T(theta) = T(anchor) - m (theta - anchor), with the anchor's float sum.
 
-    Built from the buffer of a pass at theta_0, on the side of theta_0 the
-    bisection goes on with: side 1 when theta_0 became lo, -1 when it
-    became hi. Zero coordinates are z <= theta_0, capped ones have a
-    rounded z - theta_0 >= cap, and the m others are free. The piece ends
-    where the first of them would change class, rounded inward.
+    Built from the buffer of a pass at lo whose sum overshot 1, so that lo
+    became the bisection's lo. Zero coordinates are z <= lo, capped ones
+    have a rounded z - lo >= cap, and the m others are free. The piece ends
+    where the first free one reaches zero (at z) or the first capped one
+    leaves its cap (at z - cap, rounded down).
     """
 
-    def __init__(self, z, caps, buf, theta, s, side, mask, tmp):
+    def __init__(self, z, caps, buf, theta, s, mask, tmp):
         n = len(z)
-        if side > 0:
-            # free coordinates reach zero at z, capped ones leave their cap at
-            # z - cap; every other entry is pushed up by _PUSH
-            np.less_equal(z, theta, out=mask)
-            n_zero = int(np.count_nonzero(mask))
-            end = math.inf
-            if n_zero < n:
-                np.multiply(mask, _PUSH, out=tmp)
-                tmp += z
-                end = float(tmp.min())
-            np.less(buf, caps, out=mask)
-            n_capped = n - int(np.count_nonzero(mask))
-            if n_capped:
-                np.multiply(mask, _PUSH, out=tmp)
-                tmp += z
-                tmp -= buf  # z - cap on the capped coordinates
-                end = min(end, math.nextafter(float(tmp.min()), -math.inf))
-            self.lo, self.hi = theta, end
-        else:
-            # zero coordinates turn free at z, free ones reach their cap at
-            # z - cap; the capped ones are pushed down by _PUSH
-            np.greater(z, theta, out=mask)
-            n_zero = n - int(np.count_nonzero(mask))
-            end = -math.inf
-            if n_zero:
-                np.multiply(mask, -_PUSH, out=tmp)
-                tmp += z
-                end = float(tmp.max())
-            np.greater_equal(buf, caps, out=mask)
-            n_capped = int(np.count_nonzero(mask))
-            if n_zero + n_capped < n:
-                np.multiply(mask, _PUSH, out=tmp)
-                tmp += caps
-                np.subtract(z, tmp, out=tmp)  # z - cap off the capped coordinates
-                end = max(end, math.nextafter(float(tmp.max()), math.inf))
-            self.lo, self.hi = end, theta
+        # every entry that cannot end the piece is pushed up by _PUSH
+        np.less_equal(z, theta, out=mask)
+        n_zero = int(np.count_nonzero(mask))
+        end = math.inf
+        if n_zero < n:
+            np.multiply(mask, _PUSH, out=tmp)
+            tmp += z
+            end = float(tmp.min())
+        np.less(buf, caps, out=mask)
+        n_capped = n - int(np.count_nonzero(mask))
+        if n_capped:
+            np.multiply(mask, _PUSH, out=tmp)
+            tmp += z
+            tmp -= buf  # z - cap on the capped coordinates
+            end = min(end, math.nextafter(float(tmp.min()), -math.inf))
+        self.lo, self.hi = theta, end
         self.m = n - n_zero - n_capped
         self.anchor, self.s = theta, s
         # with eps = gamma_h + 4u, k (s + |m (x - anchor)|) covers the
@@ -198,34 +180,31 @@ def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> float:
     certify = s < _HUGE and hi <= _HUGE and z.min() >= -_HUGE and caps.min() > 0
     if certify:
         scratch = np.empty(len(z), dtype=bool), np.empty(len(z))
-        piece = _Piece(z, caps, buf, lo, s, 1, *scratch)
+        piece = _Piece(z, caps, buf, lo, s, *scratch)
         if piece.lo < piece.hi:
             width = piece.hi - piece.lo
         else:  # empty, or a cap reached only by rounding hides a breakpoint
             piece = None
     for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)  # never below lo, so never below a piece
         step = None
         if piece is not None:
-            # _bisection_step's answer when it gives one on both bounds (it is
-            # monotone); past an end only the monotone bound at that end holds
-            low, high = piece.bounds(min(max(mid, piece.lo), piece.hi))
-            if low - 1.0 > _SUM_TOL and mid <= piece.hi:
-                step = 1
-            elif 1.0 - high > _SUM_TOL and mid >= piece.lo:
-                step = -1
-            elif 1.0 - low <= _SUM_TOL and high - 1.0 <= _SUM_TOL and piece.lo <= mid <= piece.hi:
-                step = 0
+            # _bisection_step is monotone, so an answer it gives on both
+            # bounds is the pass's; above the end only a step down is certain
+            low, high = piece.bounds(min(mid, piece.hi))
+            certain = _bisection_step(low)
+            if certain == _bisection_step(high) and (certain < 0 or mid <= piece.hi):
+                step = certain
         if step is None:
             s = _clamped_sum(z, caps, mid, buf)
             step = _bisection_step(s)
             if certify and step:
-                if piece is not None and piece.lo <= mid <= piece.hi:
+                if piece is not None and mid <= piece.hi:
                     piece.anchor, piece.s = mid, s  # a nearer anchor, a tighter bound
-                elif hi - lo <= 4.0 * width:
+                elif step > 0 and hi - lo <= 4.0 * width:
                     # a piece much narrower than the bracket would be left at
                     # once; the last one's width estimates the next one's
-                    new = _Piece(z, caps, buf, mid, s, step, *scratch)
+                    new = _Piece(z, caps, buf, mid, s, *scratch)
                     if new.lo < new.hi:
                         piece, width = new, new.hi - new.lo
         if step == 0:
@@ -301,8 +280,8 @@ def project_orthant_l1(z, lam: float) -> np.ndarray:
 
     Coordinate-wise y_i = max(0, z_i - lam).
     """
-    if lam < 0:
-        raise ConfigurationError("l1 penalty must be nonnegative")
+    if not lam >= 0:  # a NaN penalty fails the test too
+        raise ConfigurationError("l1 penalty must be a nonnegative number, not negative or NaN")
     z = np.asarray(z, dtype=float)
     return np.maximum(z - lam, 0.0)
 

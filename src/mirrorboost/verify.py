@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import bounds
-from .boosting import EDGE_TOL, Algorithm
+from .boosting import EDGE_TOL, FORCED_GEOMETRY, Algorithm
 from .errors import ParseError
 from .trace_io import TraceFile
 
@@ -34,9 +34,10 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
     if not rounds:
         return [FamilyReport("empty-trace", True, "no rounds recorded; vacuous pass")]
     try:
-        algo = Algorithm(header.get("algorithm")).value
+        algorithm = Algorithm(header.get("algorithm"))
     except ValueError:
         return [FamilyReport(str(header.get("algorithm")), False, "unknown algorithm in header")]
+    algo = algorithm.value
     k = header.get("k")
     if k is not None and not (_number(k) and math.isfinite(k)):
         raise ParseError(f"header key 'k' must be a finite number, got {k!r}", 1)
@@ -44,7 +45,7 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
         detail = "no per-round error bound applies to the margin schedule; "
         return [FamilyReport("maxmargin", True, f"{detail}final margin {rounds[-1].get('margin')}")]
     geometry = header.get("geometry")
-    if algo not in ("sparse", "mada") and geometry not in ("entropy", "quadratic"):
+    if algorithm not in FORCED_GEOMETRY and geometry not in ("entropy", "quadratic"):
         raise ParseError(f"header 'geometry' must be entropy or quadratic: {geometry!r}", 1)
     n = _header_int(header, "n", 1, 2**53) if algo in ("sparse", "mada", "combined") else None
     n_a = None

@@ -117,6 +117,14 @@ class TestTrain:
             "train", "--algo", "maboost-active", "--gen", "spiral:1:2", "--rounds", "5",
         ]) == 1
 
+    def test_gen_too_large_for_memory_exits_one(self, capsys):
+        assert main([
+            "train", "--algo", "maboost-active", "--gen", "noisy:0:100000000000:0.1",
+            "--rounds", "1",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n = 100000000000 samples need" in err
+
     def test_data_and_gen_mutually_exclusive(self):
         assert main(["train", "--algo", "maboost-active", "--rounds", "5"]) == 1
 
@@ -454,7 +462,7 @@ class TestProject:
         assert main(["project", "--geometry", geometry, "--set", spec]) == 1
         assert f"requires --geometry {required}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["capped:abc", "orthant-l1:abc"])
+    @pytest.mark.parametrize("spec", ["capped:abc", "orthant-l1:abc", "orthant-l1:nan"])
     def test_bad_set_parameter_exits_one(self, monkeypatch, capsys, spec):
         code, _ = self._project(monkeypatch, capsys, "quadratic", spec, [0.5, 3])
         assert code == 1

@@ -417,6 +417,11 @@ class TestGenerators:
         with pytest.raises(ConfigurationError):
             gen_blobs(0, 10, 0.0)
 
+    def test_too_many_samples_for_memory_named(self, monkeypatch):
+        monkeypatch.setattr(data, "splitmix64", None)  # the check must come before the draws
+        with pytest.raises(ConfigurationError, match="n = 100000000000 samples need"):
+            gen_blobs(0, 10**11, 0.5)
+
     def test_noisy_zero_flip_equals_blobs(self):
         a = gen_noisy(0, 100, 0.0)
         b = gen_blobs(0, 100, DEFAULT_MARGIN)

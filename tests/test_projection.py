@@ -223,9 +223,10 @@ class TestOrthantL1:
         z = np.array([0.3]) + np.array([-0.1])
         np.testing.assert_allclose(project_orthant_l1(z, 0.05), [0.15], atol=1e-15)
 
-    def test_negative_penalty_rejected(self):
+    @pytest.mark.parametrize("lam", [-0.1, math.nan], ids=["negative", "nan"])
+    def test_negative_penalty_rejected(self, lam):
         with pytest.raises(ConfigurationError):
-            project_orthant_l1([0.1], -0.1)
+            project_orthant_l1([0.1], lam)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(6)
@@ -543,8 +544,8 @@ def test_certified_bisection_matches_reference_on_large_inputs():
 
 
 def test_piece_bounds_hold_the_sum_of_a_pass():
-    """Inside a piece the sum of a pass lies within its bounds; past an end it
-    lies below (rising theta) or above (falling theta) the bound there."""
+    """On a piece the sum of a pass lies within its bounds; above its end it
+    lies below the top bound there."""
     rng = np.random.default_rng(2008)
     for _ in range(60):
         z, caps = _large_mixed_problem(rng)
@@ -553,21 +554,18 @@ def test_piece_bounds_hold_the_sum_of_a_pass():
         # a step below a quantile of z as wide as the cap, or as the entries
         below = min(caps[0], 1.0, 10.0 ** rng.uniform(-17, 0))
         theta = float(np.quantile(z, rng.random())) - rng.random() * below
-        for side in (1, -1):
-            s = projection._clamped_sum(z, caps, theta, buf)
-            piece = projection._Piece(z, caps, buf, theta, s, side, *scratch)
-            if piece.lo > piece.hi:
-                continue
-            end = piece.hi if side > 0 else piece.lo
-            spread = abs(end - theta) if abs(end) < 1e300 else 1.0
-            for t in rng.random(4):
-                x = theta + side * t * spread
-                low, high = piece.bounds(x)
-                assert low <= projection._clamped_sum(z, caps, x, buf) <= high
-            if abs(end) < 1e300:
-                low, high = piece.bounds(end)
-                beyond = projection._clamped_sum(z, caps, end + side * spread, buf)
-                assert beyond <= high if side > 0 else beyond >= low
+        s = projection._clamped_sum(z, caps, theta, buf)
+        piece = projection._Piece(z, caps, buf, theta, s, *scratch)
+        if piece.lo > piece.hi:
+            continue
+        spread = piece.hi - theta if piece.hi < 1e300 else 1.0
+        for t in rng.random(4):
+            x = theta + t * spread
+            low, high = piece.bounds(x)
+            assert low <= projection._clamped_sum(z, caps, x, buf) <= high
+        if piece.hi < 1e300:
+            _, high = piece.bounds(piece.hi)
+            assert projection._clamped_sum(z, caps, piece.hi + spread, buf) <= high
 
 
 def test_numpy_sums_within_the_pairwise_bound():
@@ -585,19 +583,27 @@ def test_numpy_sums_within_the_pairwise_bound():
 def test_capped_projection_settles_most_steps_without_a_pass(monkeypatch):
     """smooth, quadratic, k = 20 on 1e5 gen_noisy samples: the bisection
     alone takes 55-57 passes over z per projection, and a certificate with
-    gamma_n instead of the pairwise gamma_h 7-11."""
-    counts = {"sums": 0, "projections": 0}
-    clamped_sum, project_mixed = projection._clamped_sum, boosting.project_mixed
+    gamma_n instead of the pairwise gamma_h 7-11. Each projection builds
+    two pieces, both above a pass whose sum overshot 1."""
+    counts = {"sums": 0, "pieces": 0, "projections": 0}
+    clamped_sum, piece, project_mixed = (
+        projection._clamped_sum, projection._Piece, boosting.project_mixed
+    )
 
     def counting_sum(*args):
         counts["sums"] += 1
         return clamped_sum(*args)
+
+    def counting_piece(*args):
+        counts["pieces"] += 1
+        return piece(*args)
 
     def counting_projection(*args):
         counts["projections"] += 1
         return project_mixed(*args)
 
     monkeypatch.setattr(projection, "_clamped_sum", counting_sum)
+    monkeypatch.setattr(projection, "_Piece", counting_piece)
     monkeypatch.setattr(boosting, "project_mixed", counting_projection)
     config = BoosterConfig(
         Algorithm.SMOOTH, QUADRATIC, rounds=8, target_error=1.0 / 20, k=20.0
@@ -605,3 +611,4 @@ def test_capped_projection_settles_most_steps_without_a_pass(monkeypatch):
     boosting.run(config, gen_noisy(0, 100_000, 0.1))
     assert counts["projections"] == 8
     assert counts["sums"] <= 5 * counts["projections"]
+    assert counts["pieces"] <= 2 * counts["projections"]
