@@ -81,16 +81,12 @@ def _recheck_runs(*configs: BoosterConfig) -> tuple[list[str], float, list[Boost
             result = run(config, data)
             checks = bounds.RoundChecks(config.algorithm.value, config.geometry.value, data.n,
                                         config.k, half=config.alpha_mode is AlphaMode.HALF)
-            traces = result.traces
-            after = bounds.masses_after([tr.y_l1 for tr in traces], float(result.weights.sum()))
-            for tr, mass_after in zip(traces, after):
-                bound, held = checks.add(
-                    tr.t, tr.gamma, tr.train_error, tr.y_l1, tr.eps_a, mass_after
-                )
-                broken += [f"{mode}{family} broken at round {tr.t} on {label}"
+            for rec, bound, held in checks.replay(map(vars, result.traces),
+                                                  float(result.weights.sum())):
+                broken += [f"{mode}{family} broken at round {rec['t']} on {label}"
                            for family, holds in held if not holds]
                 if bound is not None:
-                    worst = max(worst, tr.train_error - bound)
+                    worst = max(worst, rec["train_error"] - bound)
             results.append(result)
     return broken, worst, results
 

@@ -2,8 +2,9 @@
 
 The trainer checks the bounds as it runs, ``verify`` re-derives them from a
 stored trace and the acceptance bench from a run's round records; all three
-feed their rounds to one ``RoundChecks``, which decides which bound applies
-to a round and keeps the running sums. A check passes within ``SLACK``.
+feed their rounds to one ``RoundChecks`` (the last two through ``replay``),
+which decides which bound applies to a round and keeps the running sums. A
+check passes within ``SLACK``.
 """
 
 from __future__ import annotations
@@ -39,36 +40,15 @@ def combined_primary(sum_gamma_sq: float, entropic: bool, n: int, n_a: int) -> f
     return min(1.0, n / (n_a * (1.0 + sum_gamma_sq)))
 
 
-def sparse_term(gamma: float, y_l1: float) -> float:
-    """One round's gamma^2 ||y||_1^2, summed by the sparse bound."""
-    return gamma * gamma * y_l1 * y_l1
-
-
 def sparse(sum_term: float, half: bool) -> float:
     """Sparse bound 1/(1 + c sum gamma^2 ||y||_1^2); c = 1/4 with the half-edge penalty, else 1."""
     c = 0.25 if half else 1.0
     return 1.0 / (1.0 + c * sum_term)
 
 
-def sparse_mass_floor(n: int) -> float:
-    """Without a penalty, ||y||_1 stays >= 1/N while the ensemble errs."""
-    return 1.0 / n
-
-
-def mada_mass_floor(n: int, error: float) -> float:
-    """MadaBoost keeps ||y||_1 >= N * error."""
-    return n * error
-
-
 def mada_rate(t: int, gamma_min: float) -> float:
     """MadaBoost's rate: error^2 <= 1/(t gamma_min^2) after t rounds."""
     return 1.0 / (t * (gamma_min * gamma_min))  # ** would raise OverflowError
-
-
-def masses_after(y_l1s: list, last: float | None) -> list:
-    """||y||_1 after each round's update: round t+1's ``y_l1`` column is the mass
-    after round t, and ``last`` the mass after the last round (None: unknown)."""
-    return [*y_l1s[1:], last]
 
 
 class RoundChecks:
@@ -116,17 +96,17 @@ class RoundChecks:
         """
         family = self.families[0] if self.families else None
         if self.algorithm == "sparse":
-            self.sum_term += sparse_term(gamma, y_l1)
+            self.sum_term += gamma * gamma * y_l1 * y_l1
             bound = sparse(self.sum_term, self.half)
             checks = [(family, within(error, bound))]
             # without a penalty, ||y||_1 stays >= 1/N while the ensemble errs
             if self.reads_mass and mass_after is not None and error > 0.0:
-                checks.append((self.families[1], reaches(mass_after, sparse_mass_floor(self.n))))
+                checks.append((self.families[1], reaches(mass_after, 1.0 / self.n)))
             return bound, checks
         if self.algorithm == "mada":
             self.gamma_min = min(self.gamma_min, gamma)
             return None, [
-                (family, reaches(y_l1, mada_mass_floor(self.n, error))),
+                (family, reaches(y_l1, self.n * error)),  # MadaBoost keeps ||y||_1 >= N * error
                 (self.families[1], within(error * error, mada_rate(t, self.gamma_min))),
             ]
         if family is None:
@@ -140,6 +120,20 @@ class RoundChecks:
         # capped simplex, which holds while error >= 1/k
         below_k = self.algorithm == "smooth" and error < 1.0 / self.k
         return bound, [(family, below_k or within(error, bound))]
+
+    def replay(self, records, last_mass: float | None = None):
+        """Check recorded rounds in order, yielding (record, bound, held) for each.
+
+        A record's ``y_l1`` is ||y||_1 before its round's update, so the mass
+        after round t is round t+1's ``y_l1``, and the mass after the last
+        round is ``last_mass`` (None: unknown, which skips that round's floor).
+        """
+        records = list(records)
+        after = [*(rec.get("y_l1") for rec in records[1:]), last_mass]
+        for rec, mass_after in zip(records, after):
+            bound, held = self.add(rec["t"], rec["gamma"], rec.get("train_error"),
+                                   rec.get("y_l1"), rec.get("eps_a"), mass_after)
+            yield rec, bound, held
 
 
 def worst_margin_reference_divergence(g: Geometry, n: int) -> float:

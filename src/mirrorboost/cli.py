@@ -39,20 +39,24 @@ _SET_GEOMETRY = {"hypercube": NEGATIVE_ENTROPY, "double": NEGATIVE_ENTROPY, "ort
 
 
 def _parse_gen(spec: str) -> Dataset:
-    parts = spec.split(":")
+    name, *fields = spec.split(":")
+    # built per call, so a generator replaced on this module (the benchmark's tracer) is called
+    generator, kinds = {
+        "blobs": (gen_blobs, (int, int, float)),
+        "noisy": (gen_noisy, (int, int, float)),
+        "combined": (gen_combined, (int, int, int, float)),
+    }.get(name, (None, ()))
+    if generator is None or len(fields) != len(kinds):
+        raise UsageError(
+            f"bad --gen spec {spec!r}; expected blobs:<seed>:<N>:<margin>, "
+            "noisy:<seed>:<N>:<flip> or combined:<seed>:<Na>:<Nb>:<flip>"
+        )
     try:
-        if parts[0] == "blobs" and len(parts) == 4:
-            return gen_blobs(int(parts[1]), int(parts[2]), float(parts[3]))
-        if parts[0] == "noisy" and len(parts) == 4:
-            return gen_noisy(int(parts[1]), int(parts[2]), float(parts[3]))
-        if parts[0] == "combined" and len(parts) == 5:
-            return gen_combined(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]))
+        values = [kind(field) for kind, field in zip(kinds, fields)]
     except ValueError as exc:
         raise UsageError(f"bad --gen spec {spec!r}: {exc}") from None
-    raise UsageError(
-        f"bad --gen spec {spec!r}; expected blobs:<seed>:<N>:<margin>, "
-        "noisy:<seed>:<N>:<flip> or combined:<seed>:<Na>:<Nb>:<flip>"
-    )
+    # outside the try: a generator's ConfigurationError is a ValueError with its own message
+    return generator(*values)
 
 
 def _load_dataset(args) -> Dataset:
@@ -65,20 +69,10 @@ def _load_dataset(args) -> Dataset:
     return load_csv(args.data, args.label_column, args.subset_column)
 
 
-def _resolve_geometry(algorithm: Algorithm, flag: str | None) -> Geometry:
-    forced = FORCED_GEOMETRY.get(algorithm)
-    if forced is None:
-        return Geometry(flag or "entropy")
-    if flag not in (None, forced.value):
-        raise UsageError(f"--algo {algorithm.value} requires --geometry {forced.value}")
-    return forced
-
-
 def cmd_train(args) -> int:
     algorithm = Algorithm(args.algo)
-    geometry = _resolve_geometry(algorithm, args.geometry)
-    dataset = _load_dataset(args)
-
+    geometry = (Geometry(args.geometry) if args.geometry
+                else FORCED_GEOMETRY.get(algorithm, NEGATIVE_ENTROPY))
     target = args.target_eps
     if target is None:
         target = 1.0 / args.k if algorithm is Algorithm.SMOOTH and args.k else 0.0
@@ -91,6 +85,8 @@ def cmd_train(args) -> int:
         alpha_mode=AlphaMode(args.alpha_mode) if args.alpha_mode else None,
         mada_eta=MadaEta(args.mada_eta),
     )
+    config.validate()  # before any data is read or generated
+    dataset = _load_dataset(args)
     result = run(config, dataset)
     if args.trace:
         # run has rejected a combined dataset without subset flags

@@ -275,8 +275,8 @@ def gen_blobs(seed: int, n: int, margin: float) -> Dataset:
     """
     if n < 2 or n % 2:
         raise ConfigurationError("n must be even and >= 2")
-    if margin <= 0:
-        raise ConfigurationError("margin must be positive")
+    if not 0 < margin < math.inf:
+        raise ConfigurationError(f"margin must be positive and finite, got {margin}")
     memory = _memory_bytes()
     if 32 * n > memory:  # 2n uint64 draws and n x 2 features, refused before allocating
         raise ConfigurationError(

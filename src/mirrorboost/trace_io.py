@@ -47,7 +47,8 @@ def read_trace(path: str) -> TraceFile:
         header = json.loads(lines[0])
     except ValueError as exc:  # a JSONDecodeError, or an int over the digit limit
         raise ParseError(f"bad header: {exc}", 1) from None
-    if not isinstance(header, dict) or header.get("schema") != SCHEMA_VERSION:
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # JSON true and 1.0 equal 1 too
         raise ParseError("missing or unsupported schema header", 1)
     rounds = []
     record_lines = []
@@ -61,9 +62,10 @@ def read_trace(path: str) -> TraceFile:
             raise ParseError(f"bad record: {exc}", lineno) from None
         if not isinstance(rec, dict):
             raise ParseError("a round record must be a JSON object", lineno)
-        if rec.get("t") != last_t + 1:
-            raise ParseError(f"round numbers must be consecutive, got {rec.get('t')}", lineno)
-        last_t = rec["t"]
+        t = rec.get("t")
+        if type(t) is not int or t != last_t + 1:
+            raise ParseError(f"round numbers must be consecutive integers, got {t}", lineno)
+        last_t = t
         rounds.append(rec)
         record_lines.append(lineno)
     return TraceFile(header=header, rounds=rounds, lines=record_lines)

@@ -1,7 +1,7 @@
 """Re-derive every training-error bound from a stored trace and check it.
 
 The trace carries the edge sequence (plus ||y||_1 where relevant), which is
-all the bounds depend on; the verifier feeds it to ``bounds.RoundChecks``,
+all the bounds depend on; the verifier replays it through ``bounds.RoundChecks``,
 the same checks the trainer runs, rather than trusting the bound column
 written at run time. The header is checked first, then each record for the
 keys the checks read (``RoundChecks.keys``); a value that is missing or unusable
@@ -70,15 +70,10 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
         family = f"combined-primary-error ({geometry})"
         return [FamilyReport(family, True, "subset A is empty; the bound is vacuous")]
     first_bad = dict.fromkeys(checks.families)
-    after = bounds.masses_after([rec.get("y_l1") for rec in rounds], None)
-    for rec, mass_after in zip(rounds, after):
-        t = rec["t"]
-        _, held = checks.add(
-            t, rec["gamma"], rec.get("train_error"), rec.get("y_l1"), rec.get("eps_a"), mass_after
-        )
+    for rec, _, held in checks.replay(rounds):
         for family, holds in held:
             if not holds and first_bad[family] is None:
-                first_bad[family] = t
+                first_bad[family] = rec["t"]
     total = len(rounds)
     return [
         FamilyReport(family, True, f"{total} rounds within bounds")

@@ -160,6 +160,11 @@ class TestMaboost:
             assert acc > prev
             prev = acc
 
+    def test_zero_edge_after_the_first_round_stops_the_run(self):
+        data = Dataset(np.ones((3, 1)), np.array([1.0, -1.0, -1.0]))
+        result = run(_cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 10), data)
+        assert result.status == "zero_edge" and len(result.traces) == 3
+
     def test_no_weak_learnability(self):
         data = Dataset([[1.0], [1.0]], [1.0, -1.0])
         with pytest.raises(NoWeakLearnabilityError):
@@ -453,6 +458,12 @@ class TestEnsemble:
         with pytest.raises(UsageError):
             load_model(str(path))
 
+    def test_model_header_without_geometry_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# algorithm=mada\n0 0.0 1 0.5\n")
+        with pytest.raises(ParseError, match="line 1"):
+            load_model(str(path))
+
     # the last five parse as numbers: polarity 2, feature -1 (which would read
     # the last column), a NaN threshold and non-finite etas
     @pytest.mark.parametrize("line", [
@@ -467,7 +478,8 @@ class TestEnsemble:
 
     def test_model_sentinel_thresholds_and_zero_eta_load(self, tmp_path):
         path = tmp_path / "m.txt"
-        path.write_text("# algorithm=mada geometry=entropy\n0 -inf 1 0.0\n1 inf -1 0.5\n")
+        # with a blank line between the stumps, which is skipped
+        path.write_text("# algorithm=mada geometry=entropy\n0 -inf 1 0.0\n\n1 inf -1 0.5\n")
         _, _, hyps = load_model(str(path))
         assert hyps == [(Stump(0, -math.inf, 1), 0.0), (Stump(1, math.inf, -1), 0.5)]
 

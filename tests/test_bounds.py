@@ -5,7 +5,8 @@ import math
 import pytest
 
 from mirrorboost.boosting import Algorithm
-from mirrorboost.bounds import RoundChecks, mada_rate, masses_after
+from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC
+from mirrorboost.bounds import RoundChecks, mada_rate, worst_margin_reference_divergence
 
 
 def _held(checks):
@@ -113,6 +114,13 @@ class TestMada:
         assert checks == [("mada-mass-floor", True), ("mada-convergence-rate", False)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_worst_margin_reference_divergence(n):
+    """B_R(e_i, uniform) is 1/2 (1 - 1/n) in the quadratic geometry, log n in the entropic."""
+    assert worst_margin_reference_divergence(QUADRATIC, n) == 0.5 * (1.0 - 1.0 / n)
+    assert worst_margin_reference_divergence(NEGATIVE_ENTROPY, n) == math.log(n)
+
+
 def test_max_margin_has_no_per_round_bound():
     rc = RoundChecks("maxmargin", "entropy", 10)
     assert rc.families == ()
@@ -142,13 +150,41 @@ def test_combined_without_subset_a_still_names_its_keys():
     assert RoundChecks("combined", "entropy", 10, n_a=0).keys == ("gamma", "eps_a")
 
 
-class TestMassesAfter:
-    def test_last_mass_known(self):
-        assert masses_after([1.0, 0.8, 0.5], 0.3) == [0.8, 0.5, 0.3]
+def _sparse_records(*masses):
+    """Sparse zero-mode rounds with edge 0.5, error 0.1 and these ||y||_1 columns."""
+    return [{"t": t, "gamma": 0.5, "train_error": 0.1, "y_l1": y_l1}
+            for t, y_l1 in enumerate(masses, start=1)]
 
-    def test_last_mass_unknown(self):
-        assert masses_after([1.0, 0.8, 0.5], None) == [0.8, 0.5, None]
+
+def _floors(replayed):
+    """Round -> the sparse floor's verdict, for each replayed round that checks it."""
+    return {rec["t"]: dict(held)["sparse-mass-floor"]
+            for rec, _, held in replayed if "sparse-mass-floor" in dict(held)}
+
+
+class TestReplay:
+    def test_mass_after_a_round_is_the_next_rounds_y_l1(self):
+        # floor 1/N = 0.1: only round 1, followed by a mass of 0.05, breaks it
+        replayed = list(RoundChecks("sparse", "quadratic", 10).replay(
+            _sparse_records(1.0, 0.05, 0.5), 0.5))
+        assert _floors(replayed) == {1: False, 2: True, 3: True}
+        # the records come back in order, each with the bound column add computes
+        direct = RoundChecks("sparse", "quadratic", 10)
+        assert [rec["t"] for rec, _, _ in replayed] == [1, 2, 3]
+        for rec, bound, _ in replayed:
+            assert bound == direct.add(rec["t"], 0.5, 0.1, rec["y_l1"])[0]
+
+    def test_last_mass_checks_the_last_floor_and_none_skips_it(self):
+        records = _sparse_records(1.0, 0.5)
+        known = RoundChecks("sparse", "quadratic", 10).replay(records, 0.05)
+        assert _floors(known) == {1: True, 2: False}
+        unknown = RoundChecks("sparse", "quadratic", 10).replay(records)
+        assert _floors(unknown) == {1: True}
 
     def test_one_round(self):
-        assert masses_after([1.0], 0.7) == [0.7]
-        assert masses_after([None], None) == [None]
+        (record,) = _sparse_records(1.0)
+        [(rec, bound, held)] = RoundChecks("sparse", "quadratic", 10).replay([record], 0.7)
+        assert rec is record and bound == pytest.approx(0.8)
+        assert held == [("sparse-training-error", True), ("sparse-mass-floor", True)]
+        [(_, _, held)] = RoundChecks("sparse", "quadratic", 10).replay([record])
+        assert held == [("sparse-training-error", True)]

@@ -112,10 +112,31 @@ class TestTrain:
         assert f"{option} is for" in capsys.readouterr().err
         assert not trace.exists()
 
-    def test_bad_gen_spec_exits_one(self):
+    def test_bad_gen_spec_exits_one(self, capsys):
+        for spec in ("spiral:1:2", "blobs:0:10.5:0.3"):
+            assert main([
+                "train", "--algo", "maboost-active", "--gen", spec, "--rounds", "5",
+            ]) == 1
+            assert f"bad --gen spec {spec!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("margin", ["0", "nan", "inf"])
+    def test_generator_refusal_keeps_its_own_message(self, capsys, margin):
         assert main([
-            "train", "--algo", "maboost-active", "--gen", "spiral:1:2", "--rounds", "5",
+            "train", "--algo", "maboost-active", "--gen", f"blobs:0:10:{margin}",
+            "--rounds", "5",
         ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: margin must be positive") and "bad --gen spec" not in err
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--algo", "mada", "--geometry", "quadratic"), "entropy geometry"),
+        (("--algo", "smooth", "--k", "0.5"), "smoothness parameter k"),
+    ], ids=["geometry", "k"])
+    def test_bad_config_is_reported_before_reading_data(self, tmp_path, capsys, flags, named):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["train", *flags, "--data", missing, "--rounds", "5"]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "missing.csv" not in err
 
     def test_gen_too_large_for_memory_exits_one(self, capsys):
         assert main([
@@ -232,12 +253,26 @@ class TestVerify:
             ("sparse", ("--alpha-mode", "half")),
             ("mada", ()),
             ("maxmargin", ()),
+            ("combined", ("--geometry", "quadratic", "--k", "8",
+                          "--gen", "combined:0:150:50:0.3")),
         ],
     )
     def test_fresh_traces_pass(self, tmp_path, capsys, algo, extra):
         trace = self._trained_trace(tmp_path, algo, extra)
         assert main(["verify", trace]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_run_stopped_by_a_zero_edge_passes(self, tmp_path, capsys):
+        # one constant feature: each round's stump votes -1 on every sample, and
+        # its edge shrinks until round 4's is within the zero-edge tolerance
+        data = tmp_path / "flat.csv"
+        data.write_text("label,f0\n1,1\n-1,1\n-1,1\n")
+        trace = str(tmp_path / "trace.jsonl")
+        assert main(["train", "--algo", "maboost-active", "--geometry", "entropy",
+                     "--data", str(data), "--rounds", "10", "--trace", trace]) == 0
+        assert capsys.readouterr().out.startswith("rounds=3 ")
+        assert main(["verify", trace]) == 0
+        assert "PASS training-error (entropy): 3 rounds within bounds" in capsys.readouterr().out
 
     def test_corrupted_trace_fails_with_round(self, tmp_path, capsys):
         trace = self._trained_trace(tmp_path, "maboost-active")
@@ -271,6 +306,21 @@ class TestVerify:
             fh.write('{"schema": 1, "algorithm": "maboost-active", "geometry": "entropy", "n": 4}\n')
             fh.write('{"t": 2, "gamma": 0.5, "eta": 0.5, "train_error": 0.1, "bound": 0.9, "max_weight": 0.3, "nnz": 4}\n')
         assert main(["verify", trace]) == 1
+
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+    def test_schema_must_be_a_json_integer(self, tmp_path, capsys, value):
+        trace = self._trained_trace(tmp_path, "maboost-active")
+        self._edit(trace, 1, lambda h: json.dumps({**h, "schema": value}))
+        assert main(["verify", trace]) == 1
+        assert "line 1: missing or unsupported schema header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, value", [(2, True), (3, 2.0)], ids=["true", "float"])
+    def test_round_number_must_be_a_json_integer(self, tmp_path, capsys, line, value):
+        trace = self._trained_trace(tmp_path, "maboost-active")
+        self._edit(trace, line, lambda rec: json.dumps({**rec, "t": value}))
+        assert main(["verify", trace]) == 1
+        err = capsys.readouterr().err
+        assert f"line {line}: round numbers must be consecutive integers" in err
 
     @staticmethod
     def _edit(trace, line, edit):

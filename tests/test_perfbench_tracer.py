@@ -57,3 +57,25 @@ def test_tracer_swaps_every_target_and_restores_it():
     per_call = sum(len(np.unique(column)) + 1 for column in data.features.T)
     scanned = tracer.counts["stumps.thresholds_scanned"]
     assert scanned == per_call * calls["stumps.train_stump"] > 0
+
+
+def test_tracer_times_every_layer_of_a_cli_train_and_verify(tmp_path, capsys):
+    """The layers ``paper-sweep`` measures each leave a span when the CLI runs."""
+    tracing = _load_tracing()
+    trace, model = str(tmp_path / "trace.jsonl"), str(tmp_path / "model.txt")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracing.cli.main([
+            "train", "--algo", "maboost-active", "--gen", "noisy:0:40:0.1", "--rounds", "3",
+            "--trace", trace, "--model", model,
+        ]) == 0
+        assert tracing.cli.main(["verify", trace]) == 0
+    finally:
+        tracer.uninstall()
+    calls = tracer.totals()[2]
+    for layer in ("cli.main", "data.gen", "boosting.run", "trace_io.write",
+                  "boosting.save_model", "trace_io.read", "verify.verify_trace"):
+        assert calls[layer] > 0, layer
+    assert calls["cli.main"] == 2
+    assert tracer.counts["data.rows"] == 40

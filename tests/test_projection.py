@@ -78,6 +78,10 @@ class TestSimplex:
         with pytest.raises(DegenerateInputError):
             project_simplex(NEGATIVE_ENTROPY, [0.0, 0.0])
 
+    def test_entropic_negative_entry_rejected(self):
+        with pytest.raises(DomainError):
+            project_simplex(NEGATIVE_ENTROPY, [1.0, -1.0])
+
     @pytest.mark.parametrize("g", GEOMETRIES, ids=lambda g: g.value)
     def test_feasibility_and_idempotence(self, g):
         rng = np.random.default_rng(0)
@@ -136,6 +140,11 @@ class TestCappedSimplex:
         # six caps of float(1/6) sum to just under 1: infeasible, not a hang
         with pytest.raises(ConfigurationError):
             project_capped_simplex(QUADRATIC, np.zeros(6), 1.0 / 6.0)
+
+    def test_entropic_cap_leaving_no_mass_rejected(self):
+        # the capped entry takes 0.5, and the others have no mass to share the rest
+        with pytest.raises(DegenerateInputError, match="no mass left on uncapped coordinates"):
+            project_capped_simplex(NEGATIVE_ENTROPY, [1.0, 0.0, 0.0], 0.5)
 
     def test_quadratic_bracket_grows_below_a_huge_max(self):
         # hi - 1.0 == hi at 1e16: the bracket must still move
@@ -566,6 +575,15 @@ def test_piece_bounds_hold_the_sum_of_a_pass():
         if piece.hi < 1e300:
             _, high = piece.bounds(piece.hi)
             assert projection._clamped_sum(z, caps, piece.hi + spread, buf) <= high
+
+
+def test_piece_bounds_of_an_overflowing_product_bound_nothing():
+    z, caps = np.array([0.5, 0.3, 0.2]), np.full(3, np.inf)
+    buf, scratch = np.empty(3), (np.empty(3, dtype=bool), np.empty(3))
+    s = projection._clamped_sum(z, caps, 0.0, buf)
+    piece = projection._Piece(z, caps, buf, 0.0, s, *scratch)
+    assert piece.m == 3  # 3 * 1e308 overflows
+    assert piece.bounds(1e308) == (-math.inf, math.inf)
 
 
 def test_numpy_sums_within_the_pairwise_bound():
