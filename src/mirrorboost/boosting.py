@@ -4,7 +4,7 @@ Every booster is the same mirror-ascent round: train a stump on the current
 distribution, compute its edge, take an additive step in the dual
 coordinates of the chosen geometry, and project back onto the algorithm's
 constraint set. ``run`` is that round; a small per-family policy supplies
-the step size, the dual update plus projection, the per-round record, and
+the step size with the dual step and projection, the per-round record and
 the stop rule. Every run appends a per-round trace and checks each round
 against the applicable bounds with ``bounds.RoundChecks`` as it goes.
 """
@@ -156,10 +156,10 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
     """Boost for up to ``config.rounds`` rounds with the config's policy.
 
     A round trains a stump on the policy's distribution, stops on a zero
-    edge, takes the policy's step, adds the stump to the vote, and then lets
-    the policy take its dual step and projection and record the round; the
-    round must pass its bound checks (else ``BoundViolationError``) before
-    the policy decides whether to stop.
+    edge, lets the policy take its dual step and projection, adds the stump
+    to the vote and lets the policy record the round; the round must pass
+    its bound checks (else ``BoundViolationError``) before the policy
+    decides whether to stop.
     """
     config.validate()
     policy = _POLICIES.get(config.algorithm, _Projected)(config, dataset)
@@ -193,11 +193,10 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
         # minus h's ±1 votes, exactly, as labels are ±1; subtracting them
         # adds the votes bit for bit
         anti = labels * d
-        eta = policy.step(t, gamma, score, anti)
+        eta = policy.step(t, gamma, score, anti, d)
         result.hypotheses.append((h, eta))
         score -= eta * anti
         err = _error(score, labels)
-        policy.update(eta, d)
         trace = policy.record(t, gamma, eta, err, score)
         mass_after = float(policy.weights().sum()) if checks.reads_mass else None
         trace.bound, held = checks.add(t, gamma, err, trace.y_l1, trace.eps_a, mass_after)
@@ -218,10 +217,11 @@ class _Policy:
     """A booster family's part of the round loop in ``run``.
 
     ``distribution()`` is what the stump trains on (None once collapsed),
-    ``step`` returns eta, ``update`` takes the dual step and projection,
-    ``record`` returns the round's trace without its bound column, ``stop``
-    returns a final status or None. By default the weights are a uniform
-    start ``w`` and the run stops once the error meets the target.
+    ``step`` picks eta from the edge gamma, takes the dual step eta * d and
+    the projection, and returns eta; ``record`` returns the round's trace
+    without its bound column, ``stop`` returns a final status or None. By
+    default the weights are a uniform start ``w`` and the run stops once the
+    error meets the target.
     """
 
     def __init__(self, config: BoosterConfig, dataset: Dataset):
@@ -271,22 +271,19 @@ class _Projected(_Policy):
             self.z = np.full(n, -math.log(n)) if self.entropic else np.full(n, 1.0 / n)
         self.sum_eta = 0.0
 
-    def step(self, t, gamma, score, anti) -> float:
-        if self.algo is Algorithm.MAX_MARGIN:
-            return gamma / (self.dual_bound * math.sqrt(t))
-        return gamma / self.dual_bound
-
-    def update(self, eta, d) -> None:
+    def step(self, t, gamma, score, anti, d) -> float:
+        margin = self.algo is Algorithm.MAX_MARGIN
+        eta = gamma / (self.dual_bound * math.sqrt(t)) if margin else gamma / self.dual_bound
         if self.lazy:
             self.z += eta * d
             z = np.exp(self.z - self.z.max()) if self.entropic else self.z
-            self.w = project_simplex(self.g, z)
-            return
-        z = self.w * np.exp(eta * d) if self.entropic else self.w + eta * d
+        else:
+            z = self.w * np.exp(eta * d) if self.entropic else self.w + eta * d
         if self.caps is None:
             self.w = project_simplex(self.g, z)
         else:
             self.w = project_mixed(self.g, z, self.caps)
+        return eta
 
     def record(self, t, gamma, eta, err, score) -> RoundTrace:
         w = self.w
@@ -326,7 +323,6 @@ class _Sparse(_Policy):
         super().__init__(config, dataset)
         self.half = config.alpha_mode is AlphaMode.HALF
         self.y = self.w
-        self.alpha = 0.0
 
     def distribution(self) -> np.ndarray | None:
         self.y_l1 = float(self.y.sum())
@@ -338,14 +334,11 @@ class _Sparse(_Policy):
     def weights(self) -> np.ndarray:
         return self.y
 
-    def step(self, t, gamma, score, anti) -> float:
-        if self.half:
-            self.alpha = min(1.0, 0.5 * gamma * self.y_l1)
-            return gamma * self.y_l1 / (2.0 * self.n)
-        return gamma * self.y_l1 / self.n
-
-    def update(self, eta, d) -> None:
-        self.y = project_orthant_l1(self.y + eta * d, self.alpha * eta)
+    def step(self, t, gamma, score, anti, d) -> float:
+        eta = gamma * self.y_l1 / (2.0 * self.n) if self.half else gamma * self.y_l1 / self.n
+        alpha = min(1.0, 0.5 * gamma * self.y_l1) if self.half else 0.0
+        self.y = project_orthant_l1(self.y + eta * d, alpha * eta)
+        return eta
 
     def record(self, t, gamma, eta, err, score) -> RoundTrace:
         nnz = int(np.count_nonzero(self.y))
@@ -368,19 +361,17 @@ class _Mada(_Policy):
         self.log_z = np.zeros(self.n)
         self.prev_err = 1.0  # ensemble error before any hypothesis, taken pessimistically
 
-    def step(self, t, gamma, score, anti) -> float:
+    def step(self, t, gamma, score, anti, d) -> float:
         eta = self.prev_err * gamma
         if self.config.mada_eta is MadaEta.FIXED_POINT:
             # a step that already separates the data refines to 0: keep it
             eta = _error(score - eta * anti, self.labels) * gamma or eta
-        return eta
-
-    def update(self, eta, d) -> None:
         self.log_z += eta * d
         # min(1, z) taken in log space: an exp that underflows is a valid zero
         self.y = np.exp(np.minimum(self.log_z, 0.0))
         self.y_l1 = float(self.y.sum())
         self.w = self.y / self.y_l1
+        return eta
 
     def record(self, t, gamma, eta, err, score) -> RoundTrace:
         self.prev_err = err

@@ -217,13 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except NoWeakLearnabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # overflow only makes ±inf, whose sign comparisons keep; NaN warnings stay on
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except MirrorBoostError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, NoWeakLearnabilityError) else 1
 
 
 if __name__ == "__main__":

@@ -198,21 +198,6 @@ def _load_csv_rows(path: str, label_column: str, subset_column: str | None) -> D
     )
 
 
-def save_csv(dataset: Dataset, path: str) -> None:
-    """Write a dataset in the load_csv format (repr floats, lossless round-trip)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        cols = ["label"] + [f"f{i}" for i in range(dataset.d)]
-        if dataset.subset_flags is not None:
-            cols.append("subset")
-        writer.writerow(cols)
-        for i in range(dataset.n):
-            row = [repr(int(dataset.labels[i]))] + [repr(float(v)) for v in dataset.features[i]]
-            if dataset.subset_flags is not None:
-                row.append("B" if dataset.subset_flags[i] else "A")
-            writer.writerow(row)
-
-
 @reads_file
 def load_libsvm(path: str) -> Dataset:
     """Load the sparse LIBSVM text format: ``<label> idx:value ...`` (1-based)."""
@@ -311,6 +296,9 @@ def gen_noisy(seed: int, n: int, flip_rate: float) -> Dataset:
 
 def gen_combined(seed: int, n_clean: int, n_noisy: int, flip_rate: float) -> Dataset:
     """A clean subset A stacked with a label-noised subset B, flags set."""
+    for name, size in (("N_A", n_clean), ("N_B", n_noisy)):
+        if size < 2 or size % 2:
+            raise ConfigurationError(f"{name} must be an even number >= 2, got {size}")
     clean = gen_blobs(seed, n_clean, DEFAULT_MARGIN)
     noisy = gen_noisy(seed + 1, n_noisy, flip_rate)
     features = np.vstack([clean.features, noisy.features])

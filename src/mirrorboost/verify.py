@@ -55,7 +55,10 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
         n_a = n - _header_int(header, "n_b", 0, n)
     elif algo == "smooth" and (k is None or k < 1.0):
         raise ParseError(f"header key 'k' must be a number >= 1, got {k!r}", 1)
-    checks = bounds.RoundChecks(algo, geometry, n, k, n_a, header.get("alpha_mode") == "half")
+    alpha_mode = header.get("alpha_mode")
+    if algo == "sparse" and alpha_mode not in ("zero", "half"):
+        raise ParseError(f"header key 'alpha_mode' must be zero or half, got {alpha_mode!r}", 1)
+    checks = bounds.RoundChecks(algo, geometry, n, k, n_a, alpha_mode == "half")
     keys = checks.keys
     for rec, line in zip(rounds, trace.lines):
         for key in keys:

@@ -128,6 +128,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: margin must be positive") and "bad --gen spec" not in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("combined:0:0:50:0.3", "N_A must be an even number >= 2, got 0"),
+        ("combined:0:150:0:0.3", "N_B must be an even number >= 2, got 0"),
+        ("combined:0:151:50:0.3", "N_A must be an even number >= 2, got 151"),
+        ("combined:0:150:49:0.3", "N_B must be an even number >= 2, got 49"),
+    ], ids=["empty-a", "empty-b", "odd-a", "odd-b"])
+    def test_combined_refusal_names_the_subset(self, capsys, spec, message):
+        assert main([
+            "train", "--algo", "combined", "--k", "8", "--gen", spec, "--rounds", "5",
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flags, named", [
         (("--algo", "mada", "--geometry", "quadratic"), "entropy geometry"),
         (("--algo", "smooth", "--k", "0.5"), "smoothness parameter k"),
@@ -347,6 +359,25 @@ class TestVerify:
         assert main(["verify", trace]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "alpha_mode", [pytest.param("missing", id="missing"), "bogus", 1, None], ids=repr
+    )
+    def test_sparse_header_needs_a_valid_alpha_mode(self, tmp_path, capsys, alpha_mode):
+        trace = self._trained_trace(tmp_path, "sparse", ("--alpha-mode", "half"))
+
+        def edit(header):
+            header.pop("alpha_mode")
+            if alpha_mode != "missing":
+                header["alpha_mode"] = alpha_mode
+            return json.dumps(header, sort_keys=True)
+
+        self._edit(trace, 1, edit)
+        capsys.readouterr()
+        assert main(["verify", trace]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 1" in captured.err and "'alpha_mode'" in captured.err
+
     def test_combined_without_subset_a_is_vacuous(self, tmp_path, capsys):
         trace = self._combined_trace(tmp_path)
         self._edit(trace, 1, lambda h: json.dumps({**h, "n_b": h["n"]}, sort_keys=True))
@@ -546,6 +577,23 @@ class TestProject:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "spec, stdin, code, stdout",
+        [
+            ("capped:0.5", "[1e308, -1e308]", 0, "[0.5, 0.5]\n"),
+            ("orthant-l1:1e308", "[-1e308, 1e308, 0.5]", 0, "[0.0, 0.0, 0.0]\n"),
+            ("capped:1", "[1e308, -1e308]", 1, ""),
+        ],
+        ids=["capped", "orthant-l1", "capped-at-one"],
+    )
+    def test_overflow_prints_no_warning(self, tmp_path, spec, stdin, code, stdout):
+        proc = _cli_process(["project", "--geometry", "quadratic", "--set", spec], tmp_path, stdin)
+        assert (proc.returncode, proc.stdout) == (code, stdout)
+        if code:
+            assert proc.stderr == "error: projection did not reach the simplex\n"
+        else:
+            assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
         "geometry, spec, stdin",
         [
             pytest.param("entropy", "simplex", "not json", id="not-json"),
@@ -599,6 +647,27 @@ class TestDeterminism:
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _cli_process(argv: list[str], cwd, stdin: str = "") -> subprocess.CompletedProcess:
+    """``mirrorboost <argv>`` in a fresh interpreter, so stderr holds every warning."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "mirrorboost.cli", *argv], cwd=cwd, env=env, input=stdin,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_training_on_huge_features_prints_no_warning(tmp_path):
+    # stump thresholds between +-1.7e308 features overflow to +-inf when compared
+    (tmp_path / "huge.csv").write_text(
+        "label,f0\n-1,-1.7e308\n-1,-1.6e308\n1,1.7e308\n1,1.6e308\n-1,1.65e308\n"
+    )
+    train = _cli_process(["train", "--algo", "maboost-active", "--rounds", "5",
+                          "--data", "huge.csv", "--trace", "t.jsonl"], tmp_path)
+    assert (train.returncode, train.stderr) == (0, "")
+    verify = _cli_process(["verify", "t.jsonl"], tmp_path)
+    assert (verify.returncode, verify.stderr) == (0, ""), verify.stdout
 
 
 def _scipy_modules_after(code: str, tmp_path) -> list[str]:

@@ -19,7 +19,6 @@ from mirrorboost.data import (
     gen_noisy,
     load_csv,
     load_libsvm,
-    save_csv,
     splitmix64,
 )
 from mirrorboost.errors import ConfigurationError, ParseError, UsageError
@@ -301,7 +300,11 @@ class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         ds = gen_combined(5, 10, 6, 0.3)
         p = tmp_path / "d.csv"
-        save_csv(ds, str(p))
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["label", *(f"f{i}" for i in range(ds.d)), "subset"])
+            for label, row, in_b in zip(ds.labels, ds.features, ds.subset_flags):
+                writer.writerow([repr(int(label)), *map(repr, row.tolist()), "B" if in_b else "A"])
         back = load_csv(str(p), subset_column="subset")
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)

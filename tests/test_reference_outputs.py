@@ -4,9 +4,9 @@
 model and held-out labels, recorded from the first baseline; a change that
 keeps every output byte must keep reproducing them. This test re-runs one
 ``paper-sweep`` case (all twelve ``--algo`` configurations through the CLI)
-in-process and one ``tall-capped`` case in a child process with one OpenBLAS
-thread, as the edge's last bits depend on the BLAS thread count. It only
-reads ``perfbench/``.
+in-process, and one ``tall-capped`` and one ``wide-active`` case each in a
+child process with one OpenBLAS thread, as the edge's last bits depend on
+the BLAS thread count. It only reads ``perfbench/``.
 """
 
 import importlib.util
@@ -45,11 +45,11 @@ def test_paper_sweep_case_matches_its_digests(tmp_path, monkeypatch):
     assert observed == _reference("paper-sweep", 0)["items"]
 
 
-_TALL_CAPPED = """
+_ONE_CASE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import workloads
-wl = workloads.TallCapped(int(sys.argv[2]), sys.argv[3], sys.argv[4])
+wl = workloads.WORKLOADS[sys.argv[2]](int(sys.argv[3]), sys.argv[4], sys.argv[5])
 wl.prepare()
 setup = wl.setup()
 item = wl.items[0]
@@ -58,13 +58,22 @@ print(json.dumps({"setup": setup, "items": {item.key: wl.output_digest(item, wl.
 """
 
 
-def test_tall_capped_case_matches_its_digests_on_one_blas_thread(tmp_path):
-    case = 3
+def _digests_on_one_blas_thread(workload: str, case: int, workdir) -> dict:
+    """Set up and train one case of ``workload`` in a child process; its digests."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
-        [sys.executable, "-c", _TALL_CAPPED, str(PERFBENCH), str(case), str(tmp_path), SRC],
+        [sys.executable, "-c", _ONE_CASE, str(PERFBENCH), workload, str(case), str(workdir), SRC],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == _reference("tall-capped", case)
+    return json.loads(proc.stdout)
+
+
+def test_tall_capped_case_matches_its_digests_on_one_blas_thread(tmp_path):
+    assert _digests_on_one_blas_thread("tall-capped", 3, tmp_path) == _reference("tall-capped", 3)
+
+
+def test_wide_active_case_matches_its_digests_on_one_blas_thread(tmp_path):
+    # the entropic project_simplex at 1e4 x 50 and the load_csv fast path
+    assert _digests_on_one_blas_thread("wide-active", 0, tmp_path) == _reference("wide-active", 0)
