@@ -7,7 +7,6 @@ from .boosting import (
     BoostResult,
     MadaEta,
     RoundTrace,
-    ensemble_margin,
     predict,
     run,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "Stump",
     "StumpIndex",
     "edge",
-    "ensemble_margin",
     "gen_blobs",
     "gen_combined",
     "gen_noisy",

@@ -2,8 +2,8 @@
 
 Each criterion re-runs the per-round bound checks on the run's records
 (independently of the bound column the booster wrote) and reports expected
-vs observed. ``_criterion`` files each check in ``CRITERIA`` under its name,
-in definition order, and times it. The whole bench is deterministic: fixed
+vs observed. ``CRITERIA`` lists each check under its name, and ``run_bench``
+runs and times them in that order. The whole bench is deterministic: fixed
 seeds, fixed datasets, fixed order.
 """
 
@@ -48,24 +48,6 @@ class CriterionResult:
     seconds: float
 
 
-CRITERIA: list[tuple[str, Callable[[], CriterionResult]]] = []
-
-
-def _criterion(name: str):
-    """File a check under ``name`` in ``CRITERIA`` and time it.
-
-    The check returns (expected, observed, passed).
-    """
-    def register(check: Callable[[], tuple[str, str, bool]]) -> Callable[[], CriterionResult]:
-        def timed() -> CriterionResult:
-            t0 = time.perf_counter()
-            expected, observed, passed = check()
-            return CriterionResult(name, expected, observed, passed, time.perf_counter() - t0)
-        CRITERIA.append((name, timed))
-        return timed
-    return register
-
-
 def _recheck_runs(*configs: BoosterConfig) -> tuple[list[str], float, list[BoostResult]]:
     """Run each config on the blobs and the noisy set and re-run every round's checks.
 
@@ -103,11 +85,6 @@ def _thm1(geometry, rounds, formula, limit):
     )
 
 
-_criterion("thm1-entropy")(partial(_thm1, NEGATIVE_ENTROPY, 200, "exp(-sum gamma^2/2)", 5.0))
-_criterion("thm1-quadratic")(partial(_thm1, QUADRATIC, 500, "1/(1 + sum gamma^2)", 10.0))
-
-
-@_criterion("lazy-bounds")
 def _lazy_bounds():
     _, worst, results = _recheck_runs(
         BoosterConfig(Algorithm.MABOOST_LAZY, NEGATIVE_ENTROPY, 200),
@@ -120,7 +97,6 @@ def _lazy_bounds():
     )
 
 
-@_criterion("smooth-regime")
 def _smooth_regime():
     k = 20.0
     broken, _, results = _recheck_runs(
@@ -142,7 +118,6 @@ def _smooth_regime():
     )
 
 
-@_criterion("combined-sets")
 def _combined_sets():
     result = run(
         BoosterConfig(Algorithm.COMBINED, NEGATIVE_ENTROPY, 500, target_error=0.02, k=4.0),
@@ -156,7 +131,6 @@ def _combined_sets():
     )
 
 
-@_criterion("sparse-thm4")
 def _sparse_thm4():
     n = 200
     problems, _, results = _recheck_runs(*(
@@ -173,7 +147,6 @@ def _sparse_thm4():
     )
 
 
-@_criterion("mada-thm5")
 def _mada_thm5():
     problems, _, _ = _recheck_runs(BoosterConfig(Algorithm.MADA, NEGATIVE_ENTROPY, 500))
     return (
@@ -183,7 +156,6 @@ def _mada_thm5():
     )
 
 
-@_criterion("maxmargin-thm2")
 def _maxmargin_thm2():
     t0 = time.perf_counter()
     n = 100
@@ -212,7 +184,6 @@ def _random_simplex_point(rng, dim):
     return v / v.sum()
 
 
-@_criterion("projection-oracles")
 def _projection_oracles():
     rng = np.random.default_rng(7)
     problems: list[str] = []
@@ -332,7 +303,6 @@ def _lemma_checks(rng) -> list[str]:
     return problems
 
 
-@_criterion("adaboost-degeneration")
 def _adaboost_degeneration():
     from .stumps import edge, loss_vector, train_stump
 
@@ -361,7 +331,6 @@ def _adaboost_degeneration():
     )
 
 
-@_criterion("cli-determinism")
 def _cli_determinism():
     import contextlib
     import io
@@ -396,9 +365,31 @@ def _cli_determinism():
     )
 
 
+CRITERIA: list[tuple[str, Callable[[], tuple[str, str, bool]]]] = [
+    ("thm1-entropy", partial(_thm1, NEGATIVE_ENTROPY, 200, "exp(-sum gamma^2/2)", 5.0)),
+    ("thm1-quadratic", partial(_thm1, QUADRATIC, 500, "1/(1 + sum gamma^2)", 10.0)),
+    ("lazy-bounds", _lazy_bounds),
+    ("smooth-regime", _smooth_regime),
+    ("combined-sets", _combined_sets),
+    ("sparse-thm4", _sparse_thm4),
+    ("mada-thm5", _mada_thm5),
+    ("maxmargin-thm2", _maxmargin_thm2),
+    ("projection-oracles", _projection_oracles),
+    ("adaboost-degeneration", _adaboost_degeneration),
+    ("cli-determinism", _cli_determinism),
+]
+
+
 def run_bench(criterion: str | None = None) -> list[CriterionResult]:
-    """Run every criterion in ``CRITERIA`` order, or only the one named."""
-    checks = dict(CRITERIA)
-    if criterion is not None and criterion not in checks:
-        raise ConfigurationError(f"unknown criterion {criterion!r}; known: {', '.join(checks)}")
-    return [check() for name, check in CRITERIA if criterion in (None, name)]
+    """Run and time every check in ``CRITERIA`` order, or only the one named."""
+    names = [name for name, _ in CRITERIA]
+    if criterion is not None and criterion not in names:
+        raise ConfigurationError(f"unknown criterion {criterion!r}; known: {', '.join(names)}")
+    results = []
+    for name, check in CRITERIA:
+        if criterion in (None, name):
+            t0 = time.perf_counter()
+            expected, observed, passed = check()
+            seconds = time.perf_counter() - t0
+            results.append(CriterionResult(name, expected, observed, passed, seconds))
+    return results

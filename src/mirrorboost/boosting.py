@@ -25,7 +25,7 @@ from .errors import (
     NoWeakLearnabilityError,
     ParseError,
     UsageError,
-    reads_file,
+    opens_file,
 )
 from .geometry import NEGATIVE_ENTROPY, QUADRATIC, Geometry
 from .projection import project_mixed, project_orthant_l1, project_simplex
@@ -121,30 +121,20 @@ class BoostResult:
         return self.traces[-1].train_error if self.traces else 1.0
 
 
-def predict(hypotheses: list[tuple[Stump, float]], features: np.ndarray) -> np.ndarray:
+def predict(hypotheses: list[tuple[Stump, float]], features) -> np.ndarray:
     """Sign of the weighted vote over all stored hypotheses; sign(0) = +1."""
     if not hypotheses:
         raise UsageError("cannot predict with an empty ensemble")
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2:
+        raise UsageError(f"features must be a 2-D (n, d) matrix, got {features.ndim} dimensions")
     d = features.shape[1]
     if any(h.feature >= d for h, _ in hypotheses):
         raise UsageError(f"the ensemble reads a feature beyond the data's {d} columns")
-    return sign_pm(vote_score(hypotheses, features))
-
-
-def vote_score(hypotheses: list[tuple[Stump, float]], features: np.ndarray) -> np.ndarray:
     score = np.zeros(features.shape[0])
     for h, eta in hypotheses:
         score += eta * h.predict(features)
-    return score
-
-
-def ensemble_margin(hypotheses: list[tuple[Stump, float]], dataset: Dataset) -> float:
-    """Minimum normalized signed vote min_j a_j f(x_j) / sum_t eta_t."""
-    if not hypotheses:
-        raise UsageError("cannot compute the margin of an empty ensemble")
-    score = vote_score(hypotheses, dataset.features)
-    eta_sum = sum(eta for _, eta in hypotheses)
-    return float(np.min(dataset.labels * score) / eta_sum)
+    return sign_pm(score)
 
 
 def _error(score: np.ndarray, labels: np.ndarray) -> float:
@@ -387,6 +377,7 @@ class _Mada(_Policy):
 _POLICIES = {Algorithm.SPARSE: _Sparse, Algorithm.MADA: _Mada}
 
 
+@opens_file("write", 1)
 def save_model(result: BoostResult, path: str) -> None:
     """Plain-text model: a header line, then one stump per line."""
     lines = [f"# algorithm={result.algorithm.value} geometry={result.geometry.value}\n"]
@@ -395,7 +386,7 @@ def save_model(result: BoostResult, path: str) -> None:
         fh.write("".join(lines))
 
 
-@reads_file
+@opens_file("read")
 def load_model(path: str) -> tuple[str, str, list[tuple[Stump, float]]]:
     """Read a model file back: (algorithm, geometry, hypotheses)."""
     with open(path, encoding="utf-8") as fh:

@@ -94,10 +94,8 @@ def cmd_train(args) -> int:
         write_trace(result, dataset.n, args.trace, k=args.k, alpha_mode=args.alpha_mode, n_b=n_b)
     if args.model:
         save_model(result, args.model)
-    final = result.traces[-1] if result.traces else None
-    err = final.train_error if final else 1.0
-    bound = final.bound if final else None
-    print(f"rounds={len(result.traces)} train_error={err!r} bound={bound!r}")
+    final = result.traces[-1]  # round 1 is always recorded: a zero edge there raises
+    print(f"rounds={len(result.traces)} train_error={final.train_error!r} bound={final.bound!r}")
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, reads_file
+from .errors import ConfigurationError, ParseError, opens_file
 
 # every operand is a uint64 so the arithmetic wraps mod 2**64 under any
 # NumPy casting rules
@@ -74,10 +74,6 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
 
 def _map_label(raw: str, line: int) -> float:
     try:
@@ -91,7 +87,7 @@ def _map_label(raw: str, line: int) -> float:
     raise ParseError(f"label must be -1, 0 or +1, got {raw!r}", line)
 
 
-@reads_file
+@opens_file("read")
 def load_csv(path: str, label_column: str = "label", subset_column: str | None = None) -> Dataset:
     """Load a numeric CSV with a header row.
 
@@ -198,7 +194,7 @@ def _load_csv_rows(path: str, label_column: str, subset_column: str | None) -> D
     )
 
 
-@reads_file
+@opens_file("read")
 def load_libsvm(path: str) -> Dataset:
     """Load the sparse LIBSVM text format: ``<label> idx:value ...`` (1-based)."""
     labels, entries = [], []

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the file-reading wrapper that raises them."""
+"""Exception types shared across the package, and the file-opening wrapper that raises them."""
 
 import functools
 
@@ -8,7 +8,7 @@ class MirrorBoostError(Exception):
 
 
 class DomainError(MirrorBoostError, ValueError):
-    """Input outside the domain of a potential or projection."""
+    """Input outside the domain of a mirror map, divergence or projection."""
 
 
 class DegenerateInputError(MirrorBoostError, ValueError):
@@ -41,16 +41,18 @@ class ParseError(MirrorBoostError, ValueError):
         self.line = line
 
 
-def reads_file(load):
-    """Wrap ``load(path, ...)``: an unreadable path is a UsageError, bad UTF-8 a ParseError."""
+def opens_file(verb: str, at: int = 0):
+    """Wrap a function whose positional argument ``at`` is a file path: an
+    OSError is a UsageError "cannot <verb> '<path>': <reason>", bad UTF-8 a ParseError."""
 
-    @functools.wraps(load)
-    def wrapper(path, *args, **kwargs):
-        try:
-            return load(path, *args, **kwargs)
-        except OSError as exc:
-            raise UsageError(f"cannot read {path!r}: {exc.strerror or exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path!r} is not UTF-8 text: {exc.reason}") from None
-
-    return wrapper
+    def wrap(func):
+        @functools.wraps(func)
+        def wrapper(*args, **kwargs):
+            try:
+                return func(*args, **kwargs)
+            except OSError as exc:
+                raise UsageError(f"cannot {verb} {args[at]!r}: {exc.strerror or exc}") from None
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{args[at]!r} is not UTF-8 text: {exc.reason}") from None
+        return wrapper
+    return wrap

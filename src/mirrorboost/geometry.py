@@ -1,4 +1,4 @@
-"""Bregman geometries: potentials, mirror maps and divergences.
+"""Bregman geometries: mirror maps and divergences.
 
 Two geometries are supported. The quadratic geometry pairs the potential
 R(x) = 1/2 ||x||^2 with the Euclidean norm; the negative-entropy geometry
@@ -45,20 +45,6 @@ def xlogy(x, y) -> np.ndarray:
     x, y = _as_array(x), _as_array(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((x == 0) & ~np.isnan(y), 0.0, x * np.log(y))
-
-
-def potential(g: Geometry, x) -> float:
-    """Evaluate the potential R at x.
-
-    Quadratic: 1/2 ||x||_2^2. Negative entropy: sum_i x_i log x_i with the
-    continuous extension 0 log 0 = 0; requires x >= 0.
-    """
-    x = _as_array(x)
-    if g is QUADRATIC:
-        return 0.5 * float(x @ x)
-    if np.any(x < 0):
-        raise DomainError("entropy potential requires nonnegative coordinates")
-    return float(np.sum(xlogy(x, x)))
 
 
 def mirror_map(g: Geometry, x) -> np.ndarray:

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .boosting import BoostResult, RoundTrace
-from .errors import ParseError, reads_file
+from .errors import ParseError, opens_file
 
 SCHEMA_VERSION = 1
 _ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds
@@ -19,6 +19,7 @@ class TraceFile:
     lines: list[int]  # the file line of each round record
 
 
+@opens_file("write", 2)
 def write_trace(result: BoostResult, n: int, path: str, k: float | None = None,
                 alpha_mode: str | None = None, n_b: int | None = None) -> None:
     header = {"schema": SCHEMA_VERSION, "algorithm": result.algorithm.value,
@@ -37,7 +38,7 @@ def _record(tr: RoundTrace) -> dict:
     return {key: value for key, value in vars(tr).items() if value is not None or key == "bound"}
 
 
-@reads_file
+@opens_file("read")
 def read_trace(path: str) -> TraceFile:
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()

@@ -4,8 +4,9 @@ The trace carries the edge sequence (plus ||y||_1 where relevant), which is
 all the bounds depend on; the verifier replays it through ``bounds.RoundChecks``,
 the same checks the trainer runs, rather than trusting the bound column
 written at run time. The header is checked first, then each record for the
-keys the checks read (``RoundChecks.keys``); a value that is missing or unusable
-is a ``ParseError`` naming the key and the line.
+keys the checks read (``RoundChecks.keys``); a value that is missing, not a
+number or outside its domain (``_DOMAINS``) is a ``ParseError`` naming the key
+and the line.
 """
 
 from __future__ import annotations
@@ -59,15 +60,14 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
     if algo == "sparse" and alpha_mode not in ("zero", "half"):
         raise ParseError(f"header key 'alpha_mode' must be zero or half, got {alpha_mode!r}", 1)
     checks = bounds.RoundChecks(algo, geometry, n, k, n_a, alpha_mode == "half")
-    keys = checks.keys
+    domains = [(key, *_DOMAINS[key]) for key in checks.keys]
     for rec, line in zip(rounds, trace.lines):
-        for key in keys:
+        for key, lo, hi, what in domains:
             value = rec.get(key)
             if type(value) is not float and not _number(value):  # floats skip the call
                 raise ParseError(f"key {key!r} is missing or not a number", line)
-        # a round is only recorded when its edge clears the zero-edge test
-        if rec["gamma"] <= EDGE_TOL:
-            raise ParseError(f"'gamma' must be a positive edge, got {rec['gamma']!r}", line)
+            if not lo <= value <= hi:  # false for NaN too
+                raise ParseError(f"key {key!r} must be {what}, got {value!r}", line)
 
     if not checks.families:  # combined with an empty subset A
         family = f"combined-primary-error ({geometry})"
@@ -84,6 +84,14 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
         else FamilyReport(family, False, f"first violation at round {bad}")
         for family, bad in first_bad.items()
     ]
+
+
+# (lo, hi, description) of each key the checks read: every value is finite, and a
+# round is only recorded when its edge clears the zero-edge test
+_MAX = math.nextafter(math.inf, 0.0)  # the largest finite float
+_DOMAINS = {"gamma": (math.nextafter(EDGE_TOL, math.inf), _MAX, f"a finite edge > {EDGE_TOL:g}"),
+            "train_error": (0.0, 1.0, "in [0, 1]"), "eps_a": (0.0, 1.0, "in [0, 1]"),
+            "y_l1": (0.0, _MAX, "finite and >= 0")}
 
 
 def _number(value) -> bool:

@@ -7,14 +7,12 @@ command line with `mirrorboost bench`.
 
 import pytest
 
-from mirrorboost.bench import CRITERIA
-
-_FUNCS = dict(CRITERIA)
+from mirrorboost.bench import CRITERIA, run_bench
 
 
 @pytest.mark.parametrize("name", [name for name, _ in CRITERIA])
 def test_criterion(name):
-    result = _FUNCS[name]()
+    [result] = run_bench(name)
     status = "PASS" if result.passed else "FAIL"
     print(
         f"{status} {result.name}: expected {result.expected}; "

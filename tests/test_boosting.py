@@ -13,7 +13,6 @@ from mirrorboost.boosting import (
     AlphaMode,
     BoosterConfig,
     MadaEta,
-    ensemble_margin,
     load_model,
     predict,
     run,
@@ -90,6 +89,11 @@ class TestConfigValidation:
     def test_rounds_positive(self):
         with pytest.raises(ConfigurationError):
             _cfg(Algorithm.MABOOST_ACTIVE, QUADRATIC, 0).validate()
+
+    @pytest.mark.parametrize("target", [-0.1, 1.5, math.nan])
+    def test_target_error_must_be_a_share(self, target):
+        with pytest.raises(ConfigurationError, match=r"target_error must be in \[0, 1\]"):
+            _cfg(Algorithm.MABOOST_ACTIVE, QUADRATIC, 10, target_error=target).validate()
 
     @pytest.mark.parametrize(
         "algorithm", [a for a in Algorithm if a not in (Algorithm.SMOOTH, Algorithm.COMBINED)]
@@ -213,9 +217,9 @@ class TestMaxMargin:
         assert result.traces[-1].margin > 0
 
     def test_margin_of_perfect_single_stump(self):
-        data = gen_blobs(0, 100, 0.5)
-        result = run(_cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 1), data)
-        assert ensemble_margin(result.hypotheses, data) == pytest.approx(1.0)
+        # one stump that separates the data votes a_i f(x_i) = eta on every sample
+        result = run(_cfg(Algorithm.MAX_MARGIN, NEGATIVE_ENTROPY, 1), gen_blobs(0, 100, 0.5))
+        assert result.traces[0].margin == 1.0
 
 
 class TestSmooth:
@@ -344,6 +348,15 @@ class TestSparse:
         result = run(_cfg(Algorithm.SPARSE, QUADRATIC, 50, alpha_mode=AlphaMode.HALF), data)
         assert min(tr.nnz for tr in result.traces) < data.n
 
+    def test_zero_mass_collapses_the_run(self, monkeypatch):
+        # half mode: zero mode's 1/N mass floor would fail round 1 first
+        monkeypatch.setattr(boosting, "project_orthant_l1", lambda z, lam: np.zeros_like(z))
+        data = gen_noisy(0, 100, 0.1)
+        result = run(_cfg(Algorithm.SPARSE, QUADRATIC, 10, alpha_mode=AlphaMode.HALF), data)
+        assert result.status == "collapsed"
+        assert len(result.traces) == len(result.hypotheses) == 1
+        assert not result.weights.any()
+
 
 class TestMada:
     def test_single_sample_immediate_stop(self):
@@ -437,8 +450,6 @@ class TestEnsemble:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(UsageError):
             predict([], np.zeros((1, 1)))
-        with pytest.raises(UsageError):
-            ensemble_margin([], gen_blobs(0, 4, 0.5))
 
     def test_model_round_trip(self, tmp_path):
         data = gen_noisy(0, 80, 0.1)
@@ -498,6 +509,17 @@ class TestEnsemble:
         make(path)
         with pytest.raises(error, match=message):
             load_model(str(path))
+
+    def test_predict_takes_a_nested_list_as_a_matrix(self):
+        hyps = [(Stump(0, 0.0, 1), 0.5), (Stump(1, 2.0, -1), 0.25)]
+        x = [[-1.0, 3.0], [1.0, 1.0], [0.0, 2.0]]
+        np.testing.assert_array_equal(predict(hyps, x), predict(hyps, np.array(x)))
+
+    @pytest.mark.parametrize("features", [np.zeros(5), [1.0, 2.0], np.zeros((2, 1, 1)), 0.0],
+                             ids=["vector", "flat-list", "3-d", "scalar"])
+    def test_predict_refuses_features_that_are_not_a_matrix(self, features):
+        with pytest.raises(UsageError, match="2-D"):
+            predict([(Stump(0, 0.0, 1), 1.0)], features)
 
     def test_predict_feature_beyond_the_columns_rejected(self):
         with pytest.raises(UsageError, match="2 columns"):

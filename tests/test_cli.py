@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, trace verification, projections."""
 
+import errno
 import io
 import json
 import math
@@ -41,6 +42,13 @@ class TestTrain:
         assert code == 0
         assert "train_error=0.0" in out
         assert out.startswith("rounds=1 ")
+
+    def test_target_out_of_range_exits_before_reading_data(self, tmp_path, capsys):
+        assert main([
+            "train", "--algo", "maboost-active", "--target-eps", "1.5",
+            "--data", str(tmp_path / "missing.csv"), "--rounds", "5",
+        ]) == 1
+        assert capsys.readouterr().err == "error: target_error must be in [0, 1]\n"
 
     def test_infeasible_k_exits_one(self):
         assert main([
@@ -209,7 +217,7 @@ class TestArguments:
 
 
 class TestUnreadableFiles:
-    """Files that cannot be opened or decoded exit 1 with a one-line error."""
+    """Files that cannot be opened, decoded or written exit 1 with a one-line error."""
 
     @pytest.mark.parametrize(
         "name,content,message",
@@ -243,6 +251,26 @@ class TestUnreadableFiles:
         assert main(["verify", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and str(path) in err
+
+
+    @pytest.mark.parametrize("flag", ["--trace", "--model"])
+    @pytest.mark.parametrize(
+        "where,code", [("missing-dir", errno.ENOENT), ("directory", errno.EISDIR),
+                       ("full-device", errno.ENOSPC)],
+        ids=["missing-dir", "directory", "full-device"],
+    )
+    def test_train_output(self, tmp_path, capsys, flag, where, code):
+        path = {"missing-dir": tmp_path / "none" / "out.txt", "directory": tmp_path,
+                "full-device": Path("/dev/full")}[where]
+        if where == "full-device" and not path.exists():
+            pytest.skip("no full device on this platform")
+        assert main([
+            "train", "--algo", "maboost-active", "--gen", "noisy:0:50:0.1", "--rounds", "3",
+            flag, str(path),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {str(path)!r}: {os.strerror(code)}\n"
 
 
 class TestVerify:
@@ -405,6 +433,37 @@ class TestVerify:
         assert main(["verify", trace]) == 1
         err = capsys.readouterr().err
         assert "line 4" in err and "'gamma'" in err
+
+    @pytest.mark.parametrize(
+        "algo,extra,every,change,key",
+        [
+            ("maboost-active", (), False, lambda rec: {"train_error": -5.0}, "train_error"),
+            ("maboost-active", (), False, lambda rec: {"train_error": -math.inf}, "train_error"),
+            ("maboost-active", (), False, lambda rec: {"train_error": math.nan}, "train_error"),
+            ("maboost-lazy", (), False, lambda rec: {"train_error": 1.5}, "train_error"),
+            ("maboost-active", (), True,
+             lambda rec: {"gamma": math.inf, "train_error": 0.0}, "gamma"),
+            ("sparse", ("--alpha-mode", "zero"), False, lambda rec: {"gamma": math.nan}, "gamma"),
+            ("combined", ("--k", "8", "--gen", "combined:0:150:50:0.3"), True,
+             lambda rec: {"eps_a": -1.0}, "eps_a"),
+            ("mada", (), True, lambda rec: {"y_l1": math.inf}, "y_l1"),
+            ("sparse", ("--alpha-mode", "half"), True, lambda rec: {"y_l1": -rec["y_l1"]}, "y_l1"),
+        ],
+        ids=["error-negative", "error-minus-inf", "error-nan", "error-above-one", "gamma-inf",
+             "gamma-nan", "eps-a-negative", "y-l1-inf", "y-l1-negated"],
+    )
+    def test_value_outside_its_domain_names_key_and_line(
+        self, tmp_path, capsys, algo, extra, every, change, key
+    ):
+        trace = self._trained_trace(tmp_path, algo, extra)
+        n_lines = len(open(trace).read().splitlines())
+        for line in range(2, n_lines + 1) if every else [3]:
+            self._edit(trace, line, lambda rec: json.dumps({**rec, **change(rec)}))
+        capsys.readouterr()
+        assert main(["verify", trace]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {2 if every else 3}: key {key!r} must be ")
 
     @pytest.mark.parametrize(
         "algo,extra,key",

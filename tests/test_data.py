@@ -161,7 +161,7 @@ _CLEAN_NO_SUBSET = "label,f0,f1\n1,0.5,-0.0\n0,-1.5,2.0\n-0.0,3e-300,-1.5\n"
 class TestDataset:
     def test_basic_construction(self):
         ds = Dataset([[0.5], [-0.5]], [1, -1])
-        assert ds.n == 2 and ds.d == 1
+        assert ds.n == 2 and ds.features.shape[1] == 1
         assert ds.labels.dtype == float
 
     def test_rejects_bad_labels(self):
@@ -189,7 +189,7 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("label,f1\n1,0.5\n-1,-0.5\n")
         ds = load_csv(str(p))
-        assert ds.n == 2 and ds.d == 1
+        assert ds.n == 2 and ds.features.shape[1] == 1
         np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
         np.testing.assert_array_equal(ds.features, [[0.5], [-0.5]])
 
@@ -203,7 +203,7 @@ class TestCsv:
         p.write_text("label,f1,subset\n1,0.5,A\n-1,-0.5,B\n")
         ds = load_csv(str(p), subset_column="subset")
         np.testing.assert_array_equal(ds.subset_flags, [False, True])
-        assert ds.d == 1
+        assert ds.features.shape[1] == 1
 
     def test_parse_errors_carry_line_numbers(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -250,7 +250,7 @@ class TestCsv:
 
         monkeypatch.setattr(data, "_load_csv_rows", row_loop)
         ds = load_csv(str(p), subset_column="subset")
-        assert ds.n == 3 and ds.d == 2
+        assert ds.n == 3 and ds.features.shape[1] == 2
 
     @pytest.mark.parametrize("text,subset_column", [(_CLEAN_NO_SUBSET, None), (_CLEAN, "subset")])
     def test_layout_and_dtypes(self, tmp_path, text, subset_column):
@@ -278,6 +278,12 @@ class TestCsv:
                 load_csv(str(p))
         assert e.value.line == 2
 
+    def test_zero_byte_file_is_an_empty_file(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"")
+        with pytest.raises(ParseError, match="^line 1: empty file$"):
+            load_csv(str(p))
+
     def test_unreadable_files_raise_package_errors(self, tmp_path):
         with pytest.raises(UsageError, match="cannot read"):
             load_csv(str(tmp_path / "missing.csv"))
@@ -302,7 +308,7 @@ class TestCsv:
         p = tmp_path / "d.csv"
         with open(p, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["label", *(f"f{i}" for i in range(ds.d)), "subset"])
+            writer.writerow(["label", *(f"f{i}" for i in range(ds.features.shape[1])), "subset"])
             for label, row, in_b in zip(ds.labels, ds.features, ds.subset_flags):
                 writer.writerow([repr(int(label)), *map(repr, row.tolist()), "B" if in_b else "A"])
         back = load_csv(str(p), subset_column="subset")
@@ -323,6 +329,13 @@ class TestLibsvm:
         p = tmp_path / "d.libsvm"
         p.write_text("+1 1:0.5\n-1\n")
         np.testing.assert_array_equal(load_libsvm(str(p)).features[1], [0.0])
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "d.libsvm"
+        p.write_text("# header comment\n\n+1 1:0.5 # trailing\n   \n  # indented\n-1 2:2.0\n")
+        ds = load_libsvm(str(p))
+        np.testing.assert_array_equal(ds.features, [[0.5, 0.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
 
     def test_malformed_token_line_number(self, tmp_path):
         p = tmp_path / "d.libsvm"
@@ -424,6 +437,14 @@ class TestGenerators:
         monkeypatch.setattr(data, "splitmix64", None)  # the check must come before the draws
         with pytest.raises(ConfigurationError, match="n = 100000000000 samples need"):
             gen_blobs(0, 10**11, 0.5)
+
+    @pytest.mark.parametrize("error", [ValueError, OSError, AttributeError])
+    def test_memory_is_unbounded_where_the_platform_does_not_say(self, monkeypatch, error):
+        def sysconf(name):
+            raise error(name)
+
+        monkeypatch.setattr(data.os, "sysconf", sysconf)
+        assert data._memory_bytes() == float("inf")
 
     def test_noisy_zero_flip_equals_blobs(self):
         a = gen_noisy(0, 100, 0.0)

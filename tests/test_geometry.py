@@ -1,4 +1,4 @@
-"""Potential, mirror map and divergence checks for both geometries."""
+"""Mirror map and divergence checks for both geometries."""
 
 import itertools
 import math
@@ -17,7 +17,6 @@ from mirrorboost.geometry import (
     divergence,
     inverse_mirror_map,
     mirror_map,
-    potential,
     xlogy,
 )
 
@@ -59,25 +58,6 @@ class TestXlogy:
             warnings.simplefilter("error")
             assert xlogy(0.0, 0.0) == 0.0
             assert np.isnan(xlogy(1.0, -1.0))
-
-
-class TestPotential:
-    def test_quadratic_unit_vector(self):
-        assert potential(QUADRATIC, [1.0, 0.0]) == pytest.approx(0.5)
-
-    def test_entropy_all_ones(self):
-        assert potential(NEGATIVE_ENTROPY, [1.0, 1.0]) == 0.0
-
-    def test_entropy_uniform_pair(self):
-        assert potential(NEGATIVE_ENTROPY, [0.5, 0.5]) == pytest.approx(-math.log(2))
-
-    def test_entropy_zero_coordinate_is_finite(self):
-        # continuous extension 0 log 0 = 0
-        assert potential(NEGATIVE_ENTROPY, [1.0, 0.0]) == 0.0
-
-    def test_entropy_rejects_negative(self):
-        with pytest.raises(DomainError):
-            potential(NEGATIVE_ENTROPY, [0.5, -0.1])
 
 
 class TestMirrorMap:
