@@ -122,18 +122,31 @@ class BoostResult:
 
 
 def predict(hypotheses: list[tuple[Stump, float]], features) -> np.ndarray:
-    """Sign of the weighted vote over all stored hypotheses; sign(0) = +1."""
+    """Sign of the weighted vote over all stored hypotheses; sign(0) = +1.
+
+    The features must be a numeric (n, d) matrix, finite in every column a
+    stump reads.
+    """
     if not hypotheses:
         raise UsageError("cannot predict with an empty ensemble")
-    features = np.asarray(features, dtype=float)
+    try:
+        features = np.asarray(features, dtype=float)
+    except (ValueError, TypeError) as exc:  # a ragged or non-numeric nested list
+        raise UsageError(f"features must be a numeric (n, d) matrix: {exc}") from None
     if features.ndim != 2:
         raise UsageError(f"features must be a 2-D (n, d) matrix, got {features.ndim} dimensions")
     d = features.shape[1]
     if any(h.feature >= d for h, _ in hypotheses):
         raise UsageError(f"the ensemble reads a feature beyond the data's {d} columns")
     score = np.zeros(features.shape[0])
+    checked = set()
     for h, eta in hypotheses:
         score += eta * h.predict(features)
+        # each column the stumps read, once, while the vote has it in cache
+        if h.feature not in checked:
+            checked.add(h.feature)
+            if not np.isfinite(features[:, h.feature]).all():
+                raise UsageError(f"feature {h.feature} contains NaN or Inf")
     return sign_pm(score)
 
 

@@ -112,11 +112,16 @@ def cmd_verify(args) -> int:
 def cmd_project(args) -> int:
     geometry = Geometry(args.geometry)
     try:
-        vec = np.asarray(json.loads(sys.stdin.read()), dtype=float)
-    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        values = json.loads(sys.stdin.read())
+    except ValueError as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"stdin must hold a JSON array of numbers: {exc}") from None
-    if vec.ndim != 1 or not vec.size or not np.isfinite(vec).all():
+    # bool is an int, NumPy would convert the string "2", and an int past the
+    # largest float would overflow; NaN fails the test too
+    if not isinstance(values, list) or not values or not all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values
+    ):
         raise UsageError("stdin must hold a non-empty 1-D JSON array of finite numbers")
+    vec = np.array(values, dtype=float)
     spec = args.set
     name = spec.split(":", 1)[0]
     required = _SET_GEOMETRY.get(name)

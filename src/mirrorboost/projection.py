@@ -7,24 +7,21 @@ bisection; entropic projections use normalization with greedy capping. All
 functions are pure.
 
 The capped bisection settles most of its steps without a pass over z. The
-exact sum T(theta) = sum_i clamp(z_i - theta, 0, cap_i) is linear, with
-slope -m, on each piece between consecutive breakpoints z_i and z_i - cap_i
-(Duchi et al., ICML 2008); m counts the coordinates strictly between 0 and
-their cap. A pass at theta_0 whose sum overshoots 1 makes theta_0 the
-bisection's lo, which only rises; it classifies every coordinate, which
-gives the piece from theta_0 up to the next breakpoint, its slope, and the
-float sum there. A float sum of nonnegative terms, none of which goes
-through more than h additions, lies within gamma_h = h u / (1 - h u) of the
-exact sum, u = 2**-53 (Higham, SIAM J. Sci. Comput. 1993); NumPy sums
-pairwise, so h grows like log2 n (_sum_depth). Rounding z_i - theta adds
-at most u per term. So, for a midpoint on the piece, the float sum that a
-pass would return lies in a known interval; above the piece's end it lies
-below the interval's top there, since the sum falls as theta rises.
-When the bisection's three-way test (within _SUM_TOL of 1, above, below)
-gives one answer on the whole interval, the step is taken without the
-pass. Every step takes the same branch as a full pass would, so theta is
-the same float. At n = 1e5 the interval is about 2e-14 either side, and a
-projection of boosting weights takes 3-4 passes (7-11 with h = n).
+exact sum T(theta) = sum_i clamp(z_i - theta, 0, cap_i) never rises with
+theta. A pass rounds each term by at most u = 2**-53 relative (rounding
+z_i - theta keeps its sign, and the clamps are monotone), and NumPy's
+pairwise sum of nonnegative terms adds at most gamma_h = h u / (1 - h u),
+h = _sum_depth(n) (Higham, SIAM J. Sci. Comput. 1993). So with
+rho = 1 - 2.05 (gamma_h + 4u), a pass at theta_0 with sum s settles every
+step at theta <= theta_0 as "raise lo" if _bisection_step(s rho) > 0, and
+every step at theta >= theta_0 as "lower hi" if _bisection_step(s / rho) < 0.
+At most _PROBES passes look for such a pair around the root: the first at
+(sum z - 1)/n, the root if every coordinate is free, which boosting's
+z = w + eta d from a projected w nearly is, then Newton steps with slope -m,
+m the coordinates strictly between 0 and their cap (Duchi et al., ICML
+2008). The bisection passes over z only strictly between the pair, so every
+step, and theta, is the plain bisection's, at most _PROBES passes dearer; at
+n = 1e5 a projection of boosting weights makes 4 passes instead of 55-57.
 """
 
 from __future__ import annotations
@@ -41,8 +38,9 @@ _MAX_BISECT = 200
 _OFF_SIMPLEX_TOL = 1e-9  # beyond float error: the projection failed
 _FLOAT_MAX = float(np.finfo(float).max)
 _U = 2.0**-53  # unit roundoff of a float64
-_HUGE = 2.0**1000  # beyond this the certificate's arithmetic could overflow
-_PUSH = 2.0**20 * _HUGE  # moves an entry past every breakpoint, without overflow
+_HUGE = 2.0**1000  # beyond this the probes' arithmetic could overflow
+_AIM = 1.1e-12  # how far outside the stop band a probe aims
+_PROBES = 16  # passes the probes may make
 
 
 def _entropic_input(z: np.ndarray) -> np.ndarray:
@@ -117,50 +115,34 @@ def _sum_depth(n: int) -> int:
     return 40 + (n - 1).bit_length() + -(-n // 8192)
 
 
-class _Piece:
-    """A stretch [lo, hi] of theta on which the exact clamped sum is
-    T(theta) = T(anchor) - m (theta - anchor), with the anchor's float sum.
+def _rho(n: int) -> float:
+    """A factor such that a pass's sum s and the exact sum T of n terms give
+    rho T <= s <= T / rho, with room for rounding s * rho and s / rho."""
+    nu = _sum_depth(n) * _U
+    return 1.0 - 2.05 * (nu / (1.0 - nu) + 4 * _U)
 
-    Built from the buffer of a pass at lo whose sum overshot 1, so that lo
-    became the bisection's lo. Zero coordinates are z <= lo, capped ones
-    have a rounded z - lo >= cap, and the m others are free. The piece ends
-    where the first free one reaches zero (at z) or the first capped one
-    leaves its cap (at z - cap, rounded down).
-    """
 
-    def __init__(self, z, caps, buf, theta, s, mask, tmp):
-        n = len(z)
-        # every entry that cannot end the piece is pushed up by _PUSH
-        np.less_equal(z, theta, out=mask)
-        n_zero = int(np.count_nonzero(mask))
-        end = math.inf
-        if n_zero < n:
-            np.multiply(mask, _PUSH, out=tmp)
-            tmp += z
-            end = float(tmp.min())
-        np.less(buf, caps, out=mask)
-        n_capped = n - int(np.count_nonzero(mask))
-        if n_capped:
-            np.multiply(mask, _PUSH, out=tmp)
-            tmp += z
-            tmp -= buf  # z - cap on the capped coordinates
-            end = min(end, math.nextafter(float(tmp.min()), -math.inf))
-        self.lo, self.hi = theta, end
-        self.m = n - n_zero - n_capped
-        self.anchor, self.s = theta, s
-        # with eps = gamma_h + 4u, k (s + |m (x - anchor)|) covers the
-        # anchor's error, the error of a pass at x, the products, the rounding
-        # of c +- r, and a cap reached only by rounding (u s), for n < 9e12
-        nu = _sum_depth(n) * _U
-        self.k = 2.05 * (nu / (1.0 - nu) + 4 * _U) + 10 * _U
-
-    def bounds(self, x: float) -> tuple[float, float]:
-        """Floats around the sum that a pass at x in [lo, hi] would return."""
-        md = self.m * (x - self.anchor)
-        r = self.k * (self.s + abs(md))
-        if r == math.inf:  # an overflowing product bounds nothing
-            return -math.inf, math.inf
-        return self.s - md - r, self.s - md + r
+def _probes(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> tuple[float, float]:
+    """Bounds up < down: the bisection's step raises lo at every theta <= up
+    and lowers hi at every theta >= down. Each pass after the first is a
+    Newton step aiming _AIM beyond the stop band, across 1 from the last sum,
+    or the midpoint of (up, down) when the step leaves it."""
+    rho = _rho(len(z))
+    up, down = -math.inf, math.inf
+    theta = (float(z.sum()) - (1.0 + _AIM)) / len(z)
+    for _ in range(_PROBES):
+        s = _clamped_sum(z, caps, theta, buf)
+        if _bisection_step(s * rho) > 0:
+            up = theta
+        elif _bisection_step(s / rho) < 0:
+            down = theta
+        m = int(np.count_nonzero((buf > 0) & (buf < caps)))
+        if not m or s >= _HUGE or (down - up) * m <= 3 * _AIM:
+            break
+        theta += (s - (1.0 - _AIM if s > 1.0 else 1.0 + _AIM)) / m
+        if not up < theta < down:
+            theta = 0.5 * (up + down)
+    return up, down
 
 
 def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> float:
@@ -168,45 +150,28 @@ def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> float:
     # bisect after growing the gap below hi until the sum overshoots 1; the
     # gap grows rather than lo, since near 1e16 hi - 1.0 rounds back to hi
     hi = float(z.max())
+    up = down = math.nan  # NaN bounds settle no step
+    if hi <= _HUGE and z.min() >= -_HUGE:  # finite, moderate input: NaN takes passes
+        up, down = _probes(z, caps, buf)
     gap = 1.0
-    while (s := _clamped_sum(z, caps, hi - gap, buf)) < 1.0:
-        if s >= 1.0 - _SUM_TOL and (buf == caps).all():
-            # barely feasible caps: all are full, so the sum grows no more
-            return hi - gap
+    while not (theta := hi - gap) <= up:
+        if not theta >= down:
+            s = _clamped_sum(z, caps, theta, buf)
+            if not s < 1.0:
+                break
+            if s >= 1.0 - _SUM_TOL and (buf == caps).all():
+                # barely feasible caps: all are full, so the sum grows no more
+                return theta
         gap *= 3.0
     lo = hi - gap
-    piece, width = None, math.inf
-    # certify only finite, moderate input and positive caps: NaN takes passes
-    certify = s < _HUGE and hi <= _HUGE and z.min() >= -_HUGE and caps.min() > 0
-    if certify:
-        scratch = np.empty(len(z), dtype=bool), np.empty(len(z))
-        piece = _Piece(z, caps, buf, lo, s, *scratch)
-        if piece.lo < piece.hi:
-            width = piece.hi - piece.lo
-        else:  # empty, or a cap reached only by rounding hides a breakpoint
-            piece = None
     for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)  # never below lo, so never below a piece
-        step = None
-        if piece is not None:
-            # _bisection_step is monotone, so an answer it gives on both
-            # bounds is the pass's; above the end only a step down is certain
-            low, high = piece.bounds(min(mid, piece.hi))
-            certain = _bisection_step(low)
-            if certain == _bisection_step(high) and (certain < 0 or mid <= piece.hi):
-                step = certain
-        if step is None:
-            s = _clamped_sum(z, caps, mid, buf)
-            step = _bisection_step(s)
-            if certify and step:
-                if piece is not None and mid <= piece.hi:
-                    piece.anchor, piece.s = mid, s  # a nearer anchor, a tighter bound
-                elif step > 0 and hi - lo <= 4.0 * width:
-                    # a piece much narrower than the bracket would be left at
-                    # once; the last one's width estimates the next one's
-                    new = _Piece(z, caps, buf, mid, s, *scratch)
-                    if new.lo < new.hi:
-                        piece, width = new, new.hi - new.lo
+        mid = 0.5 * (lo + hi)
+        if mid <= up:
+            step = 1
+        elif mid >= down:
+            step = -1
+        else:
+            step = _bisection_step(_clamped_sum(z, caps, mid, buf))
         if step == 0:
             lo = hi = mid
             break

@@ -521,6 +521,21 @@ class TestEnsemble:
         with pytest.raises(UsageError, match="2-D"):
             predict([(Stump(0, 0.0, 1), 1.0)], features)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, None])  # None converts to NaN
+    def test_predict_refuses_non_finite_features_in_a_column_it_reads(self, value):
+        features = [[0.5, 0.0], [value, 0.0]]
+        with pytest.raises(UsageError, match="feature 0 contains NaN or Inf"):
+            predict([(Stump(0, 0.0, 1), 1.0)], features)
+
+    def test_predict_ignores_non_finite_features_in_a_column_it_does_not_read(self):
+        features = np.array([[0.5, np.nan], [-0.5, np.inf]])
+        np.testing.assert_array_equal(predict([(Stump(0, 0.0, 1), 1.0)], features), [1, -1])
+
+    @pytest.mark.parametrize("features", [[[1.0], [1.0, 2.0]], [["a"]]], ids=["ragged", "string"])
+    def test_predict_refuses_a_list_that_is_not_a_numeric_matrix(self, features):
+        with pytest.raises(UsageError, match="numeric"):
+            predict([(Stump(0, 0.0, 1), 1.0)], features)
+
     def test_predict_feature_beyond_the_columns_rejected(self):
         with pytest.raises(UsageError, match="2 columns"):
             predict([(Stump(0, 0.0, 1), 1.0), (Stump(2, 0.0, 1), 1.0)], np.zeros((3, 2)))

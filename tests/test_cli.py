@@ -584,6 +584,10 @@ class TestProject:
         )
         assert code == 0 and out == pytest.approx([0.15, 0.0], abs=1e-12)
 
+    def test_json_integers_read_as_floats(self, monkeypatch, capsys):
+        code, out = self._project(monkeypatch, capsys, "entropy", "simplex", [2**60, 0, 2**60])
+        assert code == 0 and out == [0.5, 0.0, 0.5]
+
     def test_double_entropy(self, monkeypatch, capsys):
         code, out = self._project(monkeypatch, capsys, "entropy", "double", [0.5, 3])
         assert code == 0 and out == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-12)
@@ -662,6 +666,13 @@ class TestProject:
             pytest.param("quadratic", "simplex", "[]", id="empty"),
             pytest.param("entropy", "simplex", "5", id="scalar"),
             pytest.param("entropy", "simplex", "[[1, 2]]", id="nested"),
+            pytest.param("quadratic", "simplex", '[1, "2"]', id="string"),
+            pytest.param("quadratic", "simplex", '["0.5", "0.5"]', id="strings"),
+            pytest.param("quadratic", "simplex", "[true, false, 1]", id="bools"),
+            pytest.param("quadratic", "simplex", "[null, 1]", id="null"),
+            pytest.param("quadratic", "simplex", '[{"a": 1}, 1]', id="object"),
+            pytest.param("quadratic", "simplex", "[1" + "0" * 400 + ", 1]", id="int-past-float"),
+            pytest.param("quadratic", "simplex", "[1e400, 1]", id="float-past-float"),
         ],
     )
     def test_bad_stdin_exits_one(self, monkeypatch, capsys, geometry, spec, stdin):

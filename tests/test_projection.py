@@ -3,6 +3,7 @@
 import math
 import signal
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from mirrorboost import boosting, projection
 from mirrorboost.boosting import Algorithm, BoosterConfig
-from mirrorboost.data import gen_noisy
+from mirrorboost.data import gen_combined, gen_noisy
 from mirrorboost.errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -219,6 +220,17 @@ class TestMixedCaps:
         with _deadline(10):
             w = project_capped_simplex(g, np.linspace(1.0, 2.0, 100), 0.01)
         np.testing.assert_array_equal(w, np.full(100, 0.01))
+
+    @pytest.mark.parametrize("top", [np.nan, np.inf], ids=repr)
+    def test_quadratic_nan_or_inf_entry_rejected(self, top):
+        # the probes skip such input; its bracket's first sum is NaN, and must end the growth
+        with _deadline(10), np.errstate(invalid="ignore"):
+            with pytest.raises(DegenerateInputError, match="did not reach"):
+                project_mixed(QUADRATIC, [top, 0.0, 0.5], [0.5, 0.5, 0.5])
+
+    def test_quadratic_minus_inf_entry_gets_zero(self):
+        w = project_mixed(QUADRATIC, [-np.inf, 0.5, 0.6], [0.7, 0.7, 0.7])
+        np.testing.assert_allclose(w, [0.0, 0.45, 0.55], rtol=0, atol=1e-15)
 
 
 class TestOrthantL1:
@@ -552,38 +564,59 @@ def test_certified_bisection_matches_reference_on_large_inputs():
         checked += 1
 
 
-def test_piece_bounds_hold_the_sum_of_a_pass():
-    """On a piece the sum of a pass lies within its bounds; above its end it
-    lies below the top bound there."""
+def test_a_pass_lies_within_rho_of_the_exact_sum():
+    """The certificate's premise, against exact rational sums, at a step below
+    a quantile of z as wide as the cap, or as the entries."""
     rng = np.random.default_rng(2008)
-    for _ in range(60):
+    checked = 0
+    while checked < 40:
         z, caps = _large_mixed_problem(rng)
         n = len(z)
-        buf, scratch = np.empty(n), (np.empty(n, dtype=bool), np.empty(n))
-        # a step below a quantile of z as wide as the cap, or as the entries
-        below = min(caps[0], 1.0, 10.0 ** rng.uniform(-17, 0))
-        theta = float(np.quantile(z, rng.random())) - rng.random() * below
-        s = projection._clamped_sum(z, caps, theta, buf)
-        piece = projection._Piece(z, caps, buf, theta, s, *scratch)
-        if piece.lo > piece.hi:
+        if n > 3000:
             continue
-        spread = piece.hi - theta if piece.hi < 1e300 else 1.0
-        for t in rng.random(4):
-            x = theta + t * spread
-            low, high = piece.bounds(x)
-            assert low <= projection._clamped_sum(z, caps, x, buf) <= high
-        if piece.hi < 1e300:
-            _, high = piece.bounds(piece.hi)
-            assert projection._clamped_sum(z, caps, piece.hi + spread, buf) <= high
+        buf, rho = np.empty(n), Fraction(projection._rho(n))
+        fz = [Fraction(v) for v in z]
+        fcaps = [None if c == np.inf else Fraction(c) for c in caps]
+        below = min(caps[0], 1.0, 10.0 ** rng.uniform(-17, 0))
+        for q in rng.random(3):
+            theta = float(np.quantile(z, q)) - rng.random() * below
+            ft = Fraction(theta)
+            exact = sum(
+                max(v - ft, 0) if c is None else min(max(v - ft, 0), c) for v, c in zip(fz, fcaps)
+            )
+            s = Fraction(projection._clamped_sum(z, caps, theta, buf))
+            assert rho * exact <= s <= exact / rho, (n, theta)
+        checked += 1
 
 
-def test_piece_bounds_of_an_overflowing_product_bound_nothing():
-    z, caps = np.array([0.5, 0.3, 0.2]), np.full(3, np.inf)
-    buf, scratch = np.empty(3), (np.empty(3, dtype=bool), np.empty(3))
-    s = projection._clamped_sum(z, caps, 0.0, buf)
-    piece = projection._Piece(z, caps, buf, 0.0, s, *scratch)
-    assert piece.m == 3  # 3 * 1e308 overflows
-    assert piece.bounds(1e308) == (-math.inf, math.inf)
+def _passes(z, caps, probes=True):
+    """_clamped_sum calls of one quadratic projection, which may raise."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        clamped_sum = projection._clamped_sum
+        mp.setattr(projection, "_clamped_sum", lambda *a: calls.append(1) or clamped_sum(*a))
+        if not probes:  # the plain bisection: NaN bounds settle no step
+            mp.setattr(projection, "_probes", lambda *a: (math.nan, math.nan))
+        _outcome(_project_mixed_quadratic, z, caps)
+    return len(calls)
+
+
+@given(_mixed_quadratic_problems())
+@settings(max_examples=200, deadline=None)
+def test_probes_add_at_most_their_cap_to_the_plain_passes(problem):
+    z, caps = problem
+    assert _passes(z, caps) <= _passes(z, caps, probes=False) + projection._PROBES
+
+
+def test_probes_add_at_most_their_cap_on_large_inputs():
+    rng = np.random.default_rng(20082)
+    checked = 0
+    while checked < 40:
+        z, caps = _large_mixed_problem(rng)
+        if np.minimum(caps, 1.0).sum() < 1.0:  # the plain bracket would grow forever
+            continue
+        assert _passes(z, caps) <= _passes(z, caps, probes=False) + projection._PROBES
+        checked += 1
 
 
 def test_numpy_sums_within_the_pairwise_bound():
@@ -598,35 +631,34 @@ def test_numpy_sums_within_the_pairwise_bound():
     assert abs(float(terms.sum()) - exact) <= gamma * exact < abs(1.0 - exact)
 
 
-def test_capped_projection_settles_most_steps_without_a_pass(monkeypatch):
-    """smooth, quadratic, k = 20 on 1e5 gen_noisy samples: the bisection
-    alone takes 55-57 passes over z per projection, and a certificate with
-    gamma_n instead of the pairwise gamma_h 7-11. Each projection builds
-    two pieces, both above a pass whose sum overshot 1."""
-    counts = {"sums": 0, "pieces": 0, "projections": 0}
-    clamped_sum, piece, project_mixed = (
-        projection._clamped_sum, projection._Piece, boosting.project_mixed
-    )
+@pytest.mark.parametrize(
+    "algorithm, k, dataset, rounds",
+    [
+        (Algorithm.SMOOTH, 20.0, lambda: gen_noisy(0, 100_000, 0.1), 8),  # tall-capped's run
+        (Algorithm.SMOOTH, 20.0, lambda: gen_noisy(0, 200, 0.1), 100),
+        (Algorithm.COMBINED, 8.0, lambda: gen_combined(0, 150, 50, 0.3), 100),
+    ],
+    ids=["tall-capped", "smooth-200", "combined-200"],
+)
+def test_capped_projection_settles_most_steps_without_a_pass(
+    monkeypatch, algorithm, k, dataset, rounds
+):
+    """Quadratic projections of boosting weights make at most 5 passes over z
+    each on average; the plain bisection makes 55-57 at 1e5 samples."""
+    counts = {"sums": 0, "projections": 0}
+    clamped_sum, project_mixed = projection._clamped_sum, boosting.project_mixed
 
     def counting_sum(*args):
         counts["sums"] += 1
         return clamped_sum(*args)
-
-    def counting_piece(*args):
-        counts["pieces"] += 1
-        return piece(*args)
 
     def counting_projection(*args):
         counts["projections"] += 1
         return project_mixed(*args)
 
     monkeypatch.setattr(projection, "_clamped_sum", counting_sum)
-    monkeypatch.setattr(projection, "_Piece", counting_piece)
     monkeypatch.setattr(boosting, "project_mixed", counting_projection)
-    config = BoosterConfig(
-        Algorithm.SMOOTH, QUADRATIC, rounds=8, target_error=1.0 / 20, k=20.0
-    )
-    boosting.run(config, gen_noisy(0, 100_000, 0.1))
-    assert counts["projections"] == 8
+    config = BoosterConfig(algorithm, QUADRATIC, rounds=rounds, target_error=1.0 / k, k=k)
+    boosting.run(config, dataset())
+    assert counts["projections"] == rounds
     assert counts["sums"] <= 5 * counts["projections"]
-    assert counts["pieces"] <= 2 * counts["projections"]

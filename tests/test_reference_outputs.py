@@ -4,8 +4,8 @@
 model and held-out labels, recorded from the first baseline; a change that
 keeps every output byte must keep reproducing them. This test re-runs one
 ``paper-sweep`` case (all twelve ``--algo`` configurations through the CLI)
-in-process, and one ``tall-capped`` and one ``wide-active`` case each in a
-child process with one OpenBLAS thread, as the edge's last bits depend on
+in-process, and four ``tall-capped`` cases and one ``wide-active`` case each
+in a child process with one OpenBLAS thread, as the edge's last bits depend on
 the BLAS thread count. It only reads ``perfbench/``.
 """
 
@@ -15,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -70,8 +72,9 @@ def _digests_on_one_blas_thread(workload: str, case: int, workdir) -> dict:
     return json.loads(proc.stdout)
 
 
-def test_tall_capped_case_matches_its_digests_on_one_blas_thread(tmp_path):
-    assert _digests_on_one_blas_thread("tall-capped", 3, tmp_path) == _reference("tall-capped", 3)
+@pytest.mark.parametrize("case", [0, 3, 17, 26])
+def test_tall_capped_case_matches_its_digests_on_one_blas_thread(tmp_path, case):
+    assert _digests_on_one_blas_thread("tall-capped", case, tmp_path) == _reference("tall-capped", case)
 
 
 def test_wide_active_case_matches_its_digests_on_one_blas_thread(tmp_path):
