@@ -279,14 +279,19 @@ def gen_noisy(seed: int, n: int, flip_rate: float) -> Dataset:
     if n_flip == 0:
         return base
     labels = base.labels.copy()
-    # partial Fisher-Yates: step i swaps i with a uniform pick from [i, n)
+    # partial Fisher-Yates: step i swaps i with a uniform pick from [i, n).
+    # Position i is final after step i, so its sample is read off then, and
+    # a dict holds the sample at each later position that a swap has moved
     picks = splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5, n_flip) % np.arange(
         n, n - n_flip, -1, dtype=np.uint64
     )
-    idx = np.arange(n)
+    moved: dict[int, int] = {}
+    flipped = []
     for i, j in enumerate(picks.tolist()):
-        idx[i], idx[i + j] = idx[i + j], idx[i]
-    labels[idx[:n_flip]] *= -1.0
+        j += i
+        flipped.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    labels[flipped] *= -1.0
     return Dataset(base.features, labels)
 
 

@@ -8,7 +8,11 @@ returns the stump of maximum absolute weighted correlation, with polarity
 chosen so the edge is nonnegative. Ties break to the lowest feature index,
 then the lowest threshold, making the learner fully deterministic. Each
 column is sorted once per feature matrix (``StumpIndex``) and the sort is
-reused under every weighting, so a call costs O(N d) after that.
+reused under every weighting, so a call costs O(N d) after that. Columns are
+searched in pairs: one complex128 prefix sum over two interleaved columns
+gives both columns' float64 prefix sums bit for bit, since a complex addition
+is two separate IEEE additions and NumPy accumulates in sample order (its
+pairwise summation is only for reductions).
 """
 
 from __future__ import annotations
@@ -55,23 +59,39 @@ class StumpIndex:
 
     Boosting retrains on the same samples under a new distribution each
     round, so each column is sorted once (the presorted layout of exact
-    greedy tree learners): ``order[:, j]`` is the stable argsort of feature
-    j, and ``ends[j]`` lists, for every split after the -inf sentinel, the
-    last sorted position below it -- each position where the sorted column
+    greedy tree learners). The sorts are kept in column pairs:
+    ``pairs[p, :, s]`` is the stable argsort of feature 2p + s, shape
+    (ceil(d / 2), N, 2), so one gather by ``pairs[p]`` lays out both
+    columns' weights interleaved, as the real and imaginary parts of one
+    complex vector. With an odd number of features the last pair repeats
+    the last column in a slot nothing reads.
+    ``ends[j]`` lists, for every split after the -inf sentinel, the last
+    sorted position below it -- each position where the sorted column
     changes value, then N - 1 for the +inf sentinel. A column without ties
     splits after every position, so its ``ends[j]`` is None, not 0..N-1.
+
+    The index also owns the scratch that ``train_stump`` refills on every
+    call: ``sums``, an (N, 2) block of a pair's prefix sums, and ``gammas``,
+    an N-vector of one column's absolute correlations. So the search of a
+    column without ties allocates nothing N-sized, and calls on one index
+    must not overlap (one index per ``boosting.run``).
     """
 
     def __init__(self, features: np.ndarray):
         if features.ndim != 2:
             raise UsageError(f"features must be an (n, d) matrix, got {features.ndim}-D")
-        n = features.shape[0]
-        # the default (SIMD) sort of the transpose, each column contiguous; it
-        # may order equal values (ties, -0.0 beside 0.0, NaNs) any way, so
-        # each run of them is put back in index order, as the stable sort has it
-        self.order = np.argsort(features.T).T
+        n, d = self.shape = features.shape
+        if d % 2:
+            features = np.hstack([features, features[:, -1:]])
+        # the default (SIMD) sort of each column through an (m, N, 2) view,
+        # written straight into the pair layout; it may order equal values
+        # (ties, -0.0 beside 0.0, NaNs) any way, so each run of them is put
+        # back in index order, as the stable sort has it
+        by_pair = features.reshape(n, (d + 1) // 2, 2).transpose(1, 0, 2)
+        self.pairs = np.argsort(by_pair, axis=1)
         self.ends: list[np.ndarray | None] = []
-        for j, column in enumerate(self.order.T):
+        for j in range(d):
+            column = self.pairs[j // 2, :, j % 2]
             xs = features[column, j]
             changes = xs[1:] != xs[:-1]  # NaN != NaN: each NaN is its own split
             self.ends.append(None if changes.all() else np.append(np.nonzero(changes)[0], n - 1))
@@ -84,6 +104,8 @@ class StumpIndex:
                 keys = run + column
                 keys.sort()
                 column[:] = keys - run
+        self.sums = np.empty((n, 2))
+        self.gammas = np.empty(n)
 
 
 def train_stump(
@@ -95,12 +117,14 @@ def train_stump(
     and polarities; the returned polarity makes the edge nonnegative. A
     zero-edge stump is returned as-is when nothing better exists. ``index``
     must be the ``StumpIndex`` of ``features``; without one, one is built.
+    The search runs in the index's scratch, so calls that share an index
+    must not overlap.
     """
     if index is None:
         index = StumpIndex(features)
-    elif index.order.shape != features.shape:
+    elif index.shape != features.shape:
         raise UsageError(
-            f"stump index built for a {index.order.shape} matrix, features are {features.shape}"
+            f"stump index built for a {index.shape} matrix, features are {features.shape}"
         )
     n, n_features = features.shape
     if n == 0 or n_features == 0:
@@ -119,25 +143,37 @@ def train_stump(
     # every feature, so it is scored once, as feature 0's first candidate
     best_gamma = abs(total)
     best = (0, -np.inf, 1 if total >= 0 else -1)
-    for j, (ends, column) in enumerate(zip(index.ends, index.order.T)):
+    sums, gammas = index.sums, index.gammas
+    pair_sums = sums.view(np.complex128).reshape(n)
+    for j, ends in enumerate(index.ends):
+        s = j % 2
+        if s == 0:
+            # columns j and j + 1 at once: one complex prefix sum of their
+            # interleaved signed weights is both float64 prefix sums
+            order = index.pairs[j // 2]
+            np.take(wa, order, out=sums, mode="clip")  # mode "raise" copies out
+            np.cumsum(pair_sums, out=pair_sums)
+            sums *= -2.0  # in place; the same bits as total - 2.0 * sums
+            sums += total
         # split k: the samples up to sorted position ends[k] (k without ties)
         # are predicted -1, so its correlation is total - 2 * their weight
-        corr = wa[column].cumsum()
-        if ends is not None:
-            corr = corr[ends]
-        corr *= -2.0  # in place; the same bits as total - 2.0 * corr
-        corr += total
-        gammas = abs(corr)
-        k = int(gammas.argmax())  # first max = lowest threshold
-        gamma = float(gammas[k])
+        corr = sums[:, s]
+        if ends is None:
+            g = np.abs(corr, out=gammas)
+        else:
+            g = corr[ends]  # one entry per distinct value
+            np.abs(g, out=g)
+        k = int(g.argmax())  # first max = lowest threshold
+        gamma = float(g[k])
         if gamma > best_gamma:
             best_gamma = gamma
-            polarity = 1 if corr[k] >= 0 else -1
-            if k == len(corr) - 1:
+            c = k if ends is None else ends[k]  # last sorted position below
+            polarity = 1 if corr[c] >= 0 else -1
+            if c == n - 1:
                 threshold = np.inf
             else:
-                c = (k if ends is None else ends[k]) + 1  # split between positions c - 1 and c
-                lo, hi = features[column[c - 1], j], features[column[c], j]
+                column = order[:, s]
+                lo, hi = features[column[c], j], features[column[c + 1], j]
                 mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi can overflow
                 # a midpoint rounded onto lo would put lo above the split
                 threshold = float(mid if mid > lo else hi)

@@ -250,6 +250,88 @@ def test_indexed_learner_matches_reference_exactly(problem):
         assert _exact(train_stump(x, labels, w)) == expected
 
 
+_summand = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+def _assert_complex_prefix_sum_exact(block):
+    # train_stump sums two sorted columns at once as one complex128 cumsum,
+    # in place on an (N, 2) buffer; if NumPy ever sums complex numbers
+    # another way, every stump it picks is in doubt
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [np.cumsum(block[:, s]).view(np.int64) for s in (0, 1)]
+        sums = block.view(np.complex128).reshape(len(block))
+        np.cumsum(sums, out=sums)
+    for s in (0, 1):
+        np.testing.assert_array_equal(block[:, s].view(np.int64), expected[s])
+
+
+@given(st.lists(st.tuples(_summand, _summand), min_size=1, max_size=200))
+@example([(1.7976931348623157e308, -0.0), (1.7976931348623157e308, -0.0), (-1e308, 5e-324)])
+@example([(-0.0, 0.0), (-0.0, -0.0), (5e-324, -5e-324)])
+@settings(max_examples=300, deadline=None)
+def test_complex_prefix_sum_is_two_real_prefix_sums_bit_for_bit(pairs):
+    _assert_complex_prefix_sum_exact(np.array(pairs))
+
+
+def test_complex_prefix_sum_is_exact_on_long_vectors():
+    rng = np.random.default_rng(5)
+    scale = np.exp2(rng.integers(-60, 60, (20_000, 2)))
+    _assert_complex_prefix_sum_exact(rng.normal(size=(20_000, 2)) * scale)
+
+
+def _mixed_columns(rng, n):
+    """Gaussian, integer-valued, constant, -0.0/0.0 and Gaussian columns: d is odd."""
+    return np.column_stack(
+        [
+            rng.normal(size=n),
+            rng.integers(-4, 5, n).astype(float),
+            np.full(n, 0.7),
+            rng.choice([-0.0, 0.0, -1.0, 1.0], n),
+            rng.normal(size=n),
+        ]
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_indexed_learner_matches_reference_on_thousands_of_samples(seed):
+    rng = np.random.default_rng(seed)
+    n = 3001
+    x = _mixed_columns(rng, n)
+    index = StumpIndex(x)
+    weightings = [np.full(n, 1.0 / n), rng.random(n) * (rng.random(n) < 0.7)]
+    winners = set()
+    # labels that follow one column each, with 15 % flipped, so each
+    # non-constant column, with or without ties, wins once at least
+    for j in (0, 1, 3, 4):
+        flip = np.where(rng.random(n) < 0.15, -1.0, 1.0)
+        labels = np.where(x[:, j] >= 0.0, 1.0, -1.0) * flip
+        for w in weightings:
+            h = train_stump(x, labels, w, index)
+            assert _exact(h) == _exact(_train_stump_reference(x, labels, w))
+            winners.add(h.feature)
+    assert winners == {0, 1, 3, 4}
+
+
+def test_index_reuses_its_scratch_without_carrying_state():
+    rng = np.random.default_rng(6)
+    n = 2000
+    x = _mixed_columns(rng, n)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    w1, w2 = rng.random(n), rng.random(n) ** 4
+    index = StumpIndex(x)
+    for w in (w1, w2, w1):
+        assert _exact(train_stump(x, labels, w, index)) == _exact(
+            train_stump(x, labels, w, StumpIndex(x))
+        )
+    other = StumpIndex(x)
+    for mine in (index.sums, index.gammas):
+        for theirs in (other.sums, other.gammas):
+            assert not np.shares_memory(mine, theirs)
+
+
 def test_index_stores_split_positions_only_for_columns_with_ties():
     rng = np.random.default_rng(3)
     gaussian = rng.normal(size=50)
@@ -319,7 +401,8 @@ def _sort_problems(draw):
 def test_index_order_is_the_stable_argsort(x):
     index = StumpIndex(x)
     for j in range(x.shape[1]):
-        np.testing.assert_array_equal(index.order[:, j], np.argsort(x[:, j], kind="stable"))
+        stable = np.argsort(x[:, j], kind="stable")
+        np.testing.assert_array_equal(index.pairs[j // 2, :, j % 2], stable)
 
 
 def test_index_order_is_stable_on_large_tied_columns():
@@ -335,7 +418,7 @@ def test_index_order_is_stable_on_large_tied_columns():
     index = StumpIndex(x)
     for j in range(3):
         stable = np.argsort(x[:, j], kind="stable")
-        np.testing.assert_array_equal(index.order[:, j], stable)
+        np.testing.assert_array_equal(index.pairs[j // 2, :, j % 2], stable)
         xs = x[stable, j]
         ends = np.append(np.nonzero(xs[1:] != xs[:-1])[0], len(xs) - 1)
         if j == 0:
