@@ -26,10 +26,11 @@ from .errors import (
     ParseError,
     UsageError,
     opens_file,
+    write_over,
 )
 from .geometry import NEGATIVE_ENTROPY, QUADRATIC, Geometry
 from .projection import project_mixed, project_orthant_l1, project_simplex
-from .stumps import Stump, StumpIndex, edge, loss_vector, sign_pm, train_stump
+from .stumps import Stump, edge, loss_vector, sign_pm, train_stump
 
 EDGE_TOL = 1e-12
 
@@ -162,9 +163,13 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
     edge, lets the policy take its dual step and projection, adds the stump
     to the vote and lets the policy record the round; the round must pass
     its bound checks (else ``BoundViolationError``) before the policy
-    decides whether to stop.
+    decides whether to stop. The stump search reads the presort the dataset
+    caches, so a dataset whose features were made writeable again, and may
+    no longer match it, is refused (``UsageError``).
     """
     config.validate()
+    if dataset.features.flags.writeable:
+        raise UsageError("the dataset's features were made writeable after construction")
     policy = _POLICIES.get(config.algorithm, _Projected)(config, dataset)
     flags = dataset.subset_flags
     n_a = None if flags is None else int((~flags).sum())
@@ -175,14 +180,15 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
     features, labels = dataset.features, dataset.labels
     result = BoostResult(algorithm=config.algorithm, geometry=config.geometry)
     score = np.zeros(dataset.n)
-    index = StumpIndex(features)  # one sort per run, charged to training
+    index = dataset.stump_index  # sorted on the dataset's first run
+    scratch = index.scratch()
     for t in range(1, config.rounds + 1):
         w = policy.distribution()
         if w is None:
             result.status = "collapsed"
             break
         # layers are called through module globals: perfbench's tracer swaps them
-        h = train_stump(features, labels, w, index)
+        h = train_stump(features, labels, w, index, scratch)
         d = loss_vector(features, labels, h)
         gamma = edge(w, d)
         if gamma <= EDGE_TOL:
@@ -395,8 +401,7 @@ def save_model(result: BoostResult, path: str) -> None:
     """Plain-text model: a header line, then one stump per line."""
     lines = [f"# algorithm={result.algorithm.value} geometry={result.geometry.value}\n"]
     lines += [f"{h.feature} {h.threshold!r} {h.polarity} {eta!r}\n" for h, eta in result.hypotheses]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    write_over(path, "".join(lines))
 
 
 @opens_file("read")

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the file-opening wrapper that raises them."""
+"""Exception types shared across the package, the file-opening wrapper that
+raises them, and the writer of output files."""
 
 import functools
+import os
+import stat
 
 
 class MirrorBoostError(Exception):
@@ -56,3 +59,20 @@ def opens_file(verb: str, at: int = 0):
                 raise ParseError(f"{args[at]!r} is not UTF-8 text: {exc.reason}") from None
         return wrapper
     return wrap
+
+
+def write_over(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 over the file at ``path``, then cut a regular file
+    to that length: cheaper than truncating first, and a device such as
+    /dev/null or a pipe takes the text as from ``open(path, "w")``. A write
+    that fails leaves the file's content undefined."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)

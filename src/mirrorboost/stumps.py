@@ -70,11 +70,10 @@ class StumpIndex:
     changes value, then N - 1 for the +inf sentinel. A column without ties
     splits after every position, so its ``ends[j]`` is None, not 0..N-1.
 
-    The index also owns the scratch that ``train_stump`` refills on every
-    call: ``sums``, an (N, 2) block of a pair's prefix sums, and ``gammas``,
-    an N-vector of one column's absolute correlations. So the search of a
-    column without ties allocates nothing N-sized, and calls on one index
-    must not overlap (one index per ``boosting.run``).
+    ``pairs`` and every ``ends`` array are read-only, and nothing writes the
+    index once built, so one index serves any number of searches, even
+    overlapping ones; each ``Dataset`` keeps one (``Dataset.stump_index``).
+    A search writes only into the buffers that ``scratch()`` makes.
     """
 
     def __init__(self, features: np.ndarray):
@@ -88,13 +87,13 @@ class StumpIndex:
         # (ties, -0.0 beside 0.0, NaNs) any way, so each run of them is put
         # back in index order, as the stable sort has it
         by_pair = features.reshape(n, (d + 1) // 2, 2).transpose(1, 0, 2)
-        self.pairs = np.argsort(by_pair, axis=1)
-        self.ends: list[np.ndarray | None] = []
+        order = np.argsort(by_pair, axis=1)
+        ends: list[np.ndarray | None] = []
         for j in range(d):
-            column = self.pairs[j // 2, :, j % 2]
+            column = order[j // 2, :, j % 2]
             xs = features[column, j]
             changes = xs[1:] != xs[:-1]  # NaN != NaN: each NaN is its own split
-            self.ends.append(None if changes.all() else np.append(np.nonzero(changes)[0], n - 1))
+            ends.append(None if changes.all() else np.append(np.nonzero(changes)[0], n - 1))
             new_run = changes & ~np.isnan(xs[:-1])  # NaNs sort last, so they tie
             if not new_run.all():
                 # run r's keys r*n + i sort by run, then by sample index i
@@ -104,12 +103,30 @@ class StumpIndex:
                 keys = run + column
                 keys.sort()
                 column[:] = keys - run
-        self.sums = np.empty((n, 2))
-        self.gammas = np.empty(n)
+        self.ends = tuple(ends)
+        # np.take copies an index array that is not writeable before each
+        # gather, so the search reads ``_order``, the array behind the
+        # read-only view ``pairs``; nothing writes it after this point
+        self._order = order
+        self.pairs = order.view()
+        for a in (self.pairs, *self.ends):
+            if a is not None:
+                a.setflags(write=False)
+
+    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh buffers for ``train_stump`` to refill on every call: an (N, 2)
+        block of a pair's prefix sums and an N-vector of one column's absolute
+        correlations. Calls that share a scratch must not overlap."""
+        n = self.shape[0]
+        return np.empty((n, 2)), np.empty(n)
 
 
 def train_stump(
-    features: np.ndarray, labels: np.ndarray, w: np.ndarray, index: StumpIndex | None = None
+    features: np.ndarray,
+    labels: np.ndarray,
+    w: np.ndarray,
+    index: StumpIndex | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Stump:
     """Best decision stump under sample weights w.
 
@@ -117,8 +134,9 @@ def train_stump(
     and polarities; the returned polarity makes the edge nonnegative. A
     zero-edge stump is returned as-is when nothing better exists. ``index``
     must be the ``StumpIndex`` of ``features``; without one, one is built.
-    The search runs in the index's scratch, so calls that share an index
-    must not overlap.
+    The search writes into ``scratch``, from ``index.scratch()``, so that a
+    caller making many calls allocates it once; without one, the call
+    allocates its own.
     """
     if index is None:
         index = StumpIndex(features)
@@ -143,14 +161,16 @@ def train_stump(
     # every feature, so it is scored once, as feature 0's first candidate
     best_gamma = abs(total)
     best = (0, -np.inf, 1 if total >= 0 else -1)
-    sums, gammas = index.sums, index.gammas
+    sums, gammas = index.scratch() if scratch is None else scratch
+    if sums.shape != (n, 2) or gammas.shape != (n,):
+        raise UsageError(f"stump scratch {sums.shape}, {gammas.shape} is not for {n} samples")
     pair_sums = sums.view(np.complex128).reshape(n)
     for j, ends in enumerate(index.ends):
         s = j % 2
         if s == 0:
             # columns j and j + 1 at once: one complex prefix sum of their
             # interleaved signed weights is both float64 prefix sums
-            order = index.pairs[j // 2]
+            order = index._order[j // 2]
             np.take(wa, order, out=sums, mode="clip")  # mode "raise" copies out
             np.cumsum(pair_sums, out=pair_sums)
             sums *= -2.0  # in place; the same bits as total - 2.0 * sums

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .boosting import BoostResult, RoundTrace
-from .errors import ParseError, opens_file
+from .errors import ParseError, opens_file, write_over
 
 SCHEMA_VERSION = 1
 _ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds
@@ -28,8 +28,7 @@ def write_trace(result: BoostResult, n: int, path: str, k: float | None = None,
     header = {key: value for key, value in header.items() if value is not None}
     encode = _ENCODER.encode
     lines = [encode(header), *(encode(_record(tr)) for tr in result.traces), ""]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    write_over(path, "\n".join(lines))
 
 
 def _record(tr: RoundTrace) -> dict:

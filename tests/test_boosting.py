@@ -52,12 +52,73 @@ def test_stump_index_built_once_per_run(monkeypatch, config):
             super().__init__(features)
 
     # train_stump builds its own index when run passes none: count those too
-    monkeypatch.setattr(boosting, "StumpIndex", CountingIndex)
+    monkeypatch.setattr("mirrorboost.data.StumpIndex", CountingIndex)
     monkeypatch.setattr(stumps, "StumpIndex", CountingIndex)
     data = gen_noisy(0, 200, 0.1)
     result = run(config, data)
     assert len(result.traces) >= 5
     assert len(built) == 1 and built[0] is data.features
+
+
+def test_stump_index_built_once_per_dataset(monkeypatch):
+    built = []
+
+    class CountingIndex(stumps.StumpIndex):
+        def __init__(self, features):
+            built.append(features)
+            super().__init__(features)
+
+    monkeypatch.setattr("mirrorboost.data.StumpIndex", CountingIndex)
+    monkeypatch.setattr(stumps, "StumpIndex", CountingIndex)
+    ds = gen_noisy(0, 200, 0.1)
+    first = run(_cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 8), ds)
+    run(_cfg(Algorithm.SMOOTH, QUADRATIC, 8, k=20.0, target_error=0.05), ds)
+    again = run(_cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 8), ds)
+    assert len(built) == 1 and built[0] is ds.features
+    assert again.hypotheses == first.hypotheses and again.traces == first.traces
+
+
+def test_runs_on_one_dataset_share_no_scratch(monkeypatch):
+    seen = []
+    train = boosting.train_stump
+
+    def recording(features, labels, w, index, scratch):
+        seen.append((index, scratch))
+        return train(features, labels, w, index, scratch)
+
+    monkeypatch.setattr(boosting, "train_stump", recording)
+    ds = gen_noisy(0, 200, 0.1)
+    for _ in range(2):
+        run(_cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 3), ds)
+    (index, first), (other, second) = seen[0], seen[-1]
+    assert len(seen) == 6 and index is other is ds.stump_index
+    assert all(scratch is first for _, scratch in seen[:3])
+    for mine in first:
+        for theirs in second:
+            assert not np.shares_memory(mine, theirs)
+
+
+class TestStaleFeatures:
+    """A run reads the presort the dataset caches, so the features must not change."""
+
+    def test_features_made_writeable_again_rejected(self):
+        x = gen_noisy(0, 40, 0.1).features.copy()
+        ds = Dataset(x, np.where(x[:, 0] >= 0, 1.0, -1.0))
+        config = _cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 3)
+        run(config, ds)
+        x.setflags(write=True)
+        x[0, 0] = 99.0
+        with pytest.raises(UsageError, match="writeable"):
+            run(config, ds)
+
+    def test_a_view_is_copied(self):
+        table = np.column_stack([np.arange(6.0), np.arange(6.0)[::-1]])
+        ds = Dataset(table[:, 1:], [1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        before = ds.features.copy()
+        table[:, 1] = 0.0
+        np.testing.assert_array_equal(ds.features, before)
+        h = run(_cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 1), ds).hypotheses[0][0]
+        assert (h.feature, h.threshold, h.polarity) == (0, 2.5, 1)
 
 
 class TestConfigValidation:

@@ -183,6 +183,46 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 2.0
 
+    def test_subset_flags_immutable(self):
+        ds = gen_combined(0, 10, 10, 0.3)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.subset_flags[:] = False
+        assert ds.subset_flags.sum() == 10
+
+    @pytest.mark.parametrize(
+        "flags", [[0.5, 7, np.nan], [0, 2, 1], ["A", "B", "A"], [None, True, False]],
+        ids=["fractions", "two", "markers", "none"],
+    )
+    def test_subset_flags_must_be_booleans_or_0_and_1(self, flags):
+        with pytest.raises(ConfigurationError, match="subset flags"):
+            Dataset([[1.0], [2.0], [3.0]], [1.0, -1.0, 1.0], subset_flags=flags)
+
+    @pytest.mark.parametrize("flags", [[False, True, True], [0, 1, 1], [0.0, 1.0, 1.0]])
+    def test_subset_flags_accept_booleans_and_0_and_1(self, flags):
+        ds = Dataset([[1.0], [2.0], [3.0]], [1.0, -1.0, 1.0], subset_flags=flags)
+        assert ds.subset_flags.dtype == bool
+        np.testing.assert_array_equal(ds.subset_flags, [False, True, True])
+
+    def test_arrays_that_do_not_own_their_data_are_copied(self):
+        table = np.array([[1.0, 0.5, 1.0], [-1.0, -0.5, 0.0]])
+        ds = Dataset(table[:, 1:2], table[:, 0], table[:, 2])
+        table[:] = 7.0
+        np.testing.assert_array_equal(ds.features, [[0.5], [-0.5]])
+        np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
+        np.testing.assert_array_equal(ds.subset_flags, [True, False])
+        assert table.flags.writeable
+
+    def test_owned_features_are_frozen_in_place(self):
+        x = np.array([[0.5], [-0.5]])
+        ds = Dataset(x, [1.0, -1.0])
+        assert ds.features is x and not x.flags.writeable
+
+    def test_stump_index_built_on_first_use_and_kept(self):
+        ds = gen_noisy(0, 40, 0.1)
+        assert "stump_index" not in vars(ds)
+        index = ds.stump_index
+        assert ds.stump_index is index and index.shape == ds.features.shape
+
 
 class TestCsv:
     def test_two_row_file(self, tmp_path):

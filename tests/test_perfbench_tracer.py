@@ -59,6 +59,29 @@ def test_tracer_swaps_every_target_and_restores_it():
     assert scanned == per_call * calls["stumps.train_stump"] > 0
 
 
+def test_tracer_times_every_layer_of_a_run_on_an_already_trained_dataset():
+    """A dataset keeps its stump index after its first run; a traced run that
+    reuses it still leaves a span at every layer."""
+    tracing = _load_tracing()
+    data = gen_blobs(0, 40, 0.3)
+    config = BoosterConfig(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 3, 0.25, 4.0)
+    untraced = tracing.boosting.run(config, data)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = tracing.boosting.run(config, data)
+    finally:
+        tracer.uninstall()
+    assert traced.hypotheses == untraced.hypotheses
+    calls = tracer.totals()[2]
+    for layer in ("boosting.run", "stumps.train_stump", "stumps.loss_vector", "projection.mixed"):
+        assert calls[layer] > 0, layer
+    tracer.end_pass()
+    per_call = sum(len(np.unique(column)) + 1 for column in data.features.T)
+    scanned = tracer.counts["stumps.thresholds_scanned"]
+    assert scanned == per_call * calls["stumps.train_stump"] > 0
+
+
 def test_tracer_times_every_layer_of_a_cli_train_and_verify(tmp_path, capsys):
     """The layers ``paper-sweep`` measures each leave a span when the CLI runs."""
     tracing = _load_tracing()

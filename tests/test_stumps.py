@@ -1,5 +1,7 @@
 """Decision-stump learner: examples, brute-force optimality, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -315,21 +317,63 @@ def test_indexed_learner_matches_reference_on_thousands_of_samples(seed):
     assert winners == {0, 1, 3, 4}
 
 
-def test_index_reuses_its_scratch_without_carrying_state():
+def test_scratch_is_reused_without_carrying_state():
     rng = np.random.default_rng(6)
     n = 2000
     x = _mixed_columns(rng, n)
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     w1, w2 = rng.random(n), rng.random(n) ** 4
     index = StumpIndex(x)
+    scratch = index.scratch()
     for w in (w1, w2, w1):
-        assert _exact(train_stump(x, labels, w, index)) == _exact(
+        assert _exact(train_stump(x, labels, w, index, scratch)) == _exact(
             train_stump(x, labels, w, StumpIndex(x))
         )
-    other = StumpIndex(x)
-    for mine in (index.sums, index.gammas):
-        for theirs in (other.sums, other.gammas):
+    other = index.scratch()
+    for mine in scratch:
+        for theirs in other:
             assert not np.shares_memory(mine, theirs)
+
+
+def test_index_is_read_only():
+    x = _mixed_columns(np.random.default_rng(7), 50)
+    index = StumpIndex(x)
+    with pytest.raises(ValueError, match="read-only"):
+        index.pairs[0, 0, 0] = 1
+    tied = [ends for ends in index.ends if ends is not None]
+    assert tied
+    for ends in tied:
+        with pytest.raises(ValueError, match="read-only"):
+            ends[0] = 1
+    assert vars(index).keys() == {"shape", "pairs", "ends", "_order"}
+    assert index.pairs.base is index._order  # the array the search gathers by
+
+
+def test_search_in_scratch_allocates_one_vector_only():
+    # np.take copies an index array that is not writeable, 16 N bytes a pair,
+    # so a search that gathered by the read-only pairs would allocate more
+    rng = np.random.default_rng(8)
+    n = 20_000
+    x = rng.normal(size=(n, 4))
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    w = rng.random(n)
+    index = StumpIndex(x)
+    scratch = index.scratch()
+    expected = _exact(train_stump(x, labels, w, index, scratch))
+    tracemalloc.start()
+    try:
+        h = train_stump(x, labels, w, index, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _exact(h) == expected
+    assert 8 * n <= peak < 12 * n  # w * labels, and no N-sized array beside it
+
+
+def test_scratch_for_another_size_rejected():
+    x = np.zeros((4, 2))
+    with pytest.raises(UsageError, match="scratch"):
+        train_stump(x, np.ones(4), np.full(4, 0.25), StumpIndex(x), StumpIndex(x[:3]).scratch())
 
 
 def test_index_stores_split_positions_only_for_columns_with_ties():

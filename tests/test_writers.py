@@ -8,6 +8,7 @@ one, as they were before ``write_trace`` took them from ``RoundTrace``'s fields.
 """
 
 import json
+import os
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -122,3 +123,36 @@ def test_save_model_writes_the_per_line_bytes(tmp_path, result):
     save_model(result, str(got))
     _save_model_reference(result, str(expected))
     assert got.read_bytes() == expected.read_bytes()
+
+
+def _short_and_long_results():
+    stump = Stump(0, 0.5, 1)
+    long = BoostResult(
+        Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, hypotheses=[(stump, 0.25)] * 40,
+        traces=[RoundTrace(t, 0.5, 0.25, 0.1, 0.9, 0.01, 200) for t in range(1, 41)],
+    )
+    short = BoostResult(
+        Algorithm.SMOOTH, QUADRATIC, hypotheses=[(stump, 0.5)],
+        traces=[RoundTrace(1, 0.5, 0.5, 0.2, None, 0.05, 100)],
+    )
+    return long, short
+
+
+def test_rewriting_a_longer_file_leaves_no_old_tail(tmp_path):
+    long, short = _short_and_long_results()
+    trace, model = tmp_path / "trace.jsonl", tmp_path / "model.txt"
+    expected_trace, expected_model = tmp_path / "expected.jsonl", tmp_path / "expected.txt"
+    write_trace(long, 200, str(trace))
+    save_model(long, str(model))
+    write_trace(short, 100, str(trace), k=20.0)
+    save_model(short, str(model))
+    _write_trace_reference(short, 100, str(expected_trace), k=20.0)
+    _save_model_reference(short, str(expected_model))
+    assert trace.read_bytes() == expected_trace.read_bytes()
+    assert model.read_bytes() == expected_model.read_bytes()
+
+
+def test_writers_write_to_a_device():
+    long, _ = _short_and_long_results()
+    write_trace(long, 200, os.devnull)
+    save_model(long, os.devnull)
