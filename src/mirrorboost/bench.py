@@ -61,8 +61,7 @@ def _recheck_runs(*configs: BoosterConfig) -> tuple[list[str], float, list[Boost
         mode = f"{config.alpha_mode.value}-mode " if config.alpha_mode else ""
         for label, data in datasets:
             result = run(config, data)
-            checks = bounds.RoundChecks(config.algorithm.value, config.geometry.value, data.n,
-                                        config.k, half=config.alpha_mode is AlphaMode.HALF)
+            checks = config.checks(data.n)
             for rec, bound, held in checks.replay(map(vars, result.traces),
                                                   float(result.weights.sum())):
                 broken += [f"{mode}{family} broken at round {rec['t']} on {label}"

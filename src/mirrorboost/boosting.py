@@ -64,15 +64,20 @@ class BoosterConfig:
     algorithm: Algorithm
     geometry: Geometry
     rounds: int
-    target_error: float = 0.0
+    target_error: float | None = None    # None: 1/k for smooth, else 0
     k: float | None = None               # smoothness parameter (smooth / combined)
     alpha_mode: AlphaMode | None = None  # sparse only
     mada_eta: MadaEta = MadaEta.PREVIOUS_ERROR
 
+    def __post_init__(self):
+        if self.target_error is None:
+            smooth = self.algorithm is Algorithm.SMOOTH
+            self.target_error = 1.0 / self.k if smooth and self.k else 0.0
+
     def validate(self) -> None:
         if self.rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
-        # k first: the CLI's default smooth target is 1/k, out of range for k < 1
+        # k first: the default smooth target is 1/k, out of range for k < 1
         if self.k is not None and not math.isfinite(self.k):
             raise ConfigurationError(f"smoothness parameter k must be finite, got {self.k}")
         if self.algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED):
@@ -91,6 +96,12 @@ class BoosterConfig:
             raise ConfigurationError("sparse boosting requires an alpha mode")
         if self.algorithm is Algorithm.SMOOTH and self.target_error < 1.0 / self.k:
             raise ConfigurationError("smooth boosting requires target_error >= 1/k")
+
+    def checks(self, n: int, n_b: int | None = None) -> bounds.RoundChecks:
+        """The per-round bound checks of a run on n samples, n_b of them in subset B."""
+        n_a = None if n_b is None else n - n_b
+        return bounds.RoundChecks(self.algorithm.value, self.geometry.value, n, self.k, n_a,
+                                  self.alpha_mode is AlphaMode.HALF)
 
 
 @dataclass
@@ -116,10 +127,6 @@ class BoostResult:
     weights: np.ndarray | None = None
     traces: list[RoundTrace] = field(default_factory=list)
     status: str = "max_rounds"
-
-    @property
-    def final_error(self) -> float:
-        return self.traces[-1].train_error if self.traces else 1.0
 
 
 def predict(hypotheses: list[tuple[Stump, float]], features) -> np.ndarray:
@@ -172,11 +179,7 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
         raise UsageError("the dataset's features were made writeable after construction")
     policy = _POLICIES.get(config.algorithm, _Projected)(config, dataset)
     flags = dataset.subset_flags
-    n_a = None if flags is None else int((~flags).sum())
-    half = config.alpha_mode is AlphaMode.HALF
-    checks = bounds.RoundChecks(
-        config.algorithm.value, config.geometry.value, dataset.n, config.k, n_a, half
-    )
+    checks = config.checks(dataset.n, None if flags is None else int(flags.sum()))
     features, labels = dataset.features, dataset.labels
     result = BoostResult(algorithm=config.algorithm, geometry=config.geometry)
     score = np.zeros(dataset.n)
@@ -406,7 +409,7 @@ def save_model(result: BoostResult, path: str) -> None:
 
 @opens_file("read")
 def load_model(path: str) -> tuple[str, str, list[tuple[Stump, float]]]:
-    """Read a model file back: (algorithm, geometry, hypotheses)."""
+    """Read a model file back: (algorithm, geometry, hypotheses), the names as strings."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("# algorithm="):
@@ -414,6 +417,7 @@ def load_model(path: str) -> tuple[str, str, list[tuple[Stump, float]]]:
         try:
             fields = dict(p.split("=", 1) for p in header[2:].split())
             algorithm, geometry = fields["algorithm"], fields["geometry"]
+            Algorithm(algorithm), Geometry(geometry)  # an unknown name is a ValueError
         except (ValueError, KeyError):
             raise ParseError("expected '# algorithm=<name> geometry=<name>'", 1) from None
         hypotheses = []

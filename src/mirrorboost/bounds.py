@@ -2,9 +2,9 @@
 
 The trainer checks the bounds as it runs, ``verify`` re-derives them from a
 stored trace and the acceptance bench from a run's round records; all three
-feed their rounds to one ``RoundChecks`` (the last two through ``replay``),
-which decides which bound applies to a round and keeps the running sums. A
-check passes within ``SLACK``.
+feed their rounds to the ``RoundChecks`` that ``BoosterConfig.checks`` builds
+(the last two through ``replay``), which decides which bound applies to a
+round and keeps the running sums. A check passes within ``SLACK``.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def mada_rate(t: int, gamma_min: float) -> float:
 class RoundChecks:
     """The per-round bound checks of one run, with the running state they need.
 
-    Built from a trace header's strings, so ``verify`` builds it from a
-    stored header exactly as the trainer and the bench do from a config.
+    Built by ``BoosterConfig.checks``, so ``verify`` builds it from the config
+    a stored header records exactly as the trainer and the bench do from theirs.
     ``families`` names every check the run can report, in report order, and
     ``keys`` the round-record keys ``add`` reads.
     """

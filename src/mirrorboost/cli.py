@@ -31,8 +31,7 @@ from .projection import (
     project_orthant_l1,
     project_simplex,
 )
-from .trace_io import read_trace, write_trace
-from .verify import verify_trace
+from .trace_io import read_trace, verify_trace, write_trace
 
 # the package has only the entropic hypercube projections and the Euclidean orthant-l1 one
 _SET_GEOMETRY = {"hypercube": NEGATIVE_ENTROPY, "double": NEGATIVE_ENTROPY, "orthant-l1": QUADRATIC}
@@ -73,15 +72,8 @@ def cmd_train(args) -> int:
     algorithm = Algorithm(args.algo)
     geometry = (Geometry(args.geometry) if args.geometry
                 else FORCED_GEOMETRY.get(algorithm, NEGATIVE_ENTROPY))
-    target = args.target_eps
-    if target is None:
-        target = 1.0 / args.k if algorithm is Algorithm.SMOOTH and args.k else 0.0
     config = BoosterConfig(
-        algorithm=algorithm,
-        geometry=geometry,
-        rounds=args.rounds,
-        target_error=target,
-        k=args.k,
+        algorithm, geometry, args.rounds, target_error=args.target_eps, k=args.k,
         alpha_mode=AlphaMode(args.alpha_mode) if args.alpha_mode else None,
         mada_eta=MadaEta(args.mada_eta),
     )

@@ -62,8 +62,8 @@ class Dataset:
     subset_flags: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        f = _owned(self.features, float)
-        a = _owned(self.labels, float)
+        f = _owned(self.features, float, "features")
+        a = _owned(self.labels, float, "labels")
         if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
             raise ConfigurationError("features must be a nonempty (n, d) matrix")
         if a.shape != (f.shape[0],):
@@ -75,10 +75,10 @@ class Dataset:
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", a)
         if self.subset_flags is not None:
-            s = np.asarray(self.subset_flags)
+            s = _owned(self.subset_flags, None, "subset flags")
             if not np.isin(s, (0, 1)).all():  # True == 1 and False == 0
                 raise ConfigurationError("subset flags must be booleans or 0 and 1")
-            s = _owned(s, bool)
+            s = _owned(s, bool, "subset flags")
             if s.shape != (f.shape[0],):
                 raise ConfigurationError("subset flags must match the number of rows")
             s.setflags(write=False)
@@ -97,9 +97,12 @@ class Dataset:
         return StumpIndex(self.features)
 
 
-def _owned(values, dtype) -> np.ndarray:
+def _owned(values, dtype, what: str) -> np.ndarray:
     """``values`` as an array of ``dtype``, copied unless it owns its data."""
-    out = np.asarray(values, dtype=dtype)
+    try:
+        out = np.asarray(values, dtype=dtype)
+    except (ValueError, TypeError) as exc:  # a ragged or non-numeric nested list
+        raise ConfigurationError(f"{what} must be a numeric array: {exc}") from None
     return out if out.flags.owndata else out.copy()
 
 

@@ -171,6 +171,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="alpha_mode is for sparse"):
             config.validate()
 
+    @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+    def test_default_target_is_one_over_k_for_smooth_else_zero(self, algorithm):
+        k = 4.0 if algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED) else None
+        config = _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=k)
+        assert config.target_error == (0.25 if algorithm is Algorithm.SMOOTH else 0.0)
+
+    @pytest.mark.parametrize("target", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("algorithm", [Algorithm.SMOOTH, Algorithm.MABOOST_ACTIVE])
+    def test_explicit_target_is_kept(self, algorithm, target):
+        k = 4.0 if algorithm is Algorithm.SMOOTH else None
+        config = _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=k, target_error=target)
+        assert config.target_error == target
+
 
 class TestMaboost:
     def test_single_perfect_stump_entropy(self):
@@ -180,7 +193,7 @@ class TestMaboost:
         assert len(result.traces) == 1
         assert result.traces[0].gamma == pytest.approx(1.0)
         assert result.traces[0].eta == pytest.approx(1.0)
-        assert result.final_error == 0.0
+        assert result.traces[-1].train_error == 0.0
         assert result.status == "target_reached"
 
     @pytest.mark.parametrize("g", [QUADRATIC, NEGATIVE_ENTROPY], ids=lambda g: g.value)
@@ -317,7 +330,7 @@ class TestSmooth:
             data,
         )
         assert result.status == "target_reached"
-        assert result.final_error <= 1.0 / k
+        assert result.traces[-1].train_error <= 1.0 / k
 
 
 class TestCombined:
@@ -533,6 +546,16 @@ class TestEnsemble:
     def test_model_header_without_geometry_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# algorithm=mada\n0 0.0 1 0.5\n")
+        with pytest.raises(ParseError, match="line 1"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("header", [
+        "algorithm=foo geometry=bar", "algorithm=foo geometry=entropy",
+        "algorithm=mada geometry=bar",
+    ])
+    def test_model_header_with_an_unknown_name_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# {header}\n0 0.0 1 0.5\n")
         with pytest.raises(ParseError, match="line 1"):
             load_model(str(path))
 

@@ -19,8 +19,7 @@ from mirrorboost import cli
 from mirrorboost.boosting import Algorithm
 from mirrorboost.cli import main
 from mirrorboost.errors import NoWeakLearnabilityError
-from mirrorboost.trace_io import read_trace
-from mirrorboost.verify import verify_trace
+from mirrorboost.trace_io import read_trace, verify_trace
 
 
 def _train(tmp_path, *extra, trace=None, model=None):
@@ -404,7 +403,9 @@ class TestVerify:
         assert main(["verify", trace]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "line 1" in captured.err and "'alpha_mode'" in captured.err
+        # a value outside AlphaMode is named by its key; validate names a missing one
+        named = "'alpha_mode'" if alpha_mode in ("bogus", 1) else "requires an alpha mode"
+        assert "line 1" in captured.err and named in captured.err
 
     def test_combined_without_subset_a_is_vacuous(self, tmp_path, capsys):
         trace = self._combined_trace(tmp_path)
@@ -479,7 +480,9 @@ class TestVerify:
         self._edit(trace, 1, lambda h: json.dumps({k: v for k, v in h.items() if k != key}))
         assert main(["verify", trace]) == 1
         err = capsys.readouterr().err
-        assert "line 1" in err and f"'{key}'" in err
+        # validate names a missing smooth k in its own words
+        named = "smoothness parameter k must be" if key == "k" else f"'{key}'"
+        assert "line 1" in err and named in err
 
     @pytest.mark.parametrize(
         "algo,extra,key",
@@ -495,7 +498,8 @@ class TestVerify:
         self._edit(trace, 2, lambda rec: json.dumps({**rec, "gamma": "0.5"}))
         assert main(["verify", trace]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: line 1:") and f"'{key}'" in err
+        named = "smoothness parameter k must be" if key == "k" else f"'{key}'"
+        assert err.startswith("error: line 1:") and named in err
 
     @pytest.mark.parametrize("algorithm", ["boost", None, ["smooth"], {"a": 1}], ids=repr)
     def test_unknown_algorithm_fails(self, tmp_path, capsys, algorithm):

@@ -203,6 +203,20 @@ class TestDataset:
         assert ds.subset_flags.dtype == bool
         np.testing.assert_array_equal(ds.subset_flags, [False, True, True])
 
+    @pytest.mark.parametrize(
+        "features, labels, flags, what",
+        [
+            ([[1.0], [1.0, 2.0]], [1, 1], None, "features"),
+            ([["a"]], [1], None, "features"),
+            ([[1.0], [2.0]], [1, [1, -1]], None, "labels"),
+            ([[1.0], [2.0]], [1, -1], [0, [1, 0]], "subset flags"),
+        ],
+        ids=["ragged-features", "text-features", "ragged-labels", "ragged-flags"],
+    )
+    def test_malformed_input_is_a_configuration_error(self, features, labels, flags, what):
+        with pytest.raises(ConfigurationError, match=f"^{what} must be a numeric array: "):
+            Dataset(features, labels, flags)
+
     def test_arrays_that_do_not_own_their_data_are_copied(self):
         table = np.array([[1.0, 0.5, 1.0], [-1.0, -0.5, 0.0]])
         ds = Dataset(table[:, 1:2], table[:, 0], table[:, 2])
