@@ -59,8 +59,18 @@ class MadaEta(enum.Enum):
     FIXED_POINT = "fixed_point"
 
 
-@dataclass
+def is_number(value) -> bool:
+    """A number the bounds can use: bool is not one, and neither is an int
+    beyond 2**53, as float arithmetic on it or on its square could overflow."""
+    return isinstance(value, float) or type(value) is int and abs(value) <= 2**53
+
+
+@dataclass(frozen=True)
 class BoosterConfig:
+    """A run's configuration, converted and checked on construction: an enum field
+    takes a member or its value (``"half"`` for ``AlphaMode.HALF``), and a field
+    the booster cannot use is a ``ConfigurationError`` naming it."""
+
     algorithm: Algorithm
     geometry: Geometry
     rounds: int
@@ -70,16 +80,17 @@ class BoosterConfig:
     mada_eta: MadaEta = MadaEta.PREVIOUS_ERROR
 
     def __post_init__(self):
-        if self.target_error is None:
-            smooth = self.algorithm is Algorithm.SMOOTH
-            self.target_error = 1.0 / self.k if smooth and self.k else 0.0
-
-    def validate(self) -> None:
-        if self.rounds < 1:
-            raise ConfigurationError("rounds must be >= 1")
+        self._convert("algorithm", Algorithm)
+        self._convert("geometry", Geometry)
+        if self.alpha_mode is not None:
+            self._convert("alpha_mode", AlphaMode)
+        self._convert("mada_eta", MadaEta)
+        if type(self.rounds) is not int or self.rounds < 1:
+            raise ConfigurationError(f"rounds must be an integer >= 1, got {self.rounds!r}")
         # k first: the default smooth target is 1/k, out of range for k < 1
-        if self.k is not None and not math.isfinite(self.k):
-            raise ConfigurationError(f"smoothness parameter k must be finite, got {self.k}")
+        if self.k is not None and not (is_number(self.k) and math.isfinite(self.k)):
+            raise ConfigurationError(
+                f"smoothness parameter k must be a finite number, got {self.k!r}")
         if self.algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED):
             if self.k is None or self.k < 1.0:
                 raise ConfigurationError("smoothness parameter k must be >= 1")
@@ -87,7 +98,10 @@ class BoosterConfig:
             raise ConfigurationError(f"k is for smooth and combined, not {self.algorithm.value}")
         if self.alpha_mode is not None and self.algorithm is not Algorithm.SPARSE:
             raise ConfigurationError(f"alpha_mode is for sparse, not {self.algorithm.value}")
-        if not 0.0 <= self.target_error <= 1.0:
+        if self.target_error is None:
+            smooth = self.algorithm is Algorithm.SMOOTH
+            object.__setattr__(self, "target_error", 1.0 / self.k if smooth else 0.0)
+        if not (is_number(self.target_error) and 0.0 <= self.target_error <= 1.0):
             raise ConfigurationError("target_error must be in [0, 1]")
         forced = FORCED_GEOMETRY.get(self.algorithm, self.geometry)
         if self.geometry is not forced:
@@ -97,11 +111,14 @@ class BoosterConfig:
         if self.algorithm is Algorithm.SMOOTH and self.target_error < 1.0 / self.k:
             raise ConfigurationError("smooth boosting requires target_error >= 1/k")
 
-    def checks(self, n: int, n_b: int | None = None) -> bounds.RoundChecks:
-        """The per-round bound checks of a run on n samples, n_b of them in subset B."""
-        n_a = None if n_b is None else n - n_b
-        return bounds.RoundChecks(self.algorithm.value, self.geometry.value, n, self.k, n_a,
-                                  self.alpha_mode is AlphaMode.HALF)
+    def _convert(self, name: str, kind: type[enum.Enum]) -> None:
+        """Set field ``name`` to the member of ``kind`` it is or names."""
+        value = getattr(self, name)
+        try:
+            object.__setattr__(self, name, kind(value))  # a member is its own value
+        except ValueError:  # an unhashable value too
+            names = " or ".join(member.value for member in kind)
+            raise ConfigurationError(f"{name} must be {names}, got {value!r}") from None
 
 
 @dataclass
@@ -174,12 +191,12 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
     caches, so a dataset whose features were made writeable again, and may
     no longer match it, is refused (``UsageError``).
     """
-    config.validate()
     if dataset.features.flags.writeable:
         raise UsageError("the dataset's features were made writeable after construction")
     policy = _POLICIES.get(config.algorithm, _Projected)(config, dataset)
-    flags = dataset.subset_flags
-    checks = config.checks(dataset.n, None if flags is None else int(flags.sum()))
+    # the combined policy has refused a dataset without subset flags
+    n_b = int(dataset.subset_flags.sum()) if config.algorithm is Algorithm.COMBINED else None
+    checks = bounds.RoundChecks(config, dataset.n, n_b)
     features, labels = dataset.features, dataset.labels
     result = BoostResult(algorithm=config.algorithm, geometry=config.geometry)
     score = np.zeros(dataset.n)

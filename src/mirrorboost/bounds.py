@@ -2,15 +2,16 @@
 
 The trainer checks the bounds as it runs, ``verify`` re-derives them from a
 stored trace and the acceptance bench from a run's round records; all three
-feed their rounds to the ``RoundChecks`` that ``BoosterConfig.checks`` builds
-(the last two through ``replay``), which decides which bound applies to a
-round and keeps the running sums. A check passes within ``SLACK``.
+feed their rounds to a ``RoundChecks`` built from the run's config (the last
+two through ``replay``), which decides which bound applies to a round and
+keeps the running sums. A check passes within ``SLACK``.
 """
 
 from __future__ import annotations
 
 import math
 
+from .errors import ConfigurationError
 from .geometry import QUADRATIC, Geometry
 
 SLACK = 1e-9
@@ -52,32 +53,42 @@ def mada_rate(t: int, gamma_min: float) -> float:
 
 
 class RoundChecks:
-    """The per-round bound checks of one run, with the running state they need.
+    """The per-round bound checks of one run on n samples, n_b of them in
+    subset B (combined only), with the running state they need.
 
-    Built by ``BoosterConfig.checks``, so ``verify`` builds it from the config
-    a stored header records exactly as the trainer and the bench do from theirs.
-    ``families`` names every check the run can report, in report order, and
-    ``keys`` the round-record keys ``add`` reads.
+    Built from the run's ``BoosterConfig``, so ``verify`` builds it from the
+    config a stored header records exactly as the trainer and the bench do
+    from theirs. ``families`` names every check the run can report, in report
+    order, and ``keys`` the round-record keys ``add`` reads.
     """
 
-    def __init__(self, algorithm: str, geometry: str, n: int, k: float | None = None,
-                 n_a: int | None = None, half: bool = False):
-        self.algorithm, self.n, self.k, self.n_a, self.half = algorithm, n, k, n_a, half
+    def __init__(self, config, n: int, n_b: int | None = None):
+        # the config's fields are read once, here: add runs every round
+        algorithm, geometry = config.algorithm.value, config.geometry.value
+        if type(n) is not int or not 1 <= n <= 2**53:
+            raise ConfigurationError(f"n must be an integer in [1, 2**53], got {n!r}")
+        if algorithm != "combined" and n_b is not None:
+            raise ConfigurationError(f"n_b is for combined, not {algorithm}")
+        if algorithm == "combined" and (type(n_b) is not int or not 0 <= n_b <= n):
+            raise ConfigurationError(f"combined checks require n_b in [0, n], got {n_b!r}")
+        self.half = config.alpha_mode is not None and config.alpha_mode.value == "half"
+        self.algorithm, self.n, self.k = algorithm, n, config.k
+        self.n_a = None if n_b is None else n - n_b
         self.entropic = geometry == "entropy"
         self.sum_gamma_sq = 0.0
         self.sum_term = 0.0
         self.gamma_min = math.inf
-        self.reads_mass = algorithm == "sparse" and not half  # the sparse floor
+        self.reads_mass = algorithm == "sparse" and not self.half  # the sparse floor
         # in the order verify names the first missing one
         mass = ("y_l1",) if algorithm in ("sparse", "mada") else ()
         error = "eps_a" if algorithm == "combined" else "train_error"
         self.keys = () if algorithm == "maxmargin" else ("gamma", *mass, error)
         if algorithm == "sparse":
-            floor = () if half else ("sparse-mass-floor",)
+            floor = () if self.half else ("sparse-mass-floor",)
             self.families = ("sparse-training-error", *floor)
         elif algorithm == "mada":
             self.families = ("mada-mass-floor", "mada-convergence-rate")
-        elif algorithm == "maxmargin" or algorithm == "combined" and not n_a:
+        elif algorithm == "maxmargin" or algorithm == "combined" and not self.n_a:
             self.families = ()
         elif algorithm == "combined":
             self.families = (f"combined-primary-error ({geometry})",)

@@ -69,20 +69,15 @@ def _load_dataset(args) -> Dataset:
 
 
 def cmd_train(args) -> int:
-    algorithm = Algorithm(args.algo)
-    geometry = (Geometry(args.geometry) if args.geometry
-                else FORCED_GEOMETRY.get(algorithm, NEGATIVE_ENTROPY))
-    config = BoosterConfig(
-        algorithm, geometry, args.rounds, target_error=args.target_eps, k=args.k,
-        alpha_mode=AlphaMode(args.alpha_mode) if args.alpha_mode else None,
-        mada_eta=MadaEta(args.mada_eta),
-    )
-    config.validate()  # before any data is read or generated
+    geometry = args.geometry or FORCED_GEOMETRY.get(Algorithm(args.algo), NEGATIVE_ENTROPY)
+    # checked on construction, before any data is read or generated
+    config = BoosterConfig(args.algo, geometry, args.rounds, target_error=args.target_eps,
+                           k=args.k, alpha_mode=args.alpha_mode, mada_eta=args.mada_eta)
     dataset = _load_dataset(args)
     result = run(config, dataset)
     if args.trace:
         # run has rejected a combined dataset without subset flags
-        n_b = int(dataset.subset_flags.sum()) if algorithm is Algorithm.COMBINED else None
+        n_b = int(dataset.subset_flags.sum()) if config.algorithm is Algorithm.COMBINED else None
         write_trace(result, dataset.n, args.trace, k=args.k, alpha_mode=args.alpha_mode, n_b=n_b)
     if args.model:
         save_model(result, args.model)

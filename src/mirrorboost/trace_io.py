@@ -1,13 +1,13 @@
 """JSON-lines trace files: a versioned header line, then one record per round.
 
 One module writes a trace, reads it back and verifies it. ``read_header``
-turns a header into the ``BoosterConfig`` that wrote it, valid exactly when
-``BoosterConfig.validate`` accepts it; ``verify_trace`` then replays the edge
-sequence (plus ||y||_1 where relevant), all the bounds depend on, through the
-config's ``RoundChecks``, the checks the trainer runs, rather than trusting the
-bound column written at run time. Each record must hold the keys the checks
-read (``RoundChecks.keys``); a value that is missing, not a number or outside
-its domain (``_DOMAINS``) is a ``ParseError`` naming the key and the line.
+turns a header into the ``BoosterConfig`` that wrote it and the
+``RoundChecks`` the trainer built from it; ``verify_trace`` then replays the
+edge sequence (plus ||y||_1 where relevant), all the bounds depend on, through
+those checks rather than trusting the bound column written at run time. Each
+record must hold the keys the checks read (``RoundChecks.keys``); a value that
+is missing, not a number or outside its domain (``_DOMAINS``) is a
+``ParseError`` naming the key and the line.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .boosting import EDGE_TOL, Algorithm, AlphaMode, BoosterConfig, BoostResult, RoundTrace
+from .boosting import EDGE_TOL, BoosterConfig, BoostResult, RoundTrace, is_number
+from .bounds import RoundChecks
 from .errors import ConfigurationError, ParseError, opens_file, write_over
-from .geometry import Geometry
 
 SCHEMA_VERSION = 1
 _ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds
@@ -83,26 +83,17 @@ def read_trace(path: str) -> TraceFile:
     return TraceFile(header=header, rounds=rounds, lines=record_lines)
 
 
-def read_header(header: dict) -> tuple[BoosterConfig, int | None, int | None]:
-    """The config a trace header records, with n and n_b where the checks read them.
-
-    The header holds no round budget and no target, so the config has one round
-    and the default target. A name outside its enum, or a config that
-    ``BoosterConfig.validate`` refuses, is a ``ParseError`` at line 1."""
-    k = header.get("k")
-    if k is not None and not (_number(k) and math.isfinite(k)):
-        raise ParseError(f"header key 'k' must be a finite number, got {k!r}", 1)
-    mode = None if header.get("alpha_mode") is None else _enum(AlphaMode, header, "alpha_mode")
-    config = BoosterConfig(_enum(Algorithm, header, "algorithm"),
-                           _enum(Geometry, header, "geometry"), rounds=1, k=k, alpha_mode=mode)
+def read_header(header: dict) -> tuple[BoosterConfig, RoundChecks]:
+    """The config a trace header records, and the checks of its run. The header
+    holds no round budget and no target, so the config has one round and the
+    default target. A config or checks that ``BoosterConfig`` or ``RoundChecks``
+    refuses is a ``ParseError`` at line 1."""
     try:
-        config.validate()
+        config = BoosterConfig(header.get("algorithm"), header.get("geometry"), rounds=1,
+                               k=header.get("k"), alpha_mode=header.get("alpha_mode"))
+        return config, RoundChecks(config, header.get("n"), header.get("n_b"))
     except ConfigurationError as exc:
         raise ParseError(f"bad header: {exc}", 1) from None
-    counted = config.algorithm in (Algorithm.SPARSE, Algorithm.MADA, Algorithm.COMBINED)
-    n = _header_int(header, "n", 1, 2**53) if counted else None
-    n_b = _header_int(header, "n_b", 0, n) if config.algorithm is Algorithm.COMBINED else None
-    return config, n, n_b
 
 
 @dataclass
@@ -117,27 +108,20 @@ class FamilyReport:
 
 def verify_trace(trace: TraceFile) -> list[FamilyReport]:
     header, rounds = trace.header, trace.rounds
-    if header.get("algorithm") not in [a.value for a in Algorithm]:
-        return [FamilyReport(str(header.get("algorithm")), False, "unknown algorithm in header")]
-    config, n, n_b = read_header(header)
+    config, checks = read_header(header)
     if not rounds:
         return [FamilyReport("empty-trace", True, "no rounds recorded; vacuous pass")]
-    if config.algorithm is Algorithm.MAX_MARGIN:
-        detail = "no per-round error bound applies to the margin schedule; "
-        return [FamilyReport("maxmargin", True, f"{detail}final margin {rounds[-1].get('margin')}")]
-    checks = config.checks(n, n_b)
     domains = [(key, *_DOMAINS[key]) for key in checks.keys]
     for rec, line in zip(rounds, trace.lines):
         for key, lo, hi, what in domains:
             value = rec.get(key)
-            if type(value) is not float and not _number(value):  # floats skip the call
+            if type(value) is not float and not is_number(value):  # floats skip the call
                 raise ParseError(f"key {key!r} is missing or not a number", line)
             if not lo <= value <= hi:  # false for NaN too
                 raise ParseError(f"key {key!r} must be {what}, got {value!r}", line)
 
-    if not checks.families:  # combined with an empty subset A
-        family = f"combined-primary-error ({config.geometry.value})"
-        return [FamilyReport(family, True, "subset A is empty; the bound is vacuous")]
+    if not checks.families:  # the margin schedule, or combined with an empty subset A
+        return [FamilyReport(config.algorithm.value, True, "no per-round bound; vacuous pass")]
     first_bad = dict.fromkeys(checks.families)
     for rec, _, held in checks.replay(rounds):
         for family, holds in held:
@@ -158,25 +142,3 @@ _DOMAINS = {"gamma": (math.nextafter(EDGE_TOL, math.inf), _MAX, f"a finite edge 
             "train_error": (0.0, 1.0, "in [0, 1]"), "eps_a": (0.0, 1.0, "in [0, 1]"),
             "y_l1": (0.0, _MAX, "finite and >= 0")}
 
-
-def _number(value) -> bool:
-    """A JSON number the checks can use: bool is not one, and neither is an
-    int beyond 2**53, as float arithmetic on it or on its square could overflow."""
-    return type(value) is float or type(value) is int and abs(value) <= 2**53
-
-
-def _enum(kind, header: dict, key: str):
-    value = header.get(key)
-    try:
-        return kind(value)
-    except ValueError:  # an unhashable value too
-        names = " or ".join(member.value for member in kind)
-        raise ParseError(f"header key {key!r} must be {names}, got {value!r}", 1) from None
-
-
-def _header_int(header: dict, key: str, lo: int, hi: float) -> int:
-    value = header.get(key)
-    if type(value) is not int or not lo <= value <= hi:
-        message = f"header key {key!r} must be an integer in [{lo}, {hi}], got {value!r}"
-        raise ParseError(message, 1)
-    return value

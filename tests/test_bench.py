@@ -35,3 +35,13 @@ def test_broken_check_names_its_run(monkeypatch):
     [result] = run_bench("sparse-thm4")
     assert not result.passed
     assert "half-mode sparse-training-error broken at round 100 on noisy" in result.observed
+
+
+def test_recheck_criteria_report_rounds_and_time_without_infinities():
+    # mada has no bound column, so no gap; only the thm1 criteria have a time limit
+    [mada, lazy] = [run_bench(name)[0] for name in ("mada-thm5", "lazy-bounds")]
+    for result in (mada, lazy):
+        assert result.passed and "inf" not in result.expected + result.observed
+        assert " rounds, " in result.observed and result.observed.endswith("violations: none")
+    assert "worst gap" in lazy.observed and "worst gap" not in mada.observed
+    assert "runtime" not in mada.expected + lazy.expected

@@ -124,65 +124,125 @@ class TestStaleFeatures:
 class TestConfigValidation:
     def test_sparse_forces_quadratic(self):
         with pytest.raises(ConfigurationError):
-            _cfg(Algorithm.SPARSE, NEGATIVE_ENTROPY, 10, alpha_mode=AlphaMode.ZERO).validate()
+            _cfg(Algorithm.SPARSE, NEGATIVE_ENTROPY, 10, alpha_mode=AlphaMode.ZERO)
 
     def test_sparse_needs_alpha_mode(self):
         with pytest.raises(ConfigurationError):
-            _cfg(Algorithm.SPARSE, QUADRATIC, 10).validate()
+            _cfg(Algorithm.SPARSE, QUADRATIC, 10)
 
     def test_mada_forces_entropy(self):
         with pytest.raises(ConfigurationError):
-            _cfg(Algorithm.MADA, QUADRATIC, 10).validate()
+            _cfg(Algorithm.MADA, QUADRATIC, 10)
 
     def test_smooth_needs_feasible_k_and_target(self):
         # k is named even though the CLI's default target 1/k = 2 is out of range
         with pytest.raises(ConfigurationError, match=r"\bk\b"):
-            _cfg(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 10, k=0.5, target_error=2.0).validate()
+            _cfg(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 10, k=0.5, target_error=2.0)
         with pytest.raises(ConfigurationError):
-            _cfg(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 10, k=10.0, target_error=0.05).validate()
+            _cfg(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 10, k=10.0, target_error=0.05)
 
     @pytest.mark.parametrize("algorithm", [Algorithm.SMOOTH, Algorithm.COMBINED])
     @pytest.mark.parametrize("k", [math.nan, math.inf])
     def test_k_must_be_finite(self, algorithm, k):
         with pytest.raises(ConfigurationError, match="smoothness parameter k"):
-            _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=k, target_error=0.5).validate()
+            _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=k, target_error=0.5)
 
     def test_rounds_positive(self):
         with pytest.raises(ConfigurationError):
-            _cfg(Algorithm.MABOOST_ACTIVE, QUADRATIC, 0).validate()
+            _cfg(Algorithm.MABOOST_ACTIVE, QUADRATIC, 0)
 
     @pytest.mark.parametrize("target", [-0.1, 1.5, math.nan])
     def test_target_error_must_be_a_share(self, target):
         with pytest.raises(ConfigurationError, match=r"target_error must be in \[0, 1\]"):
-            _cfg(Algorithm.MABOOST_ACTIVE, QUADRATIC, 10, target_error=target).validate()
+            _cfg(Algorithm.MABOOST_ACTIVE, QUADRATIC, 10, target_error=target)
 
     @pytest.mark.parametrize(
         "algorithm", [a for a in Algorithm if a not in (Algorithm.SMOOTH, Algorithm.COMBINED)]
     )
     def test_k_rejected_where_unused(self, algorithm):
         with pytest.raises(ConfigurationError, match="k is for smooth and combined"):
-            _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=4.0).validate()
+            _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=4.0)
 
     @pytest.mark.parametrize("algorithm", [a for a in Algorithm if a is not Algorithm.SPARSE])
     def test_alpha_mode_rejected_where_unused(self, algorithm):
         k = 4.0 if algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED) else None
-        config = _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=k, target_error=0.5,
-                      alpha_mode=AlphaMode.HALF)
         with pytest.raises(ConfigurationError, match="alpha_mode is for sparse"):
-            config.validate()
+            _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=k, target_error=0.5,
+                 alpha_mode=AlphaMode.HALF)
 
     @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
     def test_default_target_is_one_over_k_for_smooth_else_zero(self, algorithm):
         k = 4.0 if algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED) else None
-        config = _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=k)
+        geometry = boosting.FORCED_GEOMETRY.get(algorithm, NEGATIVE_ENTROPY)
+        mode = AlphaMode.ZERO if algorithm is Algorithm.SPARSE else None
+        config = _cfg(algorithm, geometry, 10, k=k, alpha_mode=mode)
         assert config.target_error == (0.25 if algorithm is Algorithm.SMOOTH else 0.0)
 
     @pytest.mark.parametrize("target", [0.0, 0.1, 0.5])
     @pytest.mark.parametrize("algorithm", [Algorithm.SMOOTH, Algorithm.MABOOST_ACTIVE])
     def test_explicit_target_is_kept(self, algorithm, target):
-        k = 4.0 if algorithm is Algorithm.SMOOTH else None
+        # smooth needs target >= 1/k: k = 1/0.1 admits every target here but 0
+        if algorithm is Algorithm.SMOOTH and target == 0.0:
+            with pytest.raises(ConfigurationError, match="target_error >= 1/k"):
+                _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=10.0, target_error=target)
+            return
+        k = 10.0 if algorithm is Algorithm.SMOOTH else None
         config = _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=k, target_error=target)
         assert config.target_error == target
+
+    def test_config_is_frozen(self):
+        config = _cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 10)
+        with pytest.raises(AttributeError):
+            config.rounds = 0
+
+    def test_names_mean_their_members(self):
+        config = BoosterConfig("smooth", "entropy", 10, k=4.0)
+        assert (config.algorithm, config.geometry) == (Algorithm.SMOOTH, NEGATIVE_ENTROPY)
+        assert _cfg("sparse", "quadratic", 1, alpha_mode="half").alpha_mode is AlphaMode.HALF
+        config = _cfg("mada", "entropy", 1, mada_eta="fixed_point")
+        assert config.mada_eta is MadaEta.FIXED_POINT
+
+    @pytest.mark.parametrize("field, kw", [
+        ("alpha_mode", {"algorithm": "sparse", "geometry": "quadratic", "alpha_mode": "quarter"}),
+        ("mada_eta", {"algorithm": "mada", "mada_eta": "fixed-point"}),
+        ("algorithm", {"algorithm": "boost"}),
+        ("algorithm", {"algorithm": ["smooth"]}),
+        ("geometry", {"geometry": "entropic"}),
+        ("geometry", {"geometry": {"a": 1}}),
+        ("geometry", {"geometry": Algorithm.SMOOTH}),
+    ], ids=["alpha-mode", "mada-eta", "algorithm", "unhashable-algorithm", "geometry",
+            "unhashable-geometry", "member-of-another-enum"])
+    def test_name_outside_its_enum_names_the_field(self, field, kw):
+        kw = {"algorithm": "maboost-active", "geometry": "entropy", **kw}
+        with pytest.raises(ConfigurationError, match=f"^{field} must be .+, got "):
+            BoosterConfig(rounds=10, **kw)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rounds", 2.5), ("rounds", "3"), ("rounds", True),
+        ("target_error", "0.1"), ("target_error", False), ("target_error", 2**53 + 1),
+        ("k", "4"), ("k", True), ("k", 2**53 + 1),
+    ], ids=repr)
+    def test_mistyped_number_names_the_field(self, field, value):
+        kw = {"k": 4.0, "target_error": 0.5, field: value}
+        with pytest.raises(ConfigurationError, match=rf"\b{field} must be"):
+            BoosterConfig(Algorithm.SMOOTH, NEGATIVE_ENTROPY, **{"rounds": 10, **kw})
+
+    @pytest.mark.parametrize("kw, member", [
+        ({"algorithm": Algorithm.SPARSE, "geometry": QUADRATIC, "alpha_mode": "half"},
+         {"alpha_mode": AlphaMode.HALF}),
+        ({"algorithm": Algorithm.MADA, "geometry": NEGATIVE_ENTROPY, "mada_eta": "fixed_point"},
+         {"mada_eta": MadaEta.FIXED_POINT}),
+    ], ids=["alpha-mode", "mada-eta"])
+    def test_name_and_member_train_byte_equal_traces(self, tmp_path, kw, member):
+        from mirrorboost.trace_io import write_trace
+
+        data = gen_noisy(0, 200, 0.1)
+        traces = []
+        for i, config in enumerate((_cfg(rounds=40, **kw), _cfg(rounds=40, **{**kw, **member}))):
+            path = tmp_path / f"{i}.jsonl"
+            write_trace(run(config, data), data.n, str(path))
+            traces.append(path.read_bytes())
+        assert traces[0] == traces[1]
 
 
 class TestMaboost:

@@ -403,8 +403,8 @@ class TestVerify:
         assert main(["verify", trace]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        # a value outside AlphaMode is named by its key; validate names a missing one
-        named = "'alpha_mode'" if alpha_mode in ("bogus", 1) else "requires an alpha mode"
+        # a value outside AlphaMode is named by its field; BoosterConfig names a missing one
+        named = "alpha_mode must be" if alpha_mode in ("bogus", 1) else "requires an alpha mode"
         assert "line 1" in captured.err and named in captured.err
 
     def test_combined_without_subset_a_is_vacuous(self, tmp_path, capsys):
@@ -480,8 +480,9 @@ class TestVerify:
         self._edit(trace, 1, lambda h: json.dumps({k: v for k, v in h.items() if k != key}))
         assert main(["verify", trace]) == 1
         err = capsys.readouterr().err
-        # validate names a missing smooth k in its own words
-        named = "smoothness parameter k must be" if key == "k" else f"'{key}'"
+        # BoosterConfig names a missing smooth k in its own words
+        named = {"k": "smoothness parameter k must be", "geometry": "geometry must be",
+                 "n": "n must be an integer"}[key]
         assert "line 1" in err and named in err
 
     @pytest.mark.parametrize(
@@ -498,7 +499,8 @@ class TestVerify:
         self._edit(trace, 2, lambda rec: json.dumps({**rec, "gamma": "0.5"}))
         assert main(["verify", trace]) == 1
         err = capsys.readouterr().err
-        named = "smoothness parameter k must be" if key == "k" else f"'{key}'"
+        named = {"k": "smoothness parameter k must be", "n_b": "combined checks require n_b",
+                 "geometry": "geometry must be"}[key]
         assert err.startswith("error: line 1:") and named in err
 
     @pytest.mark.parametrize("algorithm", ["boost", None, ["smooth"], {"a": 1}], ids=repr)
@@ -507,7 +509,10 @@ class TestVerify:
         self._edit(trace, 1, lambda h: json.dumps({**h, "algorithm": algorithm}))
         capsys.readouterr()
         assert main(["verify", trace]) == 1
-        assert capsys.readouterr().out == f"FAIL {algorithm}: unknown algorithm in header\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 1: bad header: algorithm must be ")
+        assert captured.err.endswith(f", got {algorithm!r}\n")
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf], ids=repr)
     def test_header_non_finite_k_rejected(self, tmp_path, capsys, k):
@@ -515,7 +520,7 @@ class TestVerify:
         self._edit(trace, 1, lambda h: json.dumps({**h, "k": k}))
         assert main(["verify", trace]) == 1
         err = capsys.readouterr().err
-        assert "line 1" in err and "'k'" in err and "finite" in err
+        assert "line 1" in err and "parameter k" in err and "finite" in err
 
     def test_mada_trace_with_a_huge_gamma_fails(self, tmp_path, capsys):
         trace = tmp_path / "huge.jsonl"
@@ -534,7 +539,8 @@ class TestVerify:
         "k,record,message",
         [
             ("4", '"gamma": 1' + "0" * 400, "line 2: key 'gamma' is missing or not a number"),
-            ("1" + "0" * 400, '"gamma": 0.5', "line 1: header key 'k' must be a finite number"),
+            ("1" + "0" * 400, '"gamma": 0.5',
+             "line 1: bad header: smoothness parameter k must be a finite number"),
             ("4", '"gamma": 1' + "0" * 5000, "line 2: bad record: Exceeds the limit"),
             ("1" + "0" * 5000, '"gamma": 0.5', "line 1: bad header: Exceeds the limit"),
         ],
@@ -545,7 +551,7 @@ class TestVerify:
     ):
         trace = tmp_path / "big.jsonl"
         trace.write_text(
-            f'{{"algorithm": "smooth", "geometry": "entropy", "k": {k}, "schema": 1}}\n'
+            f'{{"algorithm": "smooth", "geometry": "entropy", "k": {k}, "n": 200, "schema": 1}}\n'
             f'{{"t": 1, "train_error": 0.1, {record}}}\n'
         )
         assert main(["verify", str(trace)]) == 1

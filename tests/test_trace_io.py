@@ -2,8 +2,8 @@
 
 Every ``--algo`` configuration the benchmark's ``paper-sweep`` runs is trained
 through the CLI, and its header must read back into the trainer's config and
-checks. A header ``train`` can never write, because ``BoosterConfig.validate``
-refuses its config, is a parse error at line 1 for ``verify``.
+checks. A header ``train`` can never write, because ``BoosterConfig`` or
+``RoundChecks`` refuses it, is a parse error at line 1 for ``verify``.
 """
 
 import importlib.util
@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from mirrorboost.boosting import Algorithm, AlphaMode, BoosterConfig
+from mirrorboost import bounds
+from mirrorboost.boosting import Algorithm, AlphaMode
 from mirrorboost.cli import main
 from mirrorboost.errors import ParseError
 from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC
@@ -35,14 +36,14 @@ def _sweep_configs(monkeypatch):
 def test_header_reads_back_the_config_train_wrote(tmp_path, monkeypatch):
     configs = _sweep_configs(monkeypatch)
     assert len(configs) == 12
-    checks = BoosterConfig.checks
-    built = []  # (config, its checks) of each call
+    built = []  # (config, its checks) of each RoundChecks the trainer builds
 
-    def recording(config, n, n_b=None):
-        built.append((config, checks(config, n, n_b)))
-        return built[-1][1]
+    class Recording(bounds.RoundChecks):
+        def __init__(self, config, n, n_b=None):
+            super().__init__(config, n, n_b)
+            built.append((config, self))
 
-    monkeypatch.setattr(BoosterConfig, "checks", recording)
+    monkeypatch.setattr(bounds, "RoundChecks", Recording)
     for i, (algo, geometry, extra) in enumerate(configs):
         gen = "combined:0:150:50:0.3" if algo == "combined" else "noisy:0:200:0.1"
         trace = str(tmp_path / f"{i}.jsonl")
@@ -51,25 +52,25 @@ def test_header_reads_back_the_config_train_wrote(tmp_path, monkeypatch):
         built.clear()
         assert main(argv) == 0, argv
         [(trained, trainer_checks)] = built
-        config, n, n_b = read_header(read_trace(trace).header)
+        config, read_back = read_header(read_trace(trace).header)
         fields = ("algorithm", "geometry", "k", "alpha_mode", "target_error")
         assert [getattr(config, f) for f in fields] == [getattr(trained, f) for f in fields], argv
         assert config.target_error == (1.0 / config.k if algo == "smooth" else 0.0)
-        read_back = checks(config, n, n_b)
         assert read_back.families == trainer_checks.families, argv
         assert read_back.keys == trainer_checks.keys, argv
 
 
 def test_header_gives_n_and_n_b_where_the_checks_read_them():
     header = {"algorithm": "combined", "geometry": "entropy", "k": 8, "n": 200, "n_b": 50}
-    config, n, n_b = read_header(header)
-    assert (config.algorithm, config.geometry, config.k, n, n_b) == (
-        Algorithm.COMBINED, NEGATIVE_ENTROPY, 8, 200, 50)
-    config, n, n_b = read_header({"algorithm": "sparse", "geometry": "quadratic",
+    config, checks = read_header(header)
+    assert (config.algorithm, config.geometry, config.k, checks.n, checks.n_a) == (
+        Algorithm.COMBINED, NEGATIVE_ENTROPY, 8, 200, 150)
+    config, checks = read_header({"algorithm": "sparse", "geometry": "quadratic",
                                   "alpha_mode": "half", "n": 7})
-    assert (config.alpha_mode, config.geometry, n, n_b) == (AlphaMode.HALF, QUADRATIC, 7, None)
-    assert read_header({"algorithm": "maboost-lazy", "geometry": "entropy", "n": 9})[1:] == (
-        None, None)
+    assert (config.alpha_mode, config.geometry, checks.n, checks.n_a) == (
+        AlphaMode.HALF, QUADRATIC, 7, None)
+    _, checks = read_header({"algorithm": "maboost-lazy", "geometry": "entropy", "n": 9})
+    assert (checks.n, checks.n_a) == (9, None)
 
 
 @pytest.mark.parametrize("key, header", [
@@ -78,7 +79,7 @@ def test_header_gives_n_and_n_b_where_the_checks_read_them():
     ("alpha_mode", {"algorithm": "sparse", "geometry": "quadratic", "alpha_mode": "quarter"}),
 ])
 def test_name_outside_its_enum_is_a_parse_error_naming_the_key(key, header):
-    with pytest.raises(ParseError, match=f"^line 1: header key '{key}' must be ") as caught:
+    with pytest.raises(ParseError, match=f"^line 1: bad header: {key} must be ") as caught:
         read_header({"n": 10, **header})
     assert caught.value.line == 1
 
@@ -115,3 +116,25 @@ def test_header_train_cannot_write_exits_one(tmp_path, capsys, header, records):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize("header, named", [
+    ({"algorithm": "maboost-active", "geometry": "entropy", "n": "x", "n_b": -4},
+     "n must be an integer"),
+    ({"algorithm": "maboost-active", "geometry": "entropy", "n": 200, "n_b": 50},
+     "n_b is for combined, not maboost-active"),
+    ({"algorithm": "smooth", "geometry": "quadratic", "k": 4, "n": 200, "n_b": 0},
+     "n_b is for combined, not smooth"),
+    ({"algorithm": "maboost-lazy", "geometry": "entropy"}, "n must be an integer"),
+    ({"algorithm": "combined", "geometry": "entropy", "k": 8, "n": 200},
+     "combined checks require n_b"),
+], ids=["n-not-a-count", "n_b-on-active", "n_b-on-smooth", "no-n", "combined-no-n_b"])
+@pytest.mark.parametrize("records", [[_RECORD], []], ids=["one-round", "empty"])
+def test_header_counts_are_checked(tmp_path, capsys, header, named, records):
+    path = tmp_path / "trace.jsonl"
+    lines = [json.dumps({"schema": 1, **header}), *map(json.dumps, records), ""]
+    path.write_text("\n".join(lines))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: ") and named in captured.err
