@@ -61,7 +61,7 @@ def _recheck_runs(*configs: BoosterConfig) -> tuple[list[str], float, list[Boost
         mode = f"{config.alpha_mode.value}-mode " if config.alpha_mode else ""
         for label, data in datasets:
             result = run(config, data)
-            checks = bounds.RoundChecks(config, data.n)
+            checks = bounds.RoundChecks(result.config, result.n, result.n_b)
             for rec, bound, held in checks.replay(map(vars, result.traces),
                                                   float(result.weights.sum())):
                 broken += [f"{mode}{family} broken at round {rec['t']} on {label}"

@@ -77,14 +77,18 @@ class BoosterConfig:
     target_error: float | None = None    # None: 1/k for smooth, else 0
     k: float | None = None               # smoothness parameter (smooth / combined)
     alpha_mode: AlphaMode | None = None  # sparse only
-    mada_eta: MadaEta = MadaEta.PREVIOUS_ERROR
+    mada_eta: MadaEta | None = None      # mada only; None: the previous-error step
 
     def __post_init__(self):
         self._convert("algorithm", Algorithm)
         self._convert("geometry", Geometry)
-        if self.alpha_mode is not None:
-            self._convert("alpha_mode", AlphaMode)
-        self._convert("mada_eta", MadaEta)
+        for name, kind, owner in (("alpha_mode", AlphaMode, Algorithm.SPARSE),
+                                  ("mada_eta", MadaEta, Algorithm.MADA)):
+            if getattr(self, name) is not None:
+                self._convert(name, kind)
+                if self.algorithm is not owner:
+                    raise ConfigurationError(
+                        f"{name} is for {owner.value}, not {self.algorithm.value}")
         if type(self.rounds) is not int or self.rounds < 1:
             raise ConfigurationError(f"rounds must be an integer >= 1, got {self.rounds!r}")
         # k first: the default smooth target is 1/k, out of range for k < 1
@@ -96,8 +100,6 @@ class BoosterConfig:
                 raise ConfigurationError("smoothness parameter k must be >= 1")
         elif self.k is not None:
             raise ConfigurationError(f"k is for smooth and combined, not {self.algorithm.value}")
-        if self.alpha_mode is not None and self.algorithm is not Algorithm.SPARSE:
-            raise ConfigurationError(f"alpha_mode is for sparse, not {self.algorithm.value}")
         if self.target_error is None:
             smooth = self.algorithm is Algorithm.SMOOTH
             object.__setattr__(self, "target_error", 1.0 / self.k if smooth else 0.0)
@@ -138,8 +140,9 @@ class RoundTrace:
 
 @dataclass
 class BoostResult:
-    algorithm: Algorithm
-    geometry: Geometry
+    config: BoosterConfig
+    n: int
+    n_b: int | None = None  # the samples in subset B (combined only)
     hypotheses: list[tuple[Stump, float]] = field(default_factory=list)
     weights: np.ndarray | None = None
     traces: list[RoundTrace] = field(default_factory=list)
@@ -176,8 +179,8 @@ def predict(hypotheses: list[tuple[Stump, float]], features) -> np.ndarray:
 
 
 def _error(score: np.ndarray, labels: np.ndarray) -> float:
-    """The share of ±1 labels that sign(score), with sign(0) = +1, gets wrong."""
-    return int(np.count_nonzero((score >= 0) != (labels > 0))) / len(labels)
+    """The share of ±1 labels that sign(score), with sign(0) = +1, gets wrong; 0 of none."""
+    return int(np.count_nonzero((score >= 0) != (labels > 0))) / max(len(labels), 1)
 
 
 def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
@@ -194,11 +197,9 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
     if dataset.features.flags.writeable:
         raise UsageError("the dataset's features were made writeable after construction")
     policy = _POLICIES.get(config.algorithm, _Projected)(config, dataset)
-    # the combined policy has refused a dataset without subset flags
-    n_b = int(dataset.subset_flags.sum()) if config.algorithm is Algorithm.COMBINED else None
-    checks = bounds.RoundChecks(config, dataset.n, n_b)
+    checks = bounds.RoundChecks(config, dataset.n, policy.n_b)
     features, labels = dataset.features, dataset.labels
-    result = BoostResult(algorithm=config.algorithm, geometry=config.geometry)
+    result = BoostResult(config, dataset.n, policy.n_b)
     score = np.zeros(dataset.n)
     index = dataset.stump_index  # sorted on the dataset's first run
     scratch = index.scratch()
@@ -255,6 +256,7 @@ class _Policy:
 
     def __init__(self, config: BoosterConfig, dataset: Dataset):
         self.config = config
+        self.n_b = None  # the samples in subset B, counted by the combined policy
         self.labels = dataset.labels
         self.n = dataset.n
         self.w = np.full(self.n, 1.0 / self.n)
@@ -293,7 +295,7 @@ class _Projected(_Policy):
                 raise ConfigurationError("combined boosting requires subset flags")
             self.in_b = dataset.subset_flags
             self.in_a = ~self.in_b
-            self.n_a = int(self.in_a.sum())
+            self.n_b = int(self.in_b.sum())
             self.caps = np.where(self.in_b, config.k / n, np.inf)
         self.lazy = algo is Algorithm.MABOOST_LAZY
         if self.lazy:
@@ -322,10 +324,8 @@ class _Projected(_Policy):
             trace.margin = float(np.min(self.labels * score) / self.sum_eta)
         elif self.algo is Algorithm.COMBINED:
             labels = self.labels
-            trace.eps_a = _error(score[self.in_a], labels[self.in_a]) if self.n_a else 0.0
-            trace.eps_b = (
-                _error(score[self.in_b], labels[self.in_b]) if self.n_a < self.n else 0.0
-            )
+            trace.eps_a = _error(score[self.in_a], labels[self.in_a])
+            trace.eps_b = _error(score[self.in_b], labels[self.in_b])
         return trace
 
     def stop(self, trace) -> str | None:
@@ -419,7 +419,8 @@ _POLICIES = {Algorithm.SPARSE: _Sparse, Algorithm.MADA: _Mada}
 @opens_file("write", 1)
 def save_model(result: BoostResult, path: str) -> None:
     """Plain-text model: a header line, then one stump per line."""
-    lines = [f"# algorithm={result.algorithm.value} geometry={result.geometry.value}\n"]
+    config = result.config
+    lines = [f"# algorithm={config.algorithm.value} geometry={config.geometry.value}\n"]
     lines += [f"{h.feature} {h.threshold!r} {h.polarity} {eta!r}\n" for h, eta in result.hypotheses]
     write_over(path, "".join(lines))
 

@@ -76,9 +76,7 @@ def cmd_train(args) -> int:
     dataset = _load_dataset(args)
     result = run(config, dataset)
     if args.trace:
-        # run has rejected a combined dataset without subset flags
-        n_b = int(dataset.subset_flags.sum()) if config.algorithm is Algorithm.COMBINED else None
-        write_trace(result, dataset.n, args.trace, k=args.k, alpha_mode=args.alpha_mode, n_b=n_b)
+        write_trace(result, dataset.n, args.trace)
     if args.model:
         save_model(result, args.model)
     final = result.traces[-1]  # round 1 is always recorded: a zero edge there raises
@@ -176,11 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--target-eps", type=float, default=None)
     train.add_argument("--k", type=float, default=None)
     train.add_argument("--alpha-mode", choices=[m.value for m in AlphaMode])
-    train.add_argument(
-        "--mada-eta",
-        choices=[m.value for m in MadaEta],
-        default=MadaEta.PREVIOUS_ERROR.value,
-    )
+    train.add_argument("--mada-eta", choices=[m.value for m in MadaEta])
     train.add_argument("--trace")
     train.add_argument("--model")
     train.set_defaults(func=cmd_train)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .boosting import EDGE_TOL, BoosterConfig, BoostResult, RoundTrace, is_number
 from .bounds import RoundChecks
-from .errors import ConfigurationError, ParseError, opens_file, write_over
+from .errors import ConfigurationError, ParseError, UsageError, opens_file, write_over
 
 SCHEMA_VERSION = 1
 _ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds
@@ -32,11 +32,15 @@ class TraceFile:
 
 
 @opens_file("write", 2)
-def write_trace(result: BoostResult, n: int, path: str, k: float | None = None,
-                alpha_mode: str | None = None, n_b: int | None = None) -> None:
-    header = {"schema": SCHEMA_VERSION, "algorithm": result.algorithm.value,
-              "geometry": result.geometry.value, "n": n, "k": k, "alpha_mode": alpha_mode,
-              "n_b": n_b}
+def write_trace(result: BoostResult, n: int, path: str, k: float | None = None) -> None:
+    """Write the run's header (its config, n and n_b), then a record per round. ``n`` and ``k``
+    (None: not given) must match the run, else ``UsageError``; both go once perfbench drops them."""
+    config = result.config
+    if n != result.n or k not in (None, config.k):
+        raise UsageError(f"the run has n={result.n} and k={config.k!r}, not n={n!r} and k={k!r}")
+    header = {"schema": SCHEMA_VERSION, "algorithm": config.algorithm.value,
+              "geometry": config.geometry.value, "n": result.n, "k": config.k,
+              "alpha_mode": config.alpha_mode and config.alpha_mode.value, "n_b": result.n_b}
     header = {key: value for key, value in header.items() if value is not None}
     encode = _ENCODER.encode
     lines = [encode(header), *(encode(_record(tr)) for tr in result.traces), ""]

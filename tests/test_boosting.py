@@ -170,6 +170,18 @@ class TestConfigValidation:
             _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=k, target_error=0.5,
                  alpha_mode=AlphaMode.HALF)
 
+    @pytest.mark.parametrize(
+        "algorithm", [a for a in Algorithm if a is not Algorithm.MADA], ids=lambda a: a.value
+    )
+    @pytest.mark.parametrize("eta", list(MadaEta), ids=lambda e: e.value)
+    def test_mada_eta_rejected_where_unused(self, algorithm, eta):
+        k = 4.0 if algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED) else None
+        geometry = boosting.FORCED_GEOMETRY.get(algorithm, NEGATIVE_ENTROPY)
+        mode = AlphaMode.ZERO if algorithm is Algorithm.SPARSE else None
+        message = f"^mada_eta is for mada, not {algorithm.value}$"
+        with pytest.raises(ConfigurationError, match=message):
+            _cfg(algorithm, geometry, 10, k=k, alpha_mode=mode, mada_eta=eta)
+
     @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
     def test_default_target_is_one_over_k_for_smooth_else_zero(self, algorithm):
         k = 4.0 if algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED) else None
@@ -232,7 +244,9 @@ class TestConfigValidation:
          {"alpha_mode": AlphaMode.HALF}),
         ({"algorithm": Algorithm.MADA, "geometry": NEGATIVE_ENTROPY, "mada_eta": "fixed_point"},
          {"mada_eta": MadaEta.FIXED_POINT}),
-    ], ids=["alpha-mode", "mada-eta"])
+        ({"algorithm": Algorithm.MADA, "geometry": NEGATIVE_ENTROPY},
+         {"mada_eta": MadaEta.PREVIOUS_ERROR}),
+    ], ids=["alpha-mode", "mada-eta", "mada-eta-default"])
     def test_name_and_member_train_byte_equal_traces(self, tmp_path, kw, member):
         from mirrorboost.trace_io import write_trace
 

@@ -109,6 +109,9 @@ class TestTrain:
         [
             (("--algo", "maboost-active", "--k", "0.5"), "k"),
             (("--algo", "mada", "--alpha-mode", "half"), "alpha_mode"),
+            (("--algo", "maboost-active", "--mada-eta", "fixed_point"), "mada_eta"),
+            (("--algo", "sparse", "--alpha-mode", "zero", "--mada-eta", "previous_error"),
+             "mada_eta"),
         ],
     )
     def test_option_the_algorithm_ignores_exits_one(self, tmp_path, capsys, extra, option):
@@ -867,6 +870,7 @@ _ODD_OPTIONS = [
     ("--k", ["0.5", "nan", "inf", "1e308", "-1"]),
     ("--target-eps", ["0", "0.1", "1", "2", "nan", "-0.5"]),
     ("--alpha-mode", ["zero", "half"]),
+    ("--mada-eta", ["previous_error", "fixed_point"]),
     ("--label-column", ["label", "f0", "nope"]),
     ("--subset-column", ["subset", "label", "f0", "nope"]),
     ("--rounds", ["0", "-3", "x"]),

@@ -2,23 +2,28 @@
 
 Every ``--algo`` configuration the benchmark's ``paper-sweep`` runs is trained
 through the CLI, and its header must read back into the trainer's config and
-checks. A header ``train`` can never write, because ``BoosterConfig`` or
-``RoundChecks`` refuses it, is a parse error at line 1 for ``verify``.
+checks, and ``write_trace`` on the library's run of the same configuration must
+write the same bytes. A header ``train`` can never write, because
+``BoosterConfig`` or ``RoundChecks`` refuses it, is a parse error at line 1 for
+``verify``.
 """
 
 import importlib.util
+import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
 from mirrorboost import bounds
-from mirrorboost.boosting import Algorithm, AlphaMode
+from mirrorboost.boosting import FORCED_GEOMETRY, Algorithm, AlphaMode, BoosterConfig, run
 from mirrorboost.cli import main
-from mirrorboost.errors import ParseError
+from mirrorboost.data import gen_combined, gen_noisy
+from mirrorboost.errors import ParseError, UsageError
 from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC
-from mirrorboost.trace_io import read_header, read_trace
+from mirrorboost.trace_io import read_header, read_trace, verify_trace, write_trace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,6 +63,70 @@ def test_header_reads_back_the_config_train_wrote(tmp_path, monkeypatch):
         assert config.target_error == (1.0 / config.k if algo == "smooth" else 0.0)
         assert read_back.families == trainer_checks.families, argv
         assert read_back.keys == trainer_checks.keys, argv
+
+
+# the BoosterConfig field each paper-sweep flag sets, and its type
+_FLAG_FIELDS = {"--k": ("k", float), "--alpha-mode": ("alpha_mode", str),
+                "--mada-eta": ("mada_eta", str)}
+
+
+def test_library_run_writes_the_trace_train_writes(tmp_path, monkeypatch, capsys):
+    for i, (algo, geometry, extra) in enumerate(_sweep_configs(monkeypatch)):
+        combined = algo == "combined"
+        gen = "combined:0:150:50:0.3" if combined else "noisy:0:200:0.1"
+        cli_trace, lib_trace = tmp_path / f"{i}-cli.jsonl", tmp_path / f"{i}-lib.jsonl"
+        argv = ["train", "--algo", algo, "--gen", gen, "--rounds", "100",
+                "--trace", str(cli_trace), *(["--geometry", geometry] if geometry else []),
+                *extra]
+        assert main(argv) == 0, argv
+        kw = {_FLAG_FIELDS[flag][0]: _FLAG_FIELDS[flag][1](value)
+              for flag, value in zip(extra[::2], extra[1::2])}
+        config = BoosterConfig(algo, geometry or FORCED_GEOMETRY[Algorithm(algo)], 100, **kw)
+        data = gen_combined(0, 150, 50, 0.3) if combined else gen_noisy(0, 200, 0.1)
+        write_trace(run(config, data), data.n, str(lib_trace))
+        assert lib_trace.read_bytes() == cli_trace.read_bytes(), argv
+
+
+@pytest.mark.parametrize("config, data", [
+    (BoosterConfig(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 60, k=20.0), gen_noisy(0, 200, 0.1)),
+    (BoosterConfig(Algorithm.SPARSE, QUADRATIC, 60, alpha_mode=AlphaMode.HALF),
+     gen_noisy(0, 200, 0.1)),
+    (BoosterConfig(Algorithm.COMBINED, NEGATIVE_ENTROPY, 60, k=8.0),
+     gen_combined(0, 150, 50, 0.3)),
+], ids=["smooth", "sparse-half", "combined"])
+def test_header_written_without_keywords_is_the_runs(tmp_path, config, data):
+    path = tmp_path / "trace.jsonl"
+    result = run(config, data)
+    write_trace(result, data.n, str(path))
+    trace = read_trace(str(path))
+    read_back, checks = read_header(trace.header)
+    fields = ("algorithm", "geometry", "k", "alpha_mode")
+    assert [getattr(read_back, f) for f in fields] == [getattr(config, f) for f in fields]
+    assert (trace.header["n"], trace.header.get("n_b")) == (result.n, result.n_b) == (
+        200, 50 if config.algorithm is Algorithm.COMBINED else None)
+    assert checks.half == (config.alpha_mode is AlphaMode.HALF)
+    reports = verify_trace(trace)
+    assert reports and all(r.passed for r in reports), [r.line() for r in reports]
+
+
+def test_write_trace_takes_no_header_keyword_but_k():
+    # alpha_mode and n_b come from the result alone, so a wrong one cannot be written
+    assert list(inspect.signature(write_trace).parameters) == ["result", "n", "path", "k"]
+
+
+@pytest.mark.parametrize("config, n, k", [
+    (BoosterConfig(Algorithm.SPARSE, QUADRATIC, 5, alpha_mode="half"), 999, None),
+    (BoosterConfig(Algorithm.SPARSE, QUADRATIC, 5, alpha_mode="half"), 200.5, None),
+    (BoosterConfig(Algorithm.SMOOTH, QUADRATIC, 5, k=20.0), 200, 4.0),
+    (BoosterConfig(Algorithm.SMOOTH, QUADRATIC, 5, k=20.0), 200, math.nan),
+    (BoosterConfig(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 5), 200, 20.0),
+], ids=["n", "fractional-n", "k", "nan-k", "k-off-smooth"])
+def test_n_or_k_the_run_does_not_have_is_a_usage_error(tmp_path, config, n, k):
+    path = tmp_path / "trace.jsonl"
+    result = run(config, gen_noisy(0, 200, 0.1))
+    with pytest.raises(UsageError, match=r"^the run has n=200 and k="):
+        write_trace(result, n, str(path), k=k)
+    assert not path.exists()
 
 
 def test_header_gives_n_and_n_b_where_the_checks_read_them():

@@ -4,7 +4,8 @@ Both now build a file's text first and write it once; the bytes must be
 those of one ``json.dumps(..., sort_keys=True)`` (trace) or f-string (model)
 write per line, whatever the values: None, NaN, inf and np.float64 included.
 The trace reference also keeps the header and record keys written out one by
-one, as they were before ``write_trace`` took them from ``RoundTrace``'s fields.
+one, as they were before ``write_trace`` took them from ``RoundTrace``'s fields;
+it is handed the header values that ``write_trace`` reads from the result.
 """
 
 import json
@@ -14,7 +15,16 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mirrorboost.boosting import Algorithm, BoostResult, RoundTrace, save_model
+from mirrorboost.boosting import (
+    FORCED_GEOMETRY,
+    Algorithm,
+    AlphaMode,
+    BoosterConfig,
+    BoostResult,
+    MadaEta,
+    RoundTrace,
+    save_model,
+)
 from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC
 from mirrorboost.stumps import Stump
 from mirrorboost.trace_io import SCHEMA_VERSION, write_trace
@@ -50,8 +60,8 @@ def _write_trace_reference(result, n, path, k=None, alpha_mode=None, n_b=None):
     """The writer before it built the file's text: one json.dumps and write per line."""
     header = {
         "schema": SCHEMA_VERSION,
-        "algorithm": result.algorithm.value,
-        "geometry": result.geometry.value,
+        "algorithm": result.config.algorithm.value,
+        "geometry": result.config.geometry.value,
         "n": n,
     }
     if k is not None:
@@ -70,10 +80,31 @@ def _save_model_reference(result, path):
     """The model writer before it built the file's text: one write per line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
-            f"# algorithm={result.algorithm.value} geometry={result.geometry.value}\n"
+            f"# algorithm={result.config.algorithm.value} "
+            f"geometry={result.config.geometry.value}\n"
         )
         for h, eta in result.hypotheses:
             fh.write(f"{h.feature} {h.threshold!r} {h.polarity} {eta!r}\n")
+
+
+@st.composite
+def _configs(draw):
+    """A valid config: the fields each algorithm reads, drawn, and no others."""
+    algorithm = draw(st.sampled_from(list(Algorithm)))
+    geometry = FORCED_GEOMETRY.get(algorithm) or draw(
+        st.sampled_from([NEGATIVE_ENTROPY, QUADRATIC]))
+    kw = {}
+    if algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED):
+        kw["k"] = draw(st.one_of(
+            st.floats(min_value=1.0, allow_infinity=False),
+            st.floats(min_value=1.0, max_value=1e300).map(np.float64),
+            st.integers(1, 2**53),
+        ))
+    if algorithm is Algorithm.SPARSE:
+        kw["alpha_mode"] = draw(st.sampled_from(list(AlphaMode)))
+    if algorithm is Algorithm.MADA:
+        kw["mada_eta"] = draw(st.sampled_from([None, *MadaEta]))
+    return BoosterConfig(algorithm, geometry, draw(st.integers(1, 10**6)), **kw)
 
 
 @st.composite
@@ -91,9 +122,10 @@ def _results(draw):
         ),
         max_size=6,
     ))
-    algorithm = draw(st.sampled_from(list(Algorithm)))
-    geometry = draw(st.sampled_from([NEGATIVE_ENTROPY, QUADRATIC]))
-    return BoostResult(algorithm, geometry, hypotheses=hypotheses, traces=traces)
+    config = draw(_configs())
+    n = draw(st.integers(1, 10**6))
+    n_b = draw(st.integers(0, n)) if config.algorithm is Algorithm.COMBINED else None
+    return BoostResult(config, n, n_b, hypotheses=hypotheses, traces=traces)
 
 
 _settings = settings(
@@ -102,17 +134,14 @@ _settings = settings(
 
 
 @_settings
-@given(
-    _results(),
-    st.integers(1, 10**6),
-    _optional,
-    st.sampled_from([None, "zero", "half"]),
-    st.one_of(st.none(), st.integers(0, 10**6)),
-)
-def test_write_trace_writes_the_per_line_bytes(tmp_path, result, n, k, alpha_mode, n_b):
+@given(_results(), st.booleans())
+def test_write_trace_writes_the_per_line_bytes(tmp_path, result, restate_k):
     got, expected = tmp_path / "got.jsonl", tmp_path / "expected.jsonl"
-    write_trace(result, n, str(got), k=k, alpha_mode=alpha_mode, n_b=n_b)
-    _write_trace_reference(result, n, str(expected), k=k, alpha_mode=alpha_mode, n_b=n_b)
+    config = result.config
+    write_trace(result, result.n, str(got), k=config.k if restate_k else None)
+    alpha_mode = config.alpha_mode.value if config.alpha_mode else None
+    _write_trace_reference(result, result.n, str(expected), k=config.k, alpha_mode=alpha_mode,
+                           n_b=result.n_b)
     assert got.read_bytes() == expected.read_bytes()
 
 
@@ -128,11 +157,12 @@ def test_save_model_writes_the_per_line_bytes(tmp_path, result):
 def _short_and_long_results():
     stump = Stump(0, 0.5, 1)
     long = BoostResult(
-        Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, hypotheses=[(stump, 0.25)] * 40,
+        BoosterConfig(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 40), 200,
+        hypotheses=[(stump, 0.25)] * 40,
         traces=[RoundTrace(t, 0.5, 0.25, 0.1, 0.9, 0.01, 200) for t in range(1, 41)],
     )
     short = BoostResult(
-        Algorithm.SMOOTH, QUADRATIC, hypotheses=[(stump, 0.5)],
+        BoosterConfig(Algorithm.SMOOTH, QUADRATIC, 1, k=20.0), 100, hypotheses=[(stump, 0.5)],
         traces=[RoundTrace(1, 0.5, 0.5, 0.2, None, 0.05, 100)],
     )
     return long, short
