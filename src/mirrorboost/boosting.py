@@ -30,7 +30,7 @@ from .errors import (
 )
 from .geometry import NEGATIVE_ENTROPY, QUADRATIC, Geometry
 from .projection import project_mixed, project_orthant_l1, project_simplex
-from .stumps import Stump, edge, loss_vector, sign_pm, train_stump
+from .stumps import Stump, above, edge, loss_vector, sign_pm, train_stump
 
 EDGE_TOL = 1e-12
 
@@ -149,11 +149,35 @@ class BoostResult:
     status: str = "max_rounds"
 
 
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _hypothesis_fault(h: Stump, eta, d: int | None = None) -> str | None:
+    """Why ``(h, eta)`` cannot vote on data with d columns (any count when d is
+    None), or None: the feature must be an integer, not a bool, in [0, d), the
+    polarity ±1, the threshold a number but not NaN (the ±inf sentinels vote
+    constantly) and eta a finite number."""
+    f, p, t = h.feature, h.polarity, h.threshold
+    if type(f) is bool or not isinstance(f, _INTEGERS) or f < 0 or d is not None and f >= d:
+        where = ">= 0" if d is None else f"in [0, {d}), one of the data's {d} columns"
+        return f"feature {f!r} is not an integer {where}"
+    if not isinstance(p, _REALS) or p not in (-1, 1):
+        return f"polarity {p!r} is not ±1"
+    if not isinstance(t, _REALS) or math.isnan(t):
+        return f"threshold {t!r} is not a number"
+    if not isinstance(eta, _REALS) or not math.isfinite(eta):
+        return f"eta {eta!r} is not finite"
+    return None
+
+
 def predict(hypotheses: list[tuple[Stump, float]], features) -> np.ndarray:
     """Sign of the weighted vote over all stored hypotheses; sign(0) = +1.
 
     The features must be a numeric (n, d) matrix, finite in every column a
-    stump reads.
+    stump reads, and each hypothesis well formed (``UsageError`` naming the
+    first one that is not). Each column read is copied once, contiguous, and
+    the votes are added stump by stump, in the ensemble's order.
     """
     if not hypotheses:
         raise UsageError("cannot predict with an empty ensemble")
@@ -164,17 +188,20 @@ def predict(hypotheses: list[tuple[Stump, float]], features) -> np.ndarray:
     if features.ndim != 2:
         raise UsageError(f"features must be a 2-D (n, d) matrix, got {features.ndim} dimensions")
     d = features.shape[1]
-    if any(h.feature >= d for h, _ in hypotheses):
-        raise UsageError(f"the ensemble reads a feature beyond the data's {d} columns")
+    for i, (h, eta) in enumerate(hypotheses):
+        fault = _hypothesis_fault(h, eta, d)
+        if fault is not None:
+            raise UsageError(f"hypotheses[{i}]: {fault}")
     score = np.zeros(features.shape[0])
-    checked = set()
+    columns: dict[int, np.ndarray] = {}
     for h, eta in hypotheses:
-        score += eta * h.predict(features)
-        # each column the stumps read, once, while the vote has it in cache
-        if h.feature not in checked:
-            checked.add(h.feature)
-            if not np.isfinite(features[:, h.feature]).all():
+        column = columns.get(h.feature)
+        if column is None:
+            column = columns[h.feature] = np.ascontiguousarray(features[:, h.feature])
+            if not np.isfinite(column).all():
                 raise UsageError(f"feature {h.feature} contains NaN or Inf")
+        vote = eta * h.polarity  # exactly ±eta, as eta * h.predict votes
+        score += np.where(above(column, h.threshold), vote, -vote)
     return sign_pm(score)
 
 
@@ -449,10 +476,8 @@ def load_model(path: str) -> tuple[str, str, list[tuple[Stump, float]]]:
                 raise ParseError(
                     f"expected 'feature threshold polarity eta', got {line.strip()!r}", lineno
                 ) from None
-            # a threshold may be a -inf or +inf sentinel, never NaN
-            bad = h.feature < 0 or h.polarity not in (-1, 1) or math.isnan(h.threshold)
-            if bad or not math.isfinite(eta):
-                raise ParseError("expected feature >= 0, a threshold, polarity ±1 and a finite "
-                                 f"eta, got {line.strip()!r}", lineno)
+            fault = _hypothesis_fault(h, eta)
+            if fault is not None:
+                raise ParseError(f"{fault} in {line.strip()!r}", lineno)
             hypotheses.append((h, eta))
     return algorithm, geometry, hypotheses

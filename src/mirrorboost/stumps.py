@@ -30,6 +30,17 @@ def sign_pm(v) -> np.ndarray:
     return np.where(np.asarray(v) >= 0, 1.0, -1.0)
 
 
+def above(column: np.ndarray, threshold: float) -> np.ndarray:
+    """Where a stump at ``threshold`` votes its polarity: ``column - threshold >= 0``
+    as one comparison, with no difference array.
+
+    The two agree bit for bit: a float difference is 0 only between equal
+    values, and ``±inf - ±inf`` is NaN, so an infinite threshold needs ``>``.
+    A NaN on either side is never above.
+    """
+    return column > threshold if math.isinf(threshold) else column >= threshold
+
+
 @dataclass(frozen=True)
 class Stump:
     feature: int
@@ -39,7 +50,7 @@ class Stump:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Evaluate the stump on an (n, d) feature matrix; outputs in {-1, +1}."""
         p = float(self.polarity)
-        return np.where(features[:, self.feature] - self.threshold >= 0, p, -p)
+        return np.where(above(features[:, self.feature], self.threshold), p, -p)
 
 
 def loss_vector(features: np.ndarray, labels: np.ndarray, h: Stump) -> np.ndarray:
@@ -156,6 +167,9 @@ def train_stump(
     total = float(wa.sum())
     if not math.isfinite(total):
         raise UsageError("weights and labels must be finite")
+    # the prefix sums are gathered from -2 * wa: doubling is exact, so they are
+    # -2 times wa's prefix sums bit for bit (for sums below 2**1023)
+    wa *= -2.0
 
     # the -inf split (every sample above it) is the same constant vote for
     # every feature, so it is scored once, as feature 0's first candidate
@@ -173,8 +187,7 @@ def train_stump(
             order = index._order[j // 2]
             np.take(wa, order, out=sums, mode="clip")  # mode "raise" copies out
             np.cumsum(pair_sums, out=pair_sums)
-            sums *= -2.0  # in place; the same bits as total - 2.0 * sums
-            sums += total
+            sums += total  # the same bits as total - 2.0 * (prefix sums of wa)
         # split k: the samples up to sorted position ends[k] (k without ties)
         # are predicted -1, so its correlation is total - 2 * their weight
         corr = sums[:, s]

@@ -1,6 +1,8 @@
 """Booster behavior: schedules, bounds, reductions between variants."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -584,6 +586,74 @@ def test_error_is_the_share_the_sign_vote_gets_wrong(pairs):
     assert got == float(np.mean(sign_pm(score) != labels))
 
 
+def _predict_reference(hypotheses, features):
+    """The vote as it was summed before each column was read once: every
+    stump's ±1 vote from its difference test, times eta, in ensemble order."""
+    score = np.zeros(len(features))
+    for h, eta in hypotheses:
+        score += eta * h.polarity * sign_pm(features[:, h.feature] - h.threshold)
+    return sign_pm(score)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _ensembles(draw):
+    """A finite (n, d) matrix of few distinct values, and stumps that repeat
+    its columns, sit on its values, on ±inf or on ±0.0, with any finite eta."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    value = st.one_of(_finite, st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]))
+    x = np.array(draw(st.lists(value, min_size=n * d, max_size=n * d))).reshape(n, d)
+    hypotheses = []
+    for _ in range(draw(st.integers(1, 10))):
+        feature = draw(st.integers(0, d - 1))
+        threshold = draw(st.one_of(
+            st.sampled_from([float(v) for v in x[:, feature]]),
+            st.sampled_from([np.inf, -np.inf, 0.0, -0.0]),
+            value,
+        ))
+        eta = draw(st.one_of(_finite, st.sampled_from([0.0, -0.0, -0.5, 0.5])))
+        hypotheses.append((Stump(feature, threshold, draw(st.sampled_from([-1, 1]))), eta))
+    return hypotheses, x
+
+
+@given(_ensembles())
+@example((
+    [(Stump(0, 0.0, 1), 0.5), (Stump(0, -np.inf, -1), 0.25), (Stump(1, np.inf, 1), -0.0),
+     (Stump(0, -0.0, -1), 0.25), (Stump(1, 2.0, 1), 0.0)],
+    np.array([[-0.0, 2.0], [0.0, 1.0], [-1.0, 3.0]]),
+))
+@settings(max_examples=300, deadline=None)
+def test_predict_gives_the_labels_of_the_difference_test_vote(ensemble):
+    hypotheses, x = ensemble
+    with np.errstate(over="ignore", invalid="ignore"):  # huge etas overflow either way
+        expected = _predict_reference(hypotheses, x)
+        got = predict(hypotheses, x)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_predict_holds_each_column_it_reads_once():
+    rng = np.random.default_rng(9)
+    n = 100_000
+    x = rng.normal(size=(n, 2))
+    hypotheses = [
+        (Stump(j % 2, float(t), 1 if j % 3 else -1), 0.1 * (j + 1))
+        for j, t in enumerate(rng.normal(size=8))
+    ]
+    expected = _predict_reference(hypotheses, x)
+    tracemalloc.start()
+    try:
+        got = predict(hypotheses, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == expected.tobytes()
+    # the 2 column copies, the score, one vote and its mask or the labels
+    assert peak <= (2 + 3) * 8 * n
+
+
 class TestEnsemble:
     def test_predict_single_stump(self):
         x = np.array([[-1.0], [1.0]])
@@ -633,11 +703,12 @@ class TestEnsemble:
         with pytest.raises(ParseError, match="line 1"):
             load_model(str(path))
 
-    # the last five parse as numbers: polarity 2, feature -1 (which would read
-    # the last column), a NaN threshold and non-finite etas
+    # the last six parse as numbers: polarity 2, feature -1 (which would read
+    # the last column), a NaN threshold, non-finite etas and polarity 0
     @pytest.mark.parametrize("line", [
         "0 abc 1 0.5", "0 0.0 1", "0 0.0 1 0.5 7",
         "0 0.5 2 1.0", "-1 0.5 1 1.0", "0 nan 1 1.0", "0 0.5 1 nan", "0 0.5 1 inf",
+        "0 0.5 0 1.0",
     ])
     def test_model_malformed_line_rejected(self, tmp_path, line):
         path = tmp_path / "bad.txt"
@@ -693,6 +764,32 @@ class TestEnsemble:
     def test_predict_refuses_a_list_that_is_not_a_numeric_matrix(self, features):
         with pytest.raises(UsageError, match="numeric"):
             predict([(Stump(0, 0.0, 1), 1.0)], features)
+
+    def test_predict_names_the_first_non_finite_column_in_ensemble_order(self):
+        features = np.array([[np.nan, 0.5, np.inf], [0.5, 0.5, 0.5]])
+        hyps = [(Stump(1, 0.0, 1), 1.0), (Stump(2, 0.0, 1), 1.0), (Stump(0, 0.0, 1), 1.0)]
+        with pytest.raises(UsageError, match="feature 2 contains NaN or Inf"):
+            predict(hyps, features)
+
+    @pytest.mark.parametrize("h, eta, fault", [
+        (Stump(-1, 0.0, 1), 1.0, "feature -1 is not an integer in [0, 2)"),
+        (Stump(True, 0.0, 1), 1.0, "feature True is not an integer"),
+        (Stump(1.5, 0.0, 1), 1.0, "feature 1.5 is not an integer"),
+        (Stump(2, 0.0, 1), 1.0, "feature 2 is not an integer in [0, 2), one of the data's 2"),
+        (Stump(0, 0.0, 2), 1.0, "polarity 2 is not ±1"),
+        (Stump(0, 0.0, 0), 1.0, "polarity 0 is not ±1"),
+        (Stump(0, math.nan, 1), 1.0, "threshold nan is not a number"),
+        (Stump(0, "0.5", 1), 1.0, "threshold '0.5' is not a number"),
+        (Stump(0, 0.0, 1), math.nan, "eta nan is not finite"),
+        (Stump(0, 0.0, 1), -math.inf, "eta -inf is not finite"),
+        (Stump(0, 0.0, 1), None, "eta None is not finite"),
+    ])
+    def test_predict_refuses_a_malformed_hypothesis(self, h, eta, fault):
+        # hypotheses[0] reads a NaN column: every hypothesis is checked
+        # before any column, as the feature range always was
+        features = np.array([[np.nan, 0.0], [0.5, 1.0]])
+        with pytest.raises(UsageError, match=re.escape(f"hypotheses[1]: {fault}")):
+            predict([(Stump(0, 0.0, 1), 1.0), (h, eta)], features)
 
     def test_predict_feature_beyond_the_columns_rejected(self):
         with pytest.raises(UsageError, match="2 columns"):

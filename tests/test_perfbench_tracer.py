@@ -102,3 +102,25 @@ def test_tracer_times_every_layer_of_a_cli_train_and_verify(tmp_path, capsys):
         assert calls[layer] > 0, layer
     assert calls["cli.main"] == 2
     assert tracer.counts["data.rows"] == 40
+
+
+def test_tracer_times_a_held_out_predict(tmp_path):
+    """``predict_s`` times ``load_model`` then ``predict``: a traced pair leaves
+    a span of each, and the vote compares columns itself, calling no
+    ``Stump.predict``."""
+    tracing = _load_tracing()
+    data = gen_blobs(0, 40, 0.3)
+    result = tracing.boosting.run(BoosterConfig(Algorithm.MABOOST_ACTIVE, QUADRATIC, 3), data)
+    model = str(tmp_path / "model.txt")
+    tracing.boosting.save_model(result, model)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, _, hypotheses = tracing.boosting.load_model(model)
+        labels = tracing.boosting.predict(hypotheses, data.features)
+    finally:
+        tracer.uninstall()
+    np.testing.assert_array_equal(labels, tracing.boosting.predict(result.hypotheses, data.features))
+    calls = tracer.totals()[2]
+    assert calls["boosting.load_model"] == calls["boosting.predict"] == 1
+    assert calls.get("stumps.predict", 0) == 0

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from mirrorboost.errors import UsageError
 from mirrorboost.oracles import best_stump_bruteforce
-from mirrorboost.stumps import Stump, StumpIndex, edge, loss_vector, sign_pm, train_stump
+from mirrorboost.stumps import (
+    Stump,
+    StumpIndex,
+    above,
+    edge,
+    loss_vector,
+    sign_pm,
+    train_stump,
+)
 
 
 def _train_stump_reference(features, labels, w):
@@ -86,6 +94,57 @@ def test_predict_is_polarity_times_the_sign(rows, feature, threshold, polarity):
     with np.errstate(invalid="ignore", over="ignore"):
         expected = polarity * sign_pm(x[:, feature] - threshold)
         got = Stump(feature, threshold, polarity).predict(x)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+# every class of float a stump can meet: signed zeros, subnormals, the
+# largest finite values, neighbours of 1, infinities and NaN
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.0, 1.0000000000000002, -1.0,
+            1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+def _difference_test(column, threshold):
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.asarray(column) - threshold >= 0
+
+
+@pytest.mark.parametrize("threshold", _SPECIAL + [np.float64(-0.0), np.float64(np.inf)])
+def test_above_is_the_difference_test_on_every_special_pair(threshold):
+    column = np.array(_SPECIAL)
+    np.testing.assert_array_equal(above(column, threshold), _difference_test(column, threshold))
+
+
+@given(st.lists(_any_float, min_size=1, max_size=12), _any_float)
+@example([-0.0, 0.0], 0.0)  # x - t = -0.0 counts as >= 0
+@example([np.inf, -np.inf, np.nan], np.inf)  # inf - inf is NaN
+@example([np.inf, -np.inf, 1.0], -np.inf)
+@example([1.7e308, -1.7e308], -1.7e308)  # the difference overflows
+@settings(max_examples=300, deadline=None)
+def test_above_is_the_difference_test(column, threshold):
+    column = np.array(column)
+    got = above(column, threshold)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, _difference_test(column, threshold))
+
+
+@given(
+    st.lists(st.tuples(_any_float, _any_float, st.sampled_from([-1.0, 1.0])), min_size=1,
+             max_size=12),
+    st.integers(0, 1),
+    _any_float,
+    st.sampled_from([-1, 1]),
+)
+@example([(0.0, -0.0, 1.0), (-0.0, 1.0, -1.0)], 0, 0.0, -1)
+@example([(np.inf, np.nan, -1.0), (-np.inf, 0.0, 1.0)], 0, np.inf, 1)
+@settings(max_examples=200, deadline=None)
+def test_loss_vector_is_minus_the_label_times_the_sign(rows, feature, threshold, polarity):
+    """loss_vector keeps the bytes of -labels * polarity * sign(x - threshold)."""
+    x = np.array([row[:2] for row in rows])
+    labels = np.array([row[2] for row in rows])
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = -labels * (polarity * sign_pm(x[:, feature] - threshold))
+    got = loss_vector(x, labels, Stump(feature, threshold, polarity))
     assert got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
 
