@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,7 +172,7 @@ def _hypothesis_fault(h: Stump, eta, d: int | None = None) -> str | None:
     return None
 
 
-def predict(hypotheses: list[tuple[Stump, float]], features) -> np.ndarray:
+def predict(hypotheses: Iterable[tuple[Stump, float]], features) -> np.ndarray:
     """Sign of the weighted vote over all stored hypotheses; sign(0) = +1.
 
     The features must be a numeric (n, d) matrix, finite in every column a
@@ -179,6 +180,7 @@ def predict(hypotheses: list[tuple[Stump, float]], features) -> np.ndarray:
     first one that is not). Each column read is copied once, contiguous, and
     the votes are added stump by stump, in the ensemble's order.
     """
+    hypotheses = list(hypotheses)  # read twice below: a generator would be spent
     if not hypotheses:
         raise UsageError("cannot predict with an empty ensemble")
     try:

@@ -20,8 +20,10 @@ At most _PROBES passes look for such a pair around the root: the first at
 z = w + eta d from a projected w nearly is, then Newton steps with slope -m,
 m the coordinates strictly between 0 and their cap (Duchi et al., ICML
 2008). The bisection passes over z only strictly between the pair, so every
-step, and theta, is the plain bisection's, at most _PROBES passes dearer; at
-n = 1e5 a projection of boosting weights makes 4 passes instead of 55-57.
+step, and theta, is the plain bisection's, at most _PROBES passes dearer.
+When the bisection's last pass was made at theta, the clamped vector it left
+is the result, with no pass of its own. At n = 1e5 a projection of boosting
+weights makes 3 passes (two probes, the step that stops) instead of 55-57.
 """
 
 from __future__ import annotations
@@ -145,7 +147,10 @@ def _probes(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> tuple[float, fl
     return up, down
 
 
-def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> float:
+def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> tuple[float, float | None]:
+    """The bisection's theta, and the sum of its last pass over z when that
+    pass was made at theta: buf then holds clamp(z - theta, 0, caps) already,
+    so the result needs no pass of its own. The sum is None otherwise."""
     # sum_i clamp(z_i - theta, 0, cap_i) is monotone nonincreasing in theta;
     # bisect after growing the gap below hi until the sum overshoots 1; the
     # gap grows rather than lo, since near 1e16 hi - 1.0 rounds back to hi
@@ -153,15 +158,17 @@ def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> float:
     up = down = math.nan  # NaN bounds settle no step
     if hi <= _HUGE and z.min() >= -_HUGE:  # finite, moderate input: NaN takes passes
         up, down = _probes(z, caps, buf)
+    last = math.nan, math.nan  # theta and sum of the last pass below
     gap = 1.0
     while not (theta := hi - gap) <= up:
         if not theta >= down:
             s = _clamped_sum(z, caps, theta, buf)
+            last = theta, s
             if not s < 1.0:
                 break
             if s >= 1.0 - _SUM_TOL and (buf == caps).all():
                 # barely feasible caps: all are full, so the sum grows no more
-                return theta
+                return theta, s
         gap *= 3.0
     lo = hi - gap
     for _ in range(_MAX_BISECT):
@@ -171,7 +178,9 @@ def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> float:
         elif mid >= down:
             step = -1
         else:
-            step = _bisection_step(_clamped_sum(z, caps, mid, buf))
+            s = _clamped_sum(z, caps, mid, buf)
+            last = mid, s
+            step = _bisection_step(s)
         if step == 0:
             lo = hi = mid
             break
@@ -179,18 +188,24 @@ def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    theta = 0.5 * (lo + hi)
+    # the same float, sign included: -0.0 and 0.0 clamp a -0.0 entry to
+    # zeros of different signs (beyond 2**1023, 0.5 * (mid + mid) is inf)
+    if last[0] == theta and math.copysign(1.0, last[0]) == math.copysign(1.0, theta):
+        return theta, last[1]
+    return theta, None
 
 
 def _project_mixed_quadratic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:
     w = np.empty_like(z)  # scratch for every clamped sum, then the result
-    s = _clamped_sum(z, caps, _mixed_theta(z, caps, w), w)
+    theta, s = _mixed_theta(z, caps, w)
+    if s is None:
+        s = _clamped_sum(z, caps, theta, w)
     if s > 0:  # absorb residual bisection error on the free coordinates
         free = (w > 0) & (w < caps)
         m = np.count_nonzero(free)
         if m:
-            # entries at 0 or their cap gain a signed zero the clamps undo
-            w += free * ((1.0 - s) / m)
+            np.add(w, (1.0 - s) / m, out=w, where=free)  # w[free] += ..., in place
             np.maximum(w, 0.0, out=w)
             np.minimum(w, caps, out=w)
     return w
@@ -228,8 +243,10 @@ def project_mixed(g: Geometry, z, caps) -> np.ndarray:
     """Projection onto {w : sum w = 1, 0 <= w_i <= caps_i} (inf caps allowed)."""
     z = np.asarray(z, dtype=float)
     caps = np.asarray(caps, dtype=float)
-    if len(caps) != len(z):
-        raise ConfigurationError("caps length must match the vector length")
+    if z.ndim != 1 or caps.shape != z.shape:
+        raise ConfigurationError(
+            f"z must be a vector and caps of its shape, got z {z.shape} and caps {caps.shape}"
+        )
     upper = np.minimum(caps, 1.0)
     if not upper.min(initial=0.0) >= 0.0:  # a NaN minimum fails the test too
         raise ConfigurationError("caps must be nonnegative numbers, not negative or NaN")

@@ -55,7 +55,9 @@ class Stump:
 
 def loss_vector(features: np.ndarray, labels: np.ndarray, h: Stump) -> np.ndarray:
     """Per-sample losses d_i = -a_i h(x_i); +1 on a mistake, -1 when correct."""
-    return -labels * h.predict(features)
+    d = h.predict(features)  # a fresh vote array, turned into the loss in place
+    d *= labels
+    return np.negative(d, out=d)
 
 
 def edge(w: np.ndarray, d: np.ndarray) -> float:
@@ -164,7 +166,7 @@ def train_stump(
             f"entry per sample ({n})"
         )
     wa = w * labels
-    total = float(wa.sum())
+    total = float(np.add.reduce(wa))
     if not math.isfinite(total):
         raise UsageError("weights and labels must be finite")
     # the prefix sums are gathered from -2 * wa: doubling is exact, so they are
@@ -185,8 +187,8 @@ def train_stump(
             # columns j and j + 1 at once: one complex prefix sum of their
             # interleaved signed weights is both float64 prefix sums
             order = index._order[j // 2]
-            np.take(wa, order, out=sums, mode="clip")  # mode "raise" copies out
-            np.cumsum(pair_sums, out=pair_sums)
+            wa.take(order, out=sums, mode="clip")  # mode "raise" copies out
+            pair_sums.cumsum(out=pair_sums)
             sums += total  # the same bits as total - 2.0 * (prefix sums of wa)
         # split k: the samples up to sorted position ends[k] (k without ties)
         # are predicted -1, so its correlation is total - 2 * their weight

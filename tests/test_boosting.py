@@ -791,6 +791,14 @@ class TestEnsemble:
         with pytest.raises(UsageError, match=re.escape(f"hypotheses[1]: {fault}")):
             predict([(Stump(0, 0.0, 1), 1.0), (h, eta)], features)
 
+    def test_predict_takes_a_generator_of_hypotheses(self):
+        hyps = (h for h in [(Stump(0, 0.0, 1), 1.0)])
+        np.testing.assert_array_equal(predict(hyps, [[-1.0], [1.0]]), [-1, 1])
+
+    def test_predict_refuses_an_empty_iterator(self):
+        with pytest.raises(UsageError, match="empty ensemble"):
+            predict(iter([]), [[-1.0], [1.0]])
+
     def test_predict_feature_beyond_the_columns_rejected(self):
         with pytest.raises(UsageError, match="2 columns"):
             predict([(Stump(0, 0.0, 1), 1.0), (Stump(2, 0.0, 1), 1.0)], np.zeros((3, 2)))

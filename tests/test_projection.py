@@ -1,6 +1,7 @@
 """Projection operators: worked examples, feasibility, oracle equivalence."""
 
 import math
+import re
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -227,6 +228,21 @@ class TestMixedCaps:
         with _deadline(10), np.errstate(invalid="ignore"):
             with pytest.raises(DegenerateInputError, match="did not reach"):
                 project_mixed(QUADRATIC, [top, 0.0, 0.5], [0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "g, z, caps",
+        [
+            (QUADRATIC, 0.5, 1.0),
+            (NEGATIVE_ENTROPY, [[0.5, 0.5]], [1.0]),
+            (QUADRATIC, [[0.5, 0.5]], [1.0]),
+            (QUADRATIC, [0.5, 0.5], [[1.0, 1.0], [1.0, 1.0]]),
+        ],
+        ids=["scalars", "2-d-z-entropic", "2-d-z-quadratic", "2-d-caps"],
+    )
+    def test_shapes_other_than_two_equal_vectors_rejected(self, g, z, caps):
+        shapes = f"z {np.shape(z)} and caps {np.shape(caps)}"
+        with pytest.raises(ConfigurationError, match=re.escape(shapes)):
+            project_mixed(g, z, caps)
 
     def test_quadratic_minus_inf_entry_gets_zero(self):
         w = project_mixed(QUADRATIC, [-np.inf, 0.5, 0.6], [0.7, 0.7, 0.7])
@@ -619,6 +635,86 @@ def test_probes_add_at_most_their_cap_on_large_inputs():
         checked += 1
 
 
+@contextmanager
+def _staged_passes():
+    """Yield a list that gains, for each quadratic projection, the stage and
+    theta of each of its _clamped_sum calls: "probe", "bisection" (the rest of
+    _mixed_theta) or "result" (after _mixed_theta returns)."""
+    projections, stage = [], ["result"]
+    clamped_sum, probes = projection._clamped_sum, projection._probes
+    mixed_theta, project = projection._mixed_theta, projection._project_mixed_quadratic
+
+    def staged(f, name, after):
+        def call(*args):
+            stage[0] = name
+            try:
+                return f(*args)
+            finally:
+                stage[0] = after
+
+        return call
+
+    def recording_sum(z, caps, theta, out):
+        projections[-1].append((stage[0], float(theta)))
+        return clamped_sum(z, caps, theta, out)
+
+    def recording_project(z, caps):
+        projections.append([])
+        return project(z, caps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projection, "_clamped_sum", recording_sum)
+        mp.setattr(projection, "_probes", staged(probes, "probe", "bisection"))
+        mp.setattr(projection, "_mixed_theta", staged(mixed_theta, "bisection", "result"))
+        mp.setattr(projection, "_project_mixed_quadratic", recording_project)
+        yield projections
+
+
+def _assert_result_reuses_the_last_pass(passes):
+    """The result makes at most one pass, and never one at the theta (the same
+    float, sign included) of the bisection's last pass, which left the clamped
+    vector in the buffer already. The probes and a collapsed bracket may repeat
+    a pass of their own; only the result's is checked."""
+    result = [theta for stage, theta in passes if stage == "result"]
+    bisection = [theta for stage, theta in passes if stage == "bisection"]
+    assert len(result) <= 1
+    if result and bisection:
+        assert result[0].hex() != bisection[-1].hex(), passes[-3:]
+
+
+@given(_mixed_quadratic_problems())
+@settings(max_examples=200, deadline=None)
+def test_result_never_repeats_the_pass_that_ended_the_bisection(problem):
+    with _staged_passes() as projections:
+        _outcome(projection._project_mixed_quadratic, *problem)
+    _assert_result_reuses_the_last_pass(projections[0])
+
+
+def test_result_never_repeats_the_pass_that_ended_the_bisection_on_large_inputs():
+    rng = np.random.default_rng(20083)
+    checked = 0
+    while checked < 40:
+        z, caps = _large_mixed_problem(rng)
+        if np.minimum(caps, 1.0).sum() < 1.0:
+            continue
+        with _staged_passes() as projections:
+            _outcome(projection._project_mixed_quadratic, z, caps)
+        _assert_result_reuses_the_last_pass(projections[0])
+        checked += 1
+
+
+def test_result_makes_its_own_pass_when_the_bisection_ends_off_its_last_pass():
+    """Near 1e6 an ulp of theta moves the sum, with one entry free, by about
+    1.2e-10, so no float stops the bisection: it runs out its steps and
+    returns a theta one ulp from its last pass, and the result must clamp
+    again rather than take that pass's vector."""
+    z, caps = np.array([1000003.98, 1000003.12, 1000001.94]), np.array([0.62, 0.92, 0.39])
+    assert projection._mixed_theta(z, caps, np.empty(3))[1] is None
+    assert _outcome(_project_mixed_quadratic, z, caps) == _outcome(
+        _project_mixed_quadratic_reference, z, caps
+    )
+
+
 def test_numpy_sums_within_the_pairwise_bound():
     """The certificate's premise: NumPy's float64 sum of n terms lies within
     gamma_h of the exact sum, h = _sum_depth(n). A recursive sum of 1 and
@@ -662,3 +758,25 @@ def test_capped_projection_settles_most_steps_without_a_pass(
     boosting.run(config, dataset())
     assert counts["projections"] == rounds
     assert counts["sums"] <= 5 * counts["projections"]
+
+
+@pytest.mark.parametrize(
+    "algorithm, k, dataset, rounds",
+    [
+        (Algorithm.SMOOTH, 20.0, lambda: gen_noisy(0, 100_000, 0.1), 8),  # tall-capped's run
+        (Algorithm.SMOOTH, 20.0, lambda: gen_noisy(0, 200, 0.1), 100),
+        (Algorithm.COMBINED, 8.0, lambda: gen_combined(0, 150, 50, 0.3), 100),
+    ],
+    ids=["tall-capped", "smooth-200", "combined-200"],
+)
+def test_capped_projection_of_boosting_weights_makes_no_pass_for_its_result(
+    algorithm, k, dataset, rounds
+):
+    """Each projection of these runs ends its bisection with a pass at the
+    returned theta, so the result reuses that pass and makes none of its own."""
+    config = BoosterConfig(algorithm, QUADRATIC, rounds=rounds, target_error=1.0 / k, k=k)
+    with _staged_passes() as projections:
+        boosting.run(config, dataset())
+    assert len(projections) == rounds
+    for passes in projections:
+        assert all(stage != "result" for stage, _ in passes), passes
