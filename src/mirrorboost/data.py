@@ -278,12 +278,20 @@ def _memory_bytes() -> float:
 DEFAULT_MARGIN = 0.5
 
 
-def gen_blobs(seed: int, n: int, margin: float) -> Dataset:
-    """Two axis-aligned 2-D box clusters separated by 2*margin along axis 0.
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int: an int or a NumPy integer, not a bool."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
-    The first n/2 samples are positive with x0 in [margin, margin + 1]; the
-    second half are negative with x0 in [-margin - 1, -margin]. A stump at
-    threshold 0 on feature 0 separates the classes perfectly.
+
+def _blobs(seed: int, n: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """gen_blobs' features and labels, as fresh writeable arrays.
+
+    Draws 2i and 2i + 1 give sample i's u0 and u1 in [0, 1): a draw's top
+    53 bits times 2**-53, which divides by 2**53 exactly. Then
+    x0 = sign * (margin + u0) and x1 = 2 u1 - 1, each computed in place in
+    the order of its formula, so every value rounds as the formula does.
     """
     if n < 2 or n % 2:
         raise ConfigurationError("n must be even and >= 2")
@@ -295,45 +303,96 @@ def gen_blobs(seed: int, n: int, margin: float) -> Dataset:
             f"n = {n} samples need {32 * n / 2**30:.3g} GiB, "
             f"more than the {memory / 2**30:.3g} GiB of memory"
         )
-    u = ((splitmix64(seed, 2 * n) >> np.uint64(11)) / float(1 << 53)).reshape(n, 2)
-    sign = np.where(np.arange(n) < n // 2, 1.0, -1.0)
-    features = np.column_stack([sign * (margin + u[:, 0]), 2.0 * u[:, 1] - 1.0])
-    return Dataset(features, sign)
+    draws = splitmix64(seed, 2 * n)
+    draws >>= np.uint64(11)  # below 2**53: the int64 view converts exactly
+    features = np.empty((n, 2))
+    np.multiply(draws.view(np.int64).reshape(n, 2), 2.0**-53, out=features)
+    features[:, 0] += margin
+    features[n // 2:, 0] *= -1.0
+    features[:, 1] *= 2.0
+    features[:, 1] -= 1.0
+    labels = np.ones(n)
+    labels[n // 2:] = -1.0
+    return features, labels
+
+
+def gen_blobs(seed: int, n: int, margin: float) -> Dataset:
+    """Two axis-aligned 2-D box clusters separated by 2*margin along axis 0.
+
+    The first n/2 samples are positive with x0 in [margin, margin + 1]; the
+    second half are negative with x0 in [-margin - 1, -margin]. A stump at
+    threshold 0 on feature 0 separates the classes perfectly. x1 is uniform
+    on [-1, 1). The seed and n are ints or NumPy integers.
+    """
+    return Dataset(*_blobs(_integer(seed, "seed"), _integer(n, "n"), margin))
+
+
+def _flipped(seed: int, n: int, n_flip: int) -> np.ndarray:
+    """The samples that a seeded partial Fisher-Yates shuffle of range(n)
+    puts in its first n_flip positions.
+
+    The sequential loop defines the shuffle: step i, for i in
+    range(n_flip), swaps positions i and j_i = i + pick_i, with pick_i
+    uniform on [0, n - i) from splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5), and
+    position i is final after it. This computes the same samples with array
+    operations. Step i moves to position i what position j_i held just
+    before it: G(L(i)) if an earlier step last targeted j_i, L(i) being that
+    step, else j_i. G(s), what position s held just before step s, is
+    G(M(s)) if an earlier step M(s) last targeted s, else s; pointer jumping
+    along M resolves every G in at most ceil(log2 n_flip) rounds.
+    """
+    steps = np.arange(n_flip)
+    picks = splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5, n_flip)
+    picks %= np.arange(n, n - n_flip, -1, dtype=np.uint64)
+    target = picks.view(np.int64)  # j_i; every pick is below n
+    target += steps
+    # the steps grouped by target, in step order within a group
+    order = np.argsort(target, kind="stable")
+    grouped = target[order]
+    repeat = grouped[1:] == grouped[:-1]
+    earlier = np.full(n_flip, -1)  # L(i), or -1
+    earlier[order[1:][repeat]] = order[:-1][repeat]
+    # M(s), or s: the last step of the group that targets s (a group has
+    # one last step, so no index repeats). When that is step s itself, no
+    # later step reads G(s), since none targets s or is its L or M
+    held = np.arange(n_flip)
+    ends = np.append(~repeat, True) & (grouped < n_flip)
+    held[grouped[ends]] = order[ends]
+    while not np.array_equal(jumped := held[held], held):  # M becomes G
+        held = jumped
+    return np.where(earlier >= 0, held[earlier], target)
+
+
+def _noisy(seed: int, n: int, flip_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """gen_noisy's features and labels, as fresh writeable arrays."""
+    if not 0.0 <= flip_rate < 0.5:
+        raise ConfigurationError("flip_rate must be in [0, 0.5)")
+    features, labels = _blobs(seed, n, DEFAULT_MARGIN)
+    n_flip = int(round(flip_rate * n))
+    if n_flip:
+        labels[_flipped(seed, n, n_flip)] *= -1.0
+    return features, labels
 
 
 def gen_noisy(seed: int, n: int, flip_rate: float) -> Dataset:
-    """gen_blobs with the default margin and a seeded fraction of flipped labels."""
-    if not 0.0 <= flip_rate < 0.5:
-        raise ConfigurationError("flip_rate must be in [0, 0.5)")
-    base = gen_blobs(seed, n, DEFAULT_MARGIN)
-    n_flip = int(round(flip_rate * n))
-    if n_flip == 0:
-        return base
-    labels = base.labels.copy()
-    # partial Fisher-Yates: step i swaps i with a uniform pick from [i, n).
-    # Position i is final after step i, so its sample is read off then, and
-    # a dict holds the sample at each later position that a swap has moved
-    picks = splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5, n_flip) % np.arange(
-        n, n - n_flip, -1, dtype=np.uint64
-    )
-    moved: dict[int, int] = {}
-    flipped = []
-    for i, j in enumerate(picks.tolist()):
-        j += i
-        flipped.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    labels[flipped] *= -1.0
-    return Dataset(base.features, labels)
+    """gen_blobs with the default margin and round(flip_rate * n) labels
+    flipped: the first positions of a seeded partial Fisher-Yates shuffle
+    (``_flipped``). The seed and n are ints or NumPy integers."""
+    return Dataset(*_noisy(_integer(seed, "seed"), _integer(n, "n"), flip_rate))
 
 
 def gen_combined(seed: int, n_clean: int, n_noisy: int, flip_rate: float) -> Dataset:
-    """A clean subset A stacked with a label-noised subset B, flags set."""
+    """A clean subset A, gen_blobs(seed, n_clean, DEFAULT_MARGIN), stacked
+    with a label-noised subset B, gen_noisy(seed + 1, n_noisy, flip_rate),
+    flags set. The seed and sizes are ints or NumPy integers."""
+    seed = _integer(seed, "seed")
+    n_clean, n_noisy = _integer(n_clean, "N_A"), _integer(n_noisy, "N_B")
     for name, size in (("N_A", n_clean), ("N_B", n_noisy)):
         if size < 2 or size % 2:
             raise ConfigurationError(f"{name} must be an even number >= 2, got {size}")
-    clean = gen_blobs(seed, n_clean, DEFAULT_MARGIN)
-    noisy = gen_noisy(seed + 1, n_noisy, flip_rate)
-    features = np.vstack([clean.features, noisy.features])
-    labels = np.concatenate([clean.labels, noisy.labels])
+    clean_features, clean_labels = _blobs(seed, n_clean, DEFAULT_MARGIN)
+    noisy_features, noisy_labels = _noisy(seed + 1, n_noisy, flip_rate)
+    features = np.vstack([clean_features, noisy_features])
+    labels = np.concatenate([clean_labels, noisy_labels])
     flags = np.concatenate([np.zeros(n_clean, bool), np.ones(n_noisy, bool)])
     return Dataset(features, labels, flags)

@@ -21,6 +21,8 @@ z = w + eta d from a projected w nearly is, then Newton steps with slope -m,
 m the coordinates strictly between 0 and their cap (Duchi et al., ICML
 2008). The bisection passes over z only strictly between the pair, so every
 step, and theta, is the plain bisection's, at most _PROBES passes dearer.
+A step at the theta of the last pass reuses that pass, and the probes stop
+at a theta they passed at before, so no two passes in a row share a theta.
 When the bisection's last pass was made at theta, the clamped vector it left
 is the result, with no pass of its own. At n = 1e5 a projection of boosting
 weights makes 3 passes (two probes, the step that stops) instead of 55-57.
@@ -124,16 +126,21 @@ def _rho(n: int) -> float:
     return 1.0 - 2.05 * (nu / (1.0 - nu) + 4 * _U)
 
 
-def _probes(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> tuple[float, float]:
+def _probes(z: np.ndarray, caps: np.ndarray, buf: np.ndarray, passes: list) -> tuple[float, float]:
     """Bounds up < down: the bisection's step raises lo at every theta <= up
     and lowers hi at every theta >= down. Each pass after the first is a
     Newton step aiming _AIM beyond the stop band, across 1 from the last sum,
-    or the midpoint of (up, down) when the step leaves it."""
+    or the midpoint of (up, down) when the step leaves it. They stop when
+    that theta is outside (up, down), where its step is settled already, or
+    one they passed at before, which would pass again at the thetas after it.
+    Each pass appends its (theta, sum) to passes; buf holds the last one's
+    clamped vector."""
     rho = _rho(len(z))
     up, down = -math.inf, math.inf
     theta = (float(z.sum()) - (1.0 + _AIM)) / len(z)
     for _ in range(_PROBES):
         s = _clamped_sum(z, caps, theta, buf)
+        passes.append((theta, s))
         if _bisection_step(s * rho) > 0:
             up = theta
         elif _bisection_step(s / rho) < 0:
@@ -144,26 +151,44 @@ def _probes(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> tuple[float, fl
         theta += (s - (1.0 - _AIM if s > 1.0 else 1.0 + _AIM)) / m
         if not up < theta < down:
             theta = 0.5 * (up + down)
+        if not up < theta < down or any(_same(theta, t) for t, _ in passes):
+            break
     return up, down
+
+
+def _same(a: float, b: float) -> bool:
+    """The same float, the sign of a zero included: -0.0 and 0.0 clamp a
+    -0.0 entry to zeros of different signs."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _pass(z: np.ndarray, caps: np.ndarray, theta: float, buf: np.ndarray, last: tuple) -> tuple:
+    """(theta, sum) of a pass at theta; last, the pass whose clamped vector
+    buf holds, when it was made at theta."""
+    if _same(last[0], theta):
+        return last
+    return theta, _clamped_sum(z, caps, theta, buf)
 
 
 def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> tuple[float, float | None]:
     """The bisection's theta, and the sum of its last pass over z when that
     pass was made at theta: buf then holds clamp(z - theta, 0, caps) already,
-    so the result needs no pass of its own. The sum is None otherwise."""
+    so the result needs no pass of its own. The sum is None otherwise. No
+    two passes in a row are made at one theta."""
     # sum_i clamp(z_i - theta, 0, cap_i) is monotone nonincreasing in theta;
     # bisect after growing the gap below hi until the sum overshoots 1; the
     # gap grows rather than lo, since near 1e16 hi - 1.0 rounds back to hi
     hi = float(z.max())
     up = down = math.nan  # NaN bounds settle no step
+    passes = [(math.nan, math.nan)]  # (theta, sum) of each probe: buf holds the last
     if hi <= _HUGE and z.min() >= -_HUGE:  # finite, moderate input: NaN takes passes
-        up, down = _probes(z, caps, buf)
-    last = math.nan, math.nan  # theta and sum of the last pass below
+        up, down = _probes(z, caps, buf, passes)
+    last = passes[-1]
     gap = 1.0
     while not (theta := hi - gap) <= up:
         if not theta >= down:
-            s = _clamped_sum(z, caps, theta, buf)
-            last = theta, s
+            last = _pass(z, caps, theta, buf, last)
+            s = last[1]
             if not s < 1.0:
                 break
             if s >= 1.0 - _SUM_TOL and (buf == caps).all():
@@ -178,9 +203,8 @@ def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> tuple[floa
         elif mid >= down:
             step = -1
         else:
-            s = _clamped_sum(z, caps, mid, buf)
-            last = mid, s
-            step = _bisection_step(s)
+            last = _pass(z, caps, mid, buf, last)
+            step = _bisection_step(last[1])
         if step == 0:
             lo = hi = mid
             break
@@ -188,12 +212,8 @@ def _mixed_theta(z: np.ndarray, caps: np.ndarray, buf: np.ndarray) -> tuple[floa
             lo = mid
         else:
             hi = mid
-    theta = 0.5 * (lo + hi)
-    # the same float, sign included: -0.0 and 0.0 clamp a -0.0 entry to
-    # zeros of different signs (beyond 2**1023, 0.5 * (mid + mid) is inf)
-    if last[0] == theta and math.copysign(1.0, last[0]) == math.copysign(1.0, theta):
-        return theta, last[1]
-    return theta, None
+    theta = 0.5 * (lo + hi)  # beyond 2**1023, 0.5 * (mid + mid) is inf
+    return theta, (last[1] if _same(last[0], theta) else None)
 
 
 def _project_mixed_quadratic(z: np.ndarray, caps: np.ndarray) -> np.ndarray:

@@ -420,6 +420,23 @@ class TestLibsvm:
         np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def _sequential_flips(seed: int, n: int, n_flip: int) -> list[int]:
+    """gen_noisy's flipped samples as the swap loop that defines them finds
+    them (verbatim from before the array form): step i of a partial
+    Fisher-Yates shuffle swaps position i with a uniform pick from [i, n),
+    and a dict holds the sample at each later position a swap has moved."""
+    picks = splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5, n_flip) % np.arange(
+        n, n - n_flip, -1, dtype=np.uint64
+    )
+    moved: dict[int, int] = {}
+    flipped = []
+    for i, j in enumerate(picks.tolist()):
+        j += i
+        flipped.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return flipped
+
+
 class TestGenerators:
     def test_splitmix64_known_answers(self):
         # seed 0 is the published splitmix64 reference vector
@@ -466,6 +483,77 @@ class TestGenerators:
         assert h.hexdigest() == (
             "cd2d11bec1c66d7d73fa2b0dcb13b3504efd0b32df49561076861bbeac535fdc"
         )
+
+    @pytest.mark.parametrize(
+        "flip_rate, seed, digest",
+        [
+            (0.1, 0, "d4496b9ccbb1a752a4783e6d43ad675880522c7d5b9d6e7e0c9536368599583f"),
+            (0.1, 1, "c86a6d015ce665daa4856b249868cb6d4fdb8241f4d72b0d5773fafb21c4ed8e"),
+            (0.1, 2, "8ea4efbdb1705f5c1a6f91306fea69bf22e39235828af1d7b5e106655c061b0b"),
+            (0.1, 3, "4feb31fbcd92785a7ac351782664910c337ad428f6516e6597450acc43783e05"),
+            (0.45, 0, "0a989a2099858287afc1f991f4ce94d1ba33460b26a6037910ad9ea4eac87080"),
+            (0.45, 1, "6d16c6d1077252f6ce6546f4bf177302ae9b92ab2bee0b46cbe05004d2f5f84a"),
+            (0.45, 2, "cfbe82a10cc34a3364ded4a149204b372733f90e50add7d4c6e1dee97d39d78e"),
+            (0.45, 3, "ac82fe00b45d5841ca93a755042e9f56e887ab9cac8b9634ba7fb776be3551da"),
+        ],
+    )
+    def test_noisy_bytes_are_pinned_at_benchmark_scale(self, flip_rate, seed, digest):
+        # SHA-256 of features then labels at N = 1e5, as the sequential
+        # swap loop made them; at flip 0.45 most picks collide
+        ds = gen_noisy(seed, 100_000, flip_rate)
+        assert hashlib.sha256(ds.features.tobytes() + ds.labels.tobytes()).hexdigest() == digest
+
+    @given(
+        seed=st.integers(-(2**63), 2**64 - 1),
+        half=st.integers(1, 2000),
+        flip_rate=st.floats(0.0, 0.49),
+    )
+    @example(seed=0, half=1, flip_rate=0.49)  # n = 2, one flip
+    @example(seed=2**64 - 1, half=2000, flip_rate=0.49)
+    @settings(max_examples=200, deadline=None)
+    def test_noisy_flips_what_the_sequential_swap_loop_flips(self, seed, half, flip_rate):
+        n = 2 * half
+        n_flip = int(round(flip_rate * n))
+        flipped = _sequential_flips(seed, n, n_flip)
+        if n_flip:
+            assert data._flipped(seed, n, n_flip).tolist() == flipped
+        labels = gen_blobs(seed, n, DEFAULT_MARGIN).labels.copy()
+        labels[flipped] *= -1.0
+        np.testing.assert_array_equal(gen_noisy(seed, n, flip_rate).labels, labels)
+
+    def test_seed_and_sizes_take_numpy_integers(self):
+        for a, b in (
+            (gen_blobs(np.int64(3), np.int32(200), 0.5), gen_blobs(3, 200, 0.5)),
+            (gen_noisy(np.uint64(2**64 - 1), np.int64(200), 0.1), gen_noisy(2**64 - 1, 200, 0.1)),
+            (gen_combined(np.int64(2**63 - 1), np.int16(150), np.uint8(50), 0.3),
+             gen_combined(2**63 - 1, 150, 50, 0.3)),
+        ):
+            np.testing.assert_array_equal(a.features, b.features)
+            np.testing.assert_array_equal(a.labels, b.labels)
+            if b.subset_flags is not None:
+                np.testing.assert_array_equal(a.subset_flags, b.subset_flags)
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: gen_blobs(0, 200.0, 0.5), "n"),
+            (lambda: gen_blobs(0, True, 0.5), "n"),
+            (lambda: gen_noisy(0, 200.0, 0.1), "n"),
+            (lambda: gen_noisy(0, np.float64(200), 0.1), "n"),
+            (lambda: gen_combined(0, 150.0, 50, 0.3), "N_A"),
+            (lambda: gen_combined(0, 150, "50", 0.3), "N_B"),
+            (lambda: gen_blobs(1.0, 200, 0.5), "seed"),
+            (lambda: gen_noisy("7", 200, 0.1), "seed"),
+            (lambda: gen_combined(np.float32(2), 150, 50, 0.3), "seed"),
+            (lambda: gen_noisy(False, 200, 0.1), "seed"),
+        ],
+        ids=["blobs-float-n", "blobs-bool-n", "noisy-float-n", "noisy-numpy-float-n",
+             "combined-float-n-a", "combined-str-n-b", "blobs-float-seed", "noisy-str-seed",
+             "combined-numpy-float-seed", "noisy-bool-seed"],
+    )
+    def test_seed_and_sizes_must_be_integers(self, make, name):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got "):
+            make()
 
     def test_blobs_separable_by_one_stump(self):
         ds = gen_blobs(0, 100, 0.5)

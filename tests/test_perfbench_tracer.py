@@ -8,6 +8,7 @@ swap, a traced run and the restore. It only reads ``perfbench/``.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -124,3 +125,35 @@ def test_tracer_times_a_held_out_predict(tmp_path):
     calls = tracer.totals()[2]
     assert calls["boosting.load_model"] == calls["boosting.predict"] == 1
     assert calls.get("stumps.predict", 0) == 0
+
+
+def test_traced_tall_capped_set_up_counts_each_generated_row_once(tmp_path, monkeypatch):
+    """``data.ms`` sums the outermost data spans: ``tall-capped``'s set-up
+    leaves two per pass, one per generated set, with none nested under
+    them, and ``data.rows`` counts the 2 x 1e5 rows they return."""
+    tracing = _load_tracing()
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", TRACING.with_name("workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    workload = workloads.TallCapped(0, str(tmp_path), "")
+    workload.prepare()
+    tracer = tracing.Tracer()
+    for _ in range(2):
+        tracer.pass_id += 1
+        tracer.install()
+        try:
+            with tracer.span("harness.setup"):
+                workload.setup()
+        finally:
+            tracer.uninstall()
+        tracer.end_pass()
+    names = {sid: name for sid, _parent, name, _start, _end, _pass in tracer.spans}
+    for pass_id in (1, 2):
+        spans = [s for s in tracer.spans if s[5] == pass_id]
+        data_spans = [s for s in spans if s[2].startswith("data.")]
+        assert [s[2] for s in data_spans] == ["data.gen", "data.gen"]
+        assert all(names[s[1]] == "harness.setup" for s in data_spans)
+    assert tracer.counts["data.rows"] == 2 * 2 * 100_000

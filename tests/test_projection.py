@@ -703,6 +703,43 @@ def test_result_never_repeats_the_pass_that_ended_the_bisection_on_large_inputs(
         checked += 1
 
 
+def _assert_no_pass_repeats_the_last(passes):
+    """No pass is made at the theta (the same float, sign included) of the
+    pass just before it, and the probes pass at no theta twice. A pass may
+    still repeat an earlier one that another pass followed, since the buffer
+    holds only the last: the bisection's bracket shrinks to two adjacent
+    floats and its midpoint rounds to the bound an earlier pass set, or a
+    step lands on a probe's theta."""
+    thetas = [theta.hex() for _, theta in passes]
+    assert all(a != b for a, b in zip(thetas, thetas[1:])), passes
+    probes = [theta for (stage, _), theta in zip(passes, thetas) if stage == "probe"]
+    assert len(set(probes)) == len(probes), passes
+
+
+@given(_mixed_quadratic_problems())
+@settings(max_examples=200, deadline=None)
+def test_no_pass_repeats_the_theta_of_the_pass_before_it(problem):
+    with _staged_passes() as projections:
+        _outcome(projection._project_mixed_quadratic, *problem)
+    _assert_no_pass_repeats_the_last(projections[0])
+
+
+def test_no_pass_repeats_the_theta_of_the_pass_before_it_on_large_inputs():
+    """Large-magnitude entries, where an ulp of theta moves the sum past the
+    stop band, leave the bracket at two adjacent floats: each remaining step
+    would pass again at one midpoint, and the probes would cycle."""
+    rng = np.random.default_rng(20084)
+    checked = 0
+    while checked < 60:
+        z, caps = _large_mixed_problem(rng)
+        if np.minimum(caps, 1.0).sum() < 1.0:
+            continue
+        with _staged_passes() as projections:
+            _outcome(projection._project_mixed_quadratic, z, caps)
+        _assert_no_pass_repeats_the_last(projections[0])
+        checked += 1
+
+
 def test_result_makes_its_own_pass_when_the_bisection_ends_off_its_last_pass():
     """Near 1e6 an ulp of theta moves the sum, with one entry free, by about
     1.2e-10, so no float stops the bisection: it runs out its steps and
