@@ -106,15 +106,17 @@ def _owned(values, dtype, what: str) -> np.ndarray:
     return out if out.flags.owndata else out.copy()
 
 
-def _map_label(raw: str, line: int) -> float:
+def _parse_float(raw: str, what: str, line: int) -> float:
     try:
-        v = float(raw)
+        return float(raw)
     except ValueError:
-        raise ParseError(f"non-numeric label {raw!r}", line) from None
-    if v in (-1.0, 1.0):
-        return v
-    if v == 0.0:
-        return -1.0
+        raise ParseError(f"non-numeric {what} {raw!r}", line) from None
+
+
+def _map_label(raw: str, line: int) -> float:
+    v = _parse_float(raw, "label", line)
+    if v in (-1.0, 0.0, 1.0):
+        return v or -1.0  # 0 and -0 map to -1
     raise ParseError(f"label must be -1, 0 or +1, got {raw!r}", line)
 
 
@@ -123,30 +125,25 @@ def load_csv(path: str, label_column: str = "label", subset_column: str | None =
     """Load a numeric CSV with a header row.
 
     Label values may be {-1, +1} or {0, 1} (0 maps to -1). The optional
-    subset column holds 'A' / 'B' markers. NumPy's C parser reads the rows;
-    a file it rejects goes to the row loop, the only source of parse errors.
+    subset column holds 'A' / 'B' markers. The header is read and checked
+    once; NumPy's C parser reads the body, and the row loop one it rejects.
     """
     with open(path, newline="", encoding="utf-8") as fh:
+        width, label_idx, subset_idx, keep = _csv_header(_csv_rows(fh), label_column, subset_column)
         try:
-            header = [c.strip() for c in next(csv.reader(fh), [])]
-            label_idx = header.index(label_column)
-            subset_idx = None if subset_column is None else header.index(subset_column)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
                 table = np.loadtxt(
                     _lines_without_separators(fh), delimiter=",", quotechar='"', comments=None,
                     ndmin=2, converters={} if subset_idx is None else {subset_idx: _subset_bit},
                 )
-        except (ValueError, csv.Error):  # a missing column, or a cell or row the C parser rejects
-            return _load_csv_rows(path, label_column, subset_column)
+        except ValueError:  # a cell or row the C parser rejects, or bad UTF-8
+            table = None
     # loadtxt takes its width from the first row, not from the header, and
     # would read a subset column that is also the label column as 0/1 labels
-    if not len(table) or table.shape[1] != len(header) or subset_idx == label_idx:
-        return _load_csv_rows(path, label_column, subset_column)
-    labels = table[:, label_idx]
-    if not np.isin(labels, (-1.0, 0.0, 1.0)).all():
-        return _load_csv_rows(path, label_column, subset_column)
-    keep = [i for i in range(len(header)) if i not in (label_idx, subset_idx)]
+    if (table is None or not len(table) or table.shape[1] != width or subset_idx == label_idx
+            or not np.isin(labels := table[:, label_idx], (-1.0, 0.0, 1.0)).all()):
+        return _load_csv_rows(path, width, label_idx, subset_idx, keep)
     flags = None if subset_idx is None else table[:, subset_idx] == 1.0
     labels = np.where(labels == 0.0, -1.0, labels)
     return Dataset(np.ascontiguousarray(table[:, keep]), labels, flags)
@@ -175,54 +172,45 @@ def _csv_rows(fh):
         raise ParseError(str(exc), reader.line_num) from None
 
 
-def _load_csv_rows(path: str, label_column: str, subset_column: str | None) -> Dataset:
-    """``load_csv`` one row and one ``float()`` per cell at a time."""
+def _csv_header(rows, label_column, subset_column) -> tuple[int, int, int | None, list[int]]:
+    """The width and label, subset (or None) and feature indices named by the
+    first of ``rows``, cells stripped; a missing one is a line-1 ParseError."""
+    header = next(rows, None)
+    if header is None:
+        raise ParseError("empty file", 1)
+    header = [c.strip() for c in header]
+    if label_column not in header:
+        raise ParseError(f"missing label column {label_column!r}", 1)
+    if subset_column is not None and subset_column not in header:
+        raise ParseError(f"missing subset column {subset_column!r}", 1)
+    label_idx = header.index(label_column)
+    subset_idx = None if subset_column is None else header.index(subset_column)
+    keep = [i for i in range(len(header)) if i not in (label_idx, subset_idx)]
+    return len(header), label_idx, subset_idx, keep
+
+
+def _load_csv_rows(path, width, label_idx, subset_idx, keep) -> Dataset:
+    """``load_csv``'s body, for the layout ``_csv_header`` read, one row and
+    one ``float()`` per cell at a time; the header record is skipped."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv_rows(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", 1) from None
-        header = [c.strip() for c in header]
-        if label_column not in header:
-            raise ParseError(f"missing label column {label_column!r}", 1)
-        label_idx = header.index(label_column)
-        subset_idx = None
-        if subset_column is not None:
-            if subset_column not in header:
-                raise ParseError(f"missing subset column {subset_column!r}", 1)
-            subset_idx = header.index(subset_column)
-        feature_idx = [
-            i for i in range(len(header)) if i not in (label_idx, subset_idx)
-        ]
-
+        next(reader)  # the header
         rows, labels, flags = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} cells, got {len(row)}", lineno
-                )
+            if len(row) != width:
+                raise ParseError(f"expected {width} cells, got {len(row)}", lineno)
             labels.append(_map_label(row[label_idx].strip(), lineno))
             if subset_idx is not None:
                 marker = row[subset_idx].strip()
                 if marker not in ("A", "B"):
                     raise ParseError(f"subset marker must be A or B, got {marker!r}", lineno)
                 flags.append(marker == "B")
-            vals = []
-            for i in feature_idx:
-                try:
-                    vals.append(float(row[i]))
-                except ValueError:
-                    raise ParseError(f"non-numeric cell {row[i]!r}", lineno) from None
-            rows.append(vals)
+            rows.append([_parse_float(row[i], "cell", lineno) for i in keep])
     if not rows:
         raise ParseError("no data rows", 2)
-    return Dataset(
-        np.array(rows), np.array(labels),
-        np.array(flags) if flags else None,
-    )
+    return Dataset(np.array(rows), np.array(labels), np.array(flags) if flags else None)
 
 
 @opens_file("read")
@@ -247,6 +235,8 @@ def load_libsvm(path: str) -> Dataset:
                     raise ParseError(f"malformed token {tok!r}", lineno) from None
                 if idx < 1:
                     raise ParseError(f"feature index must be >= 1, got {idx}", lineno)
+                if idx - 1 in row:
+                    raise ParseError(f"feature index {idx} repeats", lineno)
                 row[idx - 1] = val
                 if idx > max_idx:
                     max_idx, max_line = idx, lineno
@@ -285,6 +275,13 @@ def _integer(value, name: str) -> int:
     raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str):
+    """``value`` unchanged if an int, a float, a NumPy integer or floating value, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _blobs(seed: int, n: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
     """gen_blobs' features and labels, as fresh writeable arrays.
 
@@ -295,7 +292,7 @@ def _blobs(seed: int, n: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 2 or n % 2:
         raise ConfigurationError("n must be even and >= 2")
-    if not 0 < margin < math.inf:
+    if not 0 < _real(margin, "margin") < math.inf:
         raise ConfigurationError(f"margin must be positive and finite, got {margin}")
     memory = _memory_bytes()
     if 32 * n > memory:  # 2n uint64 draws and n x 2 features, refused before allocating
@@ -322,7 +319,8 @@ def gen_blobs(seed: int, n: int, margin: float) -> Dataset:
     The first n/2 samples are positive with x0 in [margin, margin + 1]; the
     second half are negative with x0 in [-margin - 1, -margin]. A stump at
     threshold 0 on feature 0 separates the classes perfectly. x1 is uniform
-    on [-1, 1). The seed and n are ints or NumPy integers.
+    on [-1, 1). The seed and n are ints or NumPy integers, the margin an
+    int, a float or a NumPy number; none of them is a bool.
     """
     return Dataset(*_blobs(_integer(seed, "seed"), _integer(n, "n"), margin))
 
@@ -365,7 +363,7 @@ def _flipped(seed: int, n: int, n_flip: int) -> np.ndarray:
 
 def _noisy(seed: int, n: int, flip_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """gen_noisy's features and labels, as fresh writeable arrays."""
-    if not 0.0 <= flip_rate < 0.5:
+    if not 0.0 <= _real(flip_rate, "flip_rate") < 0.5:
         raise ConfigurationError("flip_rate must be in [0, 0.5)")
     features, labels = _blobs(seed, n, DEFAULT_MARGIN)
     n_flip = int(round(flip_rate * n))
@@ -377,14 +375,14 @@ def _noisy(seed: int, n: int, flip_rate: float) -> tuple[np.ndarray, np.ndarray]
 def gen_noisy(seed: int, n: int, flip_rate: float) -> Dataset:
     """gen_blobs with the default margin and round(flip_rate * n) labels
     flipped: the first positions of a seeded partial Fisher-Yates shuffle
-    (``_flipped``). The seed and n are ints or NumPy integers."""
+    (``_flipped``). The arguments are typed as gen_blobs' are."""
     return Dataset(*_noisy(_integer(seed, "seed"), _integer(n, "n"), flip_rate))
 
 
 def gen_combined(seed: int, n_clean: int, n_noisy: int, flip_rate: float) -> Dataset:
     """A clean subset A, gen_blobs(seed, n_clean, DEFAULT_MARGIN), stacked
     with a label-noised subset B, gen_noisy(seed + 1, n_noisy, flip_rate),
-    flags set. The seed and sizes are ints or NumPy integers."""
+    flags set. The arguments are typed as gen_blobs' are."""
     seed = _integer(seed, "seed")
     n_clean, n_noisy = _integer(n_clean, "N_A"), _integer(n_noisy, "N_B")
     for name, size in (("N_A", n_clean), ("N_B", n_noisy)):

@@ -287,6 +287,8 @@ class TestCsv:
     @example(("label,subset\nA,A\n", "label"))  # the label column doubles as the subset
     @example(("label,f0\n\n", None))
     @example(("label,f0\n1,0.5\n \n", None))
+    @example(('"f\n0",label\n0.5,1\n-0.25,0\n', None))  # the header spans two lines
+    @example(("label,f0\n1,0.5\n", "subset"))  # no subset column
     def test_matches_the_row_by_row_reference(self, tmp_path, drawn):
         text, subset_column = drawn
         p = tmp_path / "d.csv"
@@ -305,6 +307,33 @@ class TestCsv:
         monkeypatch.setattr(data, "_load_csv_rows", row_loop)
         ds = load_csv(str(p), subset_column="subset")
         assert ds.n == 3 and ds.features.shape[1] == 2
+
+    @pytest.mark.parametrize(
+        "content, subset_column, message, line",
+        [
+            (b"", None, "^line 1: empty file$", 1),
+            (b"f0,f1\n1,0.5\n", None, "^line 1: missing label column 'label'$", 1),
+            (b"label,f0\n1,0.5\n", "subset", "^line 1: missing subset column 'subset'$", 1),
+            (b"label," + b"x" * 140_000 + b"\n1,0.5\n", None,
+             r"^line 1: field larger than field limit \(131072\)$", 1),
+            (b"label,f\xff0\n1,0.5\n", None, "' is not UTF-8 text: invalid start byte$", None),
+        ],
+        ids=["zero-byte", "no-label-column", "no-subset-column", "header-over-field-limit",
+             "header-not-utf8"],
+    )
+    def test_header_errors_never_reach_the_row_loop(
+        self, tmp_path, monkeypatch, content, subset_column, message, line
+    ):
+        p = tmp_path / "d.csv"
+        p.write_bytes(content)
+
+        def row_loop(*args):
+            raise AssertionError("row loop called")
+
+        monkeypatch.setattr(data, "_load_csv_rows", row_loop)
+        with pytest.raises(ParseError, match=message) as e:
+            load_csv(str(p), subset_column=subset_column)
+        assert e.value.line == line
 
     @pytest.mark.parametrize("text,subset_column", [(_CLEAN_NO_SUBSET, None), (_CLEAN, "subset")])
     def test_layout_and_dtypes(self, tmp_path, text, subset_column):
@@ -409,6 +438,14 @@ class TestLibsvm:
         with pytest.raises(ParseError, match=f"feature index {index} needs a dense 3 x") as e:
             load_libsvm(str(p))
         assert e.value.line == 2
+
+    def test_repeated_index_names_its_line(self, tmp_path):
+        p = tmp_path / "d.libsvm"
+        p.write_text("+1 2:0.5 1:0.25\n")  # unordered, each index once
+        np.testing.assert_array_equal(load_libsvm(str(p)).features, [[0.25, 0.5]])
+        p.write_text("+1 2:0.5 1:0.25\n-1 1:0.5 1:0.7\n")
+        with pytest.raises(ParseError, match="^line 2: feature index 1 repeats$"):
+            load_libsvm(str(p))
 
     def test_agreement_with_csv(self, tmp_path):
         csv_p = tmp_path / "d.csv"
@@ -554,6 +591,32 @@ class TestGenerators:
     def test_seed_and_sizes_must_be_integers(self, make, name):
         with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got "):
             make()
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: gen_blobs(0, 200, "0.5"), "margin"),
+            (lambda: gen_blobs(0, 200, None), "margin"),
+            (lambda: gen_blobs(0, 200, True), "margin"),
+            (lambda: gen_noisy(0, 200, "0.1"), "flip_rate"),
+            (lambda: gen_noisy(0, 200, None), "flip_rate"),
+            (lambda: gen_noisy(0, 200, False), "flip_rate"),
+            (lambda: gen_combined(0, 150, 50, "0.3"), "flip_rate"),
+        ],
+        ids=["blobs-str", "blobs-none", "blobs-bool", "noisy-str", "noisy-none", "noisy-bool",
+             "combined-str"],
+    )
+    def test_margin_and_flip_rate_must_be_real_numbers(self, make, name):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a real number, got "):
+            make()
+
+    def test_numpy_floats_give_the_bytes_of_python_floats(self):
+        for a, b in (
+            (gen_blobs(0, 200, np.float64(0.5)), gen_blobs(0, 200, 0.5)),
+            (gen_noisy(0, 200, np.float64(0.1)), gen_noisy(0, 200, 0.1)),
+        ):
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_blobs_separable_by_one_stump(self):
         ds = gen_blobs(0, 100, 0.5)
