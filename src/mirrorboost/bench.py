@@ -181,9 +181,7 @@ def _projection_oracles():
                 else rng.normal(size=dim)
             )
             cap = max(1.2 / dim, float(rng.uniform(1.0 / dim, 1.0)))
-            caps = np.where(rng.random(dim) < 0.5, cap, np.inf)
-            if np.minimum(caps, 1.0).sum() < 1.0:
-                caps[:] = cap
+            caps = np.where(rng.random(dim) < 0.5, cap, np.inf)  # min(cap, 1) >= 1.2/dim: feasible
             cases = [
                 ("simplex", project_simplex(geometry, z), None),
                 ("capped", project_capped_simplex(geometry, z, cap), np.full(dim, cap)),

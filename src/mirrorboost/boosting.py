@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .data import Dataset
+from .data import Dataset, is_integer, is_real
 from .errors import (
     BoundViolationError,
     ConfigurationError,
@@ -60,17 +60,12 @@ class MadaEta(enum.Enum):
     FIXED_POINT = "fixed_point"
 
 
-def is_number(value) -> bool:
-    """A number the bounds can use: bool is not one, and neither is an int
-    beyond 2**53, as float arithmetic on it or on its square could overflow."""
-    return isinstance(value, float) or type(value) is int and abs(value) <= 2**53
-
-
 @dataclass(frozen=True)
 class BoosterConfig:
     """A run's configuration, converted and checked on construction: an enum field
-    takes a member or its value (``"half"`` for ``AlphaMode.HALF``), and a field
-    the booster cannot use is a ``ConfigurationError`` naming it."""
+    takes a member or its value (``"half"`` for ``AlphaMode.HALF``), a NumPy number
+    is kept as the Python value a trace header writes, and a field the booster
+    cannot use is a ``ConfigurationError`` naming it."""
 
     algorithm: Algorithm
     geometry: Geometry
@@ -90,10 +85,13 @@ class BoosterConfig:
                 if self.algorithm is not owner:
                     raise ConfigurationError(
                         f"{name} is for {owner.value}, not {self.algorithm.value}")
-        if type(self.rounds) is not int or self.rounds < 1:
+        for name in ("rounds", "k", "target_error"):
+            if isinstance(value := getattr(self, name), np.generic):
+                object.__setattr__(self, name, value.item())
+        if not is_integer(self.rounds) or self.rounds < 1:
             raise ConfigurationError(f"rounds must be an integer >= 1, got {self.rounds!r}")
         # k first: the default smooth target is 1/k, out of range for k < 1
-        if self.k is not None and not (is_number(self.k) and math.isfinite(self.k)):
+        if self.k is not None and not (is_real(self.k) and math.isfinite(self.k)):
             raise ConfigurationError(
                 f"smoothness parameter k must be a finite number, got {self.k!r}")
         if self.algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED):
@@ -104,7 +102,7 @@ class BoosterConfig:
         if self.target_error is None:
             smooth = self.algorithm is Algorithm.SMOOTH
             object.__setattr__(self, "target_error", 1.0 / self.k if smooth else 0.0)
-        if not (is_number(self.target_error) and 0.0 <= self.target_error <= 1.0):
+        if not (is_real(self.target_error) and 0.0 <= self.target_error <= 1.0):
             raise ConfigurationError("target_error must be in [0, 1]")
         forced = FORCED_GEOMETRY.get(self.algorithm, self.geometry)
         if self.geometry is not forced:
@@ -150,24 +148,21 @@ class BoostResult:
     status: str = "max_rounds"
 
 
-_INTEGERS = (int, np.integer)
-_REALS = (int, float, np.integer, np.floating)
-
-
 def _hypothesis_fault(h: Stump, eta, d: int | None = None) -> str | None:
     """Why ``(h, eta)`` cannot vote on data with d columns (any count when d is
-    None), or None: the feature must be an integer, not a bool, in [0, d), the
-    polarity ±1, the threshold a number but not NaN (the ±inf sentinels vote
-    constantly) and eta a finite number."""
+    None), or None: the feature must be an integer (``is_integer``) in [0, d), the
+    polarity ±1, the threshold a real number (``is_real``) but not NaN (the ±inf
+    sentinels vote constantly) and eta a finite one."""
     f, p, t = h.feature, h.polarity, h.threshold
-    if type(f) is bool or not isinstance(f, _INTEGERS) or f < 0 or d is not None and f >= d:
+    # an int feature and polarity and a float threshold and eta skip the calls
+    if type(f) is not int and not is_integer(f) or f < 0 or d is not None and f >= d:
         where = ">= 0" if d is None else f"in [0, {d}), one of the data's {d} columns"
         return f"feature {f!r} is not an integer {where}"
-    if not isinstance(p, _REALS) or p not in (-1, 1):
+    if type(p) is not int and not is_real(p) or p not in (-1, 1):
         return f"polarity {p!r} is not ±1"
-    if not isinstance(t, _REALS) or math.isnan(t):
+    if type(t) is not float and not is_real(t) or math.isnan(t):
         return f"threshold {t!r} is not a number"
-    if not isinstance(eta, _REALS) or not math.isfinite(eta):
+    if type(eta) is not float and not is_real(eta) or not math.isfinite(eta):
         return f"eta {eta!r} is not finite"
     return None
 
@@ -433,8 +428,7 @@ class _Mada(_Policy):
 
     def record(self, t, gamma, eta, err, score) -> RoundTrace:
         self.prev_err = err
-        nnz = int(np.count_nonzero(self.y))
-        return RoundTrace(t, gamma, eta, err, None, float(self.w.max()), nnz, y_l1=self.y_l1)
+        return _Sparse.record(self, t, gamma, eta, err, score)  # the same y-based record
 
     def stop(self, trace) -> str | None:
         if trace.train_error == 0.0:

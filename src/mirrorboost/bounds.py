@@ -1,16 +1,21 @@
 """Every training-error bound the package checks, each written once.
 
-The trainer checks the bounds as it runs, ``verify`` re-derives them from a
-stored trace and the acceptance bench from a run's round records; all three
+Theorem 1 (``theorem1``) bounds five boosters: sparse is its quadratic form on
+the edge gamma ||y||_1, each gamma^2 ||y||_1^2 weighed by c = 1/4 under the
+half-edge penalty, else 1 (powers of two, which scale the sum exactly), and
+combined is it scaled by N/N_A on subset A, at most 1; MadaBoost has its own
+rate. The trainer checks the bounds as it runs, ``verify`` re-derives them
+from a stored trace and the acceptance bench from round records; all three
 feed their rounds to a ``RoundChecks`` built from the run's config (the last
-two through ``replay``), which decides which bound applies to a round and
-keeps the running sums. A check passes within ``SLACK``.
+two through ``replay``), which keeps the running sums. A check passes within
+``SLACK``.
 """
 
 from __future__ import annotations
 
 import math
 
+from .data import is_integer
 from .errors import ConfigurationError
 from .geometry import QUADRATIC, Geometry
 
@@ -27,24 +32,11 @@ def reaches(value: float, floor: float) -> bool:
     return value >= floor - SLACK
 
 
-def theorem1(sum_gamma_sq: float, entropic: bool) -> float:
-    """Theorem 1: error <= exp(-sum gamma^2 / 2) (entropy), 1/(1 + sum gamma^2) (quadratic)."""
+def theorem1(sum_gamma_sq: float, entropic: bool, n: int = 1, n_a: int = 1) -> float:
+    """Theorem 1: error <= exp(-sum gamma^2 / 2) or 1/(1 + sum gamma^2), times n/n_a."""
     if entropic:
-        return math.exp(-0.5 * sum_gamma_sq)
-    return 1.0 / (1.0 + sum_gamma_sq)
-
-
-def combined_primary(sum_gamma_sq: float, entropic: bool, n: int, n_a: int) -> float:
-    """Error bound on subset A (n_a >= 1 of n samples): Theorem 1 scaled by n/n_A, at most 1."""
-    if entropic:
-        return min(1.0, n / n_a * math.exp(-0.5 * sum_gamma_sq))
-    return min(1.0, n / (n_a * (1.0 + sum_gamma_sq)))
-
-
-def sparse(sum_term: float, half: bool) -> float:
-    """Sparse bound 1/(1 + c sum gamma^2 ||y||_1^2); c = 1/4 with the half-edge penalty, else 1."""
-    c = 0.25 if half else 1.0
-    return 1.0 / (1.0 + c * sum_term)
+        return n / n_a * math.exp(-0.5 * sum_gamma_sq)
+    return n / (n_a * (1.0 + sum_gamma_sq))
 
 
 def mada_rate(t: int, gamma_min: float) -> float:
@@ -65,18 +57,19 @@ class RoundChecks:
     def __init__(self, config, n: int, n_b: int | None = None):
         # the config's fields are read once, here: add runs every round
         algorithm, geometry = config.algorithm.value, config.geometry.value
-        if type(n) is not int or not 1 <= n <= 2**53:
+        if not is_integer(n) or not 1 <= n <= 2**53:
             raise ConfigurationError(f"n must be an integer in [1, 2**53], got {n!r}")
         if algorithm != "combined" and n_b is not None:
             raise ConfigurationError(f"n_b is for combined, not {algorithm}")
-        if algorithm == "combined" and (type(n_b) is not int or not 0 <= n_b <= n):
+        if algorithm == "combined" and (not is_integer(n_b) or not 0 <= n_b <= n):
             raise ConfigurationError(f"combined checks require n_b in [0, n], got {n_b!r}")
         self.half = config.alpha_mode is not None and config.alpha_mode.value == "half"
-        self.algorithm, self.n, self.k = algorithm, n, config.k
-        self.n_a = None if n_b is None else n - n_b
+        self.algorithm, self.n, self.k = algorithm, int(n), config.k
+        self.n_a = None if n_b is None else self.n - int(n_b)
+        self.scale = (1, 1) if n_b is None else (self.n, self.n_a)  # theorem1's n/n_a, 1/1 exact
         self.entropic = geometry == "entropy"
-        self.sum_gamma_sq = 0.0
-        self.sum_term = 0.0
+        self.c = (0.25 if self.half else 1.0) if algorithm == "sparse" else None
+        self.sum_sq = 0.0  # theorem1's sum: of gamma^2, or for sparse of c gamma^2 ||y||_1^2
         self.gamma_min = math.inf
         self.reads_mass = algorithm == "sparse" and not self.half  # the sparse floor
         # in the order verify names the first missing one
@@ -106,14 +99,6 @@ class RoundChecks:
         is ||y||_1 after the round's update, and None skips the sparse floor.
         """
         family = self.families[0] if self.families else None
-        if self.algorithm == "sparse":
-            self.sum_term += gamma * gamma * y_l1 * y_l1
-            bound = sparse(self.sum_term, self.half)
-            checks = [(family, within(error, bound))]
-            # without a penalty, ||y||_1 stays >= 1/N while the ensemble errs
-            if self.reads_mass and mass_after is not None and error > 0.0:
-                checks.append((self.families[1], reaches(mass_after, 1.0 / self.n)))
-            return bound, checks
         if self.algorithm == "mada":
             self.gamma_min = min(self.gamma_min, gamma)
             return None, [
@@ -122,15 +107,18 @@ class RoundChecks:
             ]
         if family is None:
             return None, []
-        self.sum_gamma_sq += gamma * gamma
+        self.sum_sq += gamma * gamma if self.c is None else self.c * (gamma * gamma * y_l1 * y_l1)
+        bound = theorem1(self.sum_sq, self.entropic, *self.scale)
         if self.algorithm == "combined":
-            bound = combined_primary(self.sum_gamma_sq, self.entropic, self.n, self.n_a)
-            return bound, [(family, within(eps_a, bound))]
-        bound = theorem1(self.sum_gamma_sq, self.entropic)
+            bound, error = min(1.0, bound), eps_a
         # the smooth bound argument needs the error distribution inside the
         # capped simplex, which holds while error >= 1/k
         below_k = self.algorithm == "smooth" and error < 1.0 / self.k
-        return bound, [(family, below_k or within(error, bound))]
+        checks = [(family, below_k or within(error, bound))]
+        # without a penalty, ||y||_1 stays >= 1/N while the ensemble errs
+        if self.reads_mass and mass_after is not None and error > 0.0:
+            checks.append((self.families[1], reaches(mass_after, 1.0 / self.n)))
+        return bound, checks
 
     def replay(self, records, last_mass: float | None = None):
         """Check recorded rounds in order, yielding (record, bound, held) for each.

@@ -150,11 +150,14 @@ def load_csv(path: str, label_column: str = "label", subset_column: str | None =
 
 
 def _lines_without_separators(fh):
-    # NumPy's float parser strips U+001C..U+001F as whitespace and float() does
-    # not, so a line holding one is left to the row loop
+    # NumPy's float parser strips U+001C..U+001F as whitespace, which float()
+    # does not, and reads a cell over the field size limit, which csv.reader
+    # refuses: a line holding a separator or longer than the limit is left to
+    # the row loop
+    cap = csv.field_size_limit()
     for line in fh:
-        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
-            raise ValueError("ASCII separator")
+        if len(line) > cap or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("ASCII separator, or a line over the field size limit")
         yield line
 
 
@@ -268,18 +271,30 @@ def _memory_bytes() -> float:
 DEFAULT_MARGIN = 0.5
 
 
+def is_integer(value) -> bool:
+    """The package's one rule for an integer: an int or a NumPy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """The package's one rule for a real number: a float, Python or NumPy, or an
+    integer of magnitude <= 2**53, whose float arithmetic, squares included,
+    cannot raise OverflowError."""
+    return isinstance(value, (float, np.floating)) or is_integer(value) and -2**53 <= value <= 2**53
+
+
 def _integer(value, name: str) -> int:
-    """``value`` as a Python int: an int or a NumPy integer, not a bool."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    """``value`` as a Python int, if ``is_integer``."""
+    if is_integer(value):
         return int(value)
     raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def _real(value, name: str):
-    """``value`` unchanged if an int, a float, a NumPy integer or floating value, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
-    return value
+    """``value`` unchanged, if ``is_real``."""
+    if is_real(value):
+        return value
+    raise ConfigurationError(f"{name} must be a real number, got {value!r}")
 
 
 def _blobs(seed: int, n: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
@@ -319,8 +334,8 @@ def gen_blobs(seed: int, n: int, margin: float) -> Dataset:
     The first n/2 samples are positive with x0 in [margin, margin + 1]; the
     second half are negative with x0 in [-margin - 1, -margin]. A stump at
     threshold 0 on feature 0 separates the classes perfectly. x1 is uniform
-    on [-1, 1). The seed and n are ints or NumPy integers, the margin an
-    int, a float or a NumPy number; none of them is a bool.
+    on [-1, 1). The seed and n must pass ``is_integer``, the margin
+    ``is_real``.
     """
     return Dataset(*_blobs(_integer(seed, "seed"), _integer(n, "n"), margin))
 

@@ -16,8 +16,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .boosting import EDGE_TOL, BoosterConfig, BoostResult, RoundTrace, is_number
+from .boosting import EDGE_TOL, BoosterConfig, BoostResult, RoundTrace
 from .bounds import RoundChecks
+from .data import is_integer, is_real
 from .errors import ConfigurationError, ParseError, UsageError, opens_file, write_over
 
 SCHEMA_VERSION = 1
@@ -64,7 +65,7 @@ def read_trace(path: str) -> TraceFile:
     except ValueError as exc:  # a JSONDecodeError, or an int over the digit limit
         raise ParseError(f"bad header: {exc}", 1) from None
     schema = header.get("schema") if isinstance(header, dict) else None
-    if type(schema) is not int or schema != SCHEMA_VERSION:  # JSON true and 1.0 equal 1 too
+    if not is_integer(schema) or schema != SCHEMA_VERSION:  # JSON true and 1.0 equal 1 too
         raise ParseError("missing or unsupported schema header", 1)
     rounds = []
     record_lines = []
@@ -79,7 +80,7 @@ def read_trace(path: str) -> TraceFile:
         if not isinstance(rec, dict):
             raise ParseError("a round record must be a JSON object", lineno)
         t = rec.get("t")
-        if type(t) is not int or t != last_t + 1:
+        if type(t) is not int and not is_integer(t) or t != last_t + 1:  # ints skip the call
             raise ParseError(f"round numbers must be consecutive integers, got {t}", lineno)
         last_t = t
         rounds.append(rec)
@@ -119,7 +120,7 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
     for rec, line in zip(rounds, trace.lines):
         for key, lo, hi, what in domains:
             value = rec.get(key)
-            if type(value) is not float and not is_number(value):  # floats skip the call
+            if type(value) is not float and not is_real(value):  # floats skip the call
                 raise ParseError(f"key {key!r} is missing or not a number", line)
             if not lo <= value <= hi:  # false for NaN too
                 raise ParseError(f"key {key!r} must be {what}, got {value!r}", line)

@@ -261,6 +261,29 @@ class TestConfigValidation:
         assert traces[0] == traces[1]
 
 
+# one integer rule and one real-number rule: NumPy scalars are numbers, and an
+# int too large for float arithmetic is refused, not an OverflowError
+@pytest.mark.parametrize("make, refused", [
+    (lambda: gen_blobs(0, 200, 10**400), ConfigurationError),
+    (lambda: predict([(Stump(0, 10**400, 1), 1.0)], np.ones((2, 1))), UsageError),
+    (lambda: predict([(Stump(0, 0.0, 1), 10**400)], np.ones((2, 1))), UsageError),
+    (lambda: BoosterConfig("smooth", "entropy", np.int64(10), k=4.0), None),
+    (lambda: BoosterConfig("smooth", "entropy", 10, k=np.float32(4.0)), None),
+    (lambda: BoosterConfig("smooth", "entropy", 10, k=np.int64(4)), None),
+    (lambda: BoosterConfig("smooth", "entropy", 10, k=4.0, target_error=np.float32(0.25)), None),
+], ids=["huge-margin", "huge-threshold", "huge-eta", "numpy-rounds", "float32-k", "int64-k",
+        "float32-target"])
+def test_numbers_follow_one_rule(make, refused):
+    if refused is not None:
+        with pytest.raises(refused):
+            make()
+        return
+    config = make()  # NumPy scalars are stored as the Python values a trace header writes
+    assert (config.rounds, config.k, config.target_error) == (10, 4, 0.25)
+    assert [type(v) for v in (config.rounds, config.target_error)] == [int, float]
+    assert type(config.k) in (int, float)
+
+
 class TestMaboost:
     def test_single_perfect_stump_entropy(self):
         # one stump of edge 1 under entropy (L = 1): eta = 1, error 0

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from mirrorboost.boosting import FORCED_GEOMETRY, Algorithm, BoosterConfig
@@ -93,6 +94,52 @@ class TestSparse:
         assert rc.families == ("sparse-training-error",)
         _, checks = rc.add(1, 0.5, 0.1, y_l1=1.0, mass_after=0.0)
         assert len(checks) == 1
+
+
+# the bound columns as bounds.py wrote them before theorem1 took n and n_a: the
+# plain form, the combined form and the sparse form with its own running sum
+def _plain_bound(sum_gamma_sq, entropic):
+    return math.exp(-0.5 * sum_gamma_sq) if entropic else 1.0 / (1.0 + sum_gamma_sq)
+
+
+def _combined_bound(sum_gamma_sq, entropic, n, n_a):
+    if entropic:
+        return min(1.0, n / n_a * math.exp(-0.5 * sum_gamma_sq))
+    return min(1.0, n / (n_a * (1.0 + sum_gamma_sq)))
+
+
+def _sparse_bound(sum_term, half):
+    c = 0.25 if half else 1.0
+    return 1.0 / (1.0 + c * sum_term)
+
+
+@pytest.mark.parametrize("algorithm, geometry, half", [
+    ("maboost-active", "entropy", False), ("maboost-lazy", "quadratic", False),
+    ("smooth", "entropy", False), ("smooth", "quadratic", False),
+    ("combined", "entropy", False), ("combined", "quadratic", False),
+    ("sparse", "quadratic", False), ("sparse", "quadratic", True),
+])
+def test_bound_column_keeps_the_bits_of_each_former_formula(algorithm, geometry, half):
+    rng = np.random.default_rng(31)
+    entropic = geometry == "entropy"
+    for _ in range(40):
+        n = int(rng.integers(1, 10**6))
+        n_a = int(rng.integers(1, n + 1))
+        k = 4.0 if algorithm in ("smooth", "combined") else None
+        rc = _checks(algorithm, geometry, n, k=k,
+                     n_a=n_a if algorithm == "combined" else None, half=half)
+        sum_gamma_sq = sum_term = 0.0
+        for t in range(1, 80):
+            gamma, y_l1 = 10.0 ** rng.uniform(-6.0, 0.0), 10.0 ** rng.uniform(-3.0, 1.0)
+            column, _ = rc.add(t, gamma, 0.5, y_l1=y_l1, eps_a=0.5)
+            sum_gamma_sq += gamma * gamma
+            sum_term += gamma * gamma * y_l1 * y_l1
+            if algorithm == "sparse":
+                assert column == _sparse_bound(sum_term, half)
+            elif algorithm == "combined":
+                assert column == _combined_bound(sum_gamma_sq, entropic, n, n_a)
+            else:
+                assert column == _plain_bound(sum_gamma_sq, entropic)
 
 
 class TestMada:

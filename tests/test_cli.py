@@ -342,6 +342,12 @@ class TestVerify:
         open(trace, "w").write("not json\n")
         assert main(["verify", trace]) == 1
 
+    def test_zero_byte_trace_exits_one(self, tmp_path, capsys):
+        trace = tmp_path / "zero.jsonl"
+        trace.write_bytes(b"")
+        assert main(["verify", str(trace)]) == 1
+        assert capsys.readouterr() == ("", "error: line 1: empty trace file\n")
+
     def test_nonconsecutive_rounds_rejected(self, tmp_path):
         trace = str(tmp_path / "gap.jsonl")
         with open(trace, "w") as fh:

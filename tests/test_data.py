@@ -297,6 +297,20 @@ class TestCsv:
             _load_csv_reference, str(p), subset_column
         )
 
+    @pytest.mark.parametrize("cell", ["0" * 140_000 + "1", '"' + "0" * 140_000 + '1"'],
+                             ids=["bare", "quoted"])
+    def test_a_cell_over_the_field_limit_is_refused_as_the_reference_refuses_it(
+        self, tmp_path, cell
+    ):
+        # the reference lets csv.reader's own error out; load_csv adds the line
+        p = tmp_path / "d.csv"
+        p.write_text(f"label,f0\n1,{cell}\n-1,0.5\n")
+        with pytest.raises(csv.Error, match=r"^field larger than field limit \(131072\)$"):
+            _load_csv_reference(str(p))
+        with pytest.raises(ParseError, match=r"^line 2: field larger than field limit") as e:
+            load_csv(str(p))
+        assert e.value.line == 2
+
     def test_clean_file_never_reaches_the_row_loop(self, tmp_path, monkeypatch):
         p = tmp_path / "d.csv"
         p.write_text(_CLEAN)
