@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     UsageError,
     opens_file,
+    shown,
     write_over,
 )
 from .geometry import NEGATIVE_ENTROPY, QUADRATIC, Geometry
@@ -89,11 +90,11 @@ class BoosterConfig:
             if isinstance(value := getattr(self, name), np.generic):
                 object.__setattr__(self, name, value.item())
         if not is_integer(self.rounds) or self.rounds < 1:
-            raise ConfigurationError(f"rounds must be an integer >= 1, got {self.rounds!r}")
+            raise ConfigurationError(f"rounds must be an integer >= 1, got {shown(self.rounds)}")
         # k first: the default smooth target is 1/k, out of range for k < 1
         if self.k is not None and not (is_real(self.k) and math.isfinite(self.k)):
             raise ConfigurationError(
-                f"smoothness parameter k must be a finite number, got {self.k!r}")
+                f"smoothness parameter k must be a finite number, got {shown(self.k)}")
         if self.algorithm in (Algorithm.SMOOTH, Algorithm.COMBINED):
             if self.k is None or self.k < 1.0:
                 raise ConfigurationError("smoothness parameter k must be >= 1")
@@ -119,7 +120,7 @@ class BoosterConfig:
             object.__setattr__(self, name, kind(value))  # a member is its own value
         except ValueError:  # an unhashable value too
             names = " or ".join(member.value for member in kind)
-            raise ConfigurationError(f"{name} must be {names}, got {value!r}") from None
+            raise ConfigurationError(f"{name} must be {names}, got {shown(value)}") from None
 
 
 @dataclass
@@ -157,13 +158,13 @@ def _hypothesis_fault(h: Stump, eta, d: int | None = None) -> str | None:
     # an int feature and polarity and a float threshold and eta skip the calls
     if type(f) is not int and not is_integer(f) or f < 0 or d is not None and f >= d:
         where = ">= 0" if d is None else f"in [0, {d}), one of the data's {d} columns"
-        return f"feature {f!r} is not an integer {where}"
+        return f"feature {shown(f)} is not an integer {where}"
     if type(p) is not int and not is_real(p) or p not in (-1, 1):
-        return f"polarity {p!r} is not ±1"
+        return f"polarity {shown(p)} is not ±1"
     if type(t) is not float and not is_real(t) or math.isnan(t):
-        return f"threshold {t!r} is not a number"
+        return f"threshold {shown(t)} is not a number"
     if type(eta) is not float and not is_real(eta) or not math.isfinite(eta):
-        return f"eta {eta!r} is not finite"
+        return f"eta {shown(eta)} is not finite"
     return None
 
 

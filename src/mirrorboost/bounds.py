@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .data import is_integer
-from .errors import ConfigurationError
+from .errors import ConfigurationError, shown
 from .geometry import QUADRATIC, Geometry
 
 SLACK = 1e-9
@@ -58,11 +58,11 @@ class RoundChecks:
         # the config's fields are read once, here: add runs every round
         algorithm, geometry = config.algorithm.value, config.geometry.value
         if not is_integer(n) or not 1 <= n <= 2**53:
-            raise ConfigurationError(f"n must be an integer in [1, 2**53], got {n!r}")
+            raise ConfigurationError(f"n must be an integer in [1, 2**53], got {shown(n)}")
         if algorithm != "combined" and n_b is not None:
             raise ConfigurationError(f"n_b is for combined, not {algorithm}")
         if algorithm == "combined" and (not is_integer(n_b) or not 0 <= n_b <= n):
-            raise ConfigurationError(f"combined checks require n_b in [0, n], got {n_b!r}")
+            raise ConfigurationError(f"combined checks require n_b in [0, n], got {shown(n_b)}")
         self.half = config.alpha_mode is not None and config.alpha_mode.value == "half"
         self.algorithm, self.n, self.k = algorithm, int(n), config.k
         self.n_a = None if n_b is None else self.n - int(n_b)

@@ -98,7 +98,7 @@ def cmd_project(args) -> int:
     geometry = Geometry(args.geometry)
     try:
         values = json.loads(sys.stdin.read())
-    except ValueError as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise UsageError(f"stdin must hold a JSON array of numbers: {exc}") from None
     # bool is an int, NumPy would convert the string "2", and an int past the
     # largest float would overflow; NaN fails the test too

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, opens_file
+from .errors import ConfigurationError, ParseError, opens_file, shown
 from .stumps import StumpIndex
 
 # every operand is a uint64 so the arithmetic wraps mod 2**64 under any
@@ -287,14 +287,14 @@ def _integer(value, name: str) -> int:
     """``value`` as a Python int, if ``is_integer``."""
     if is_integer(value):
         return int(value)
-    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    raise ConfigurationError(f"{name} must be an integer, got {shown(value)}")
 
 
 def _real(value, name: str):
     """``value`` unchanged, if ``is_real``."""
     if is_real(value):
         return value
-    raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    raise ConfigurationError(f"{name} must be a real number, got {shown(value)}")
 
 
 def _blobs(seed: int, n: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
@@ -311,8 +311,9 @@ def _blobs(seed: int, n: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigurationError(f"margin must be positive and finite, got {margin}")
     memory = _memory_bytes()
     if 32 * n > memory:  # 2n uint64 draws and n x 2 features, refused before allocating
+        need = 32 * n / 2**30 if n.bit_length() < 1000 else math.inf  # else the quotient overflows
         raise ConfigurationError(
-            f"n = {n} samples need {32 * n / 2**30:.3g} GiB, "
+            f"n = {shown(n)} samples need {need:.3g} GiB, "
             f"more than the {memory / 2**30:.3g} GiB of memory"
         )
     draws = splitmix64(seed, 2 * n)
@@ -402,7 +403,7 @@ def gen_combined(seed: int, n_clean: int, n_noisy: int, flip_rate: float) -> Dat
     n_clean, n_noisy = _integer(n_clean, "N_A"), _integer(n_noisy, "N_B")
     for name, size in (("N_A", n_clean), ("N_B", n_noisy)):
         if size < 2 or size % 2:
-            raise ConfigurationError(f"{name} must be an even number >= 2, got {size}")
+            raise ConfigurationError(f"{name} must be an even number >= 2, got {shown(size)}")
     clean_features, clean_labels = _blobs(seed, n_clean, DEFAULT_MARGIN)
     noisy_features, noisy_labels = _noisy(seed + 1, n_noisy, flip_rate)
     features = np.vstack([clean_features, noisy_features])

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the file-opening wrapper that
-raises them, and the writer of output files."""
+"""Exception types shared across the package, the formatting of the values
+they refuse, the file-opening wrapper that raises them, and the writer of
+output files."""
 
 import functools
 import os
@@ -42,6 +43,17 @@ class ParseError(MirrorBoostError, ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def shown(value) -> str:
+    """``repr(value)`` for a refusal message, with an int too long for repr (past
+    ``sys.get_int_max_str_digits()`` digits) shortened to its bit length."""
+    try:
+        return repr(value)
+    except ValueError:  # the int, or an int inside a container
+        if isinstance(value, int):
+            return f"<an int of {value.bit_length()} bits>"
+        return f"<a {type(value).__name__} holding an int too long to show>"
 
 
 def opens_file(verb: str, at: int = 0):

@@ -126,18 +126,26 @@ def _rho(n: int) -> float:
     return 1.0 - 2.05 * (nu / (1.0 - nu) + 4 * _U)
 
 
+def _aim(n: int) -> float:
+    """How far past 1 a probe of n terms aims its sum: _AIM up to n = 1261568,
+    then _SUM_TOL + 2 (1 - rho(n)). A sum settles a step only if it clears
+    _SUM_TOL once rho widens it, and 1 - rho(n) grows with n: above n ~ 3.1e6
+    it passes _AIM - _SUM_TOL, and with a fixed aim no probe settles a step."""
+    return max(_AIM, _SUM_TOL + 2.0 * (1.0 - _rho(n)))
+
+
 def _probes(z: np.ndarray, caps: np.ndarray, buf: np.ndarray, passes: list) -> tuple[float, float]:
     """Bounds up < down: the bisection's step raises lo at every theta <= up
     and lowers hi at every theta >= down. Each pass after the first is a
-    Newton step aiming _AIM beyond the stop band, across 1 from the last sum,
+    Newton step aiming _aim(n) beyond the stop band, across 1 from the last sum,
     or the midpoint of (up, down) when the step leaves it. They stop when
     that theta is outside (up, down), where its step is settled already, or
     one they passed at before, which would pass again at the thetas after it.
     Each pass appends its (theta, sum) to passes; buf holds the last one's
     clamped vector."""
-    rho = _rho(len(z))
+    rho, aim = _rho(len(z)), _aim(len(z))
     up, down = -math.inf, math.inf
-    theta = (float(z.sum()) - (1.0 + _AIM)) / len(z)
+    theta = (float(z.sum()) - (1.0 + aim)) / len(z)
     for _ in range(_PROBES):
         s = _clamped_sum(z, caps, theta, buf)
         passes.append((theta, s))
@@ -146,9 +154,9 @@ def _probes(z: np.ndarray, caps: np.ndarray, buf: np.ndarray, passes: list) -> t
         elif _bisection_step(s / rho) < 0:
             down = theta
         m = int(np.count_nonzero((buf > 0) & (buf < caps)))
-        if not m or s >= _HUGE or (down - up) * m <= 3 * _AIM:
+        if not m or s >= _HUGE or (down - up) * m <= 3 * aim:
             break
-        theta += (s - (1.0 - _AIM if s > 1.0 else 1.0 + _AIM)) / m
+        theta += (s - (1.0 - aim if s > 1.0 else 1.0 + aim)) / m
         if not up < theta < down:
             theta = 0.5 * (up + down)
         if not up < theta < down or any(_same(theta, t) for t, _ in passes):

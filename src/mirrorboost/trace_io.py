@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from .boosting import EDGE_TOL, BoosterConfig, BoostResult, RoundTrace
 from .bounds import RoundChecks
 from .data import is_integer, is_real
-from .errors import ConfigurationError, ParseError, UsageError, opens_file, write_over
+from .errors import ConfigurationError, ParseError, UsageError, opens_file, shown, write_over
 
 SCHEMA_VERSION = 1
 _ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds
+_raw_decode = json.JSONDecoder().raw_decode  # what json.loads runs, less its checks
 
 
 @dataclass
@@ -38,7 +39,8 @@ def write_trace(result: BoostResult, n: int, path: str, k: float | None = None) 
     (None: not given) must match the run, else ``UsageError``; both go once perfbench drops them."""
     config = result.config
     if n != result.n or k not in (None, config.k):
-        raise UsageError(f"the run has n={result.n} and k={config.k!r}, not n={n!r} and k={k!r}")
+        raise UsageError(
+            f"the run has n={result.n} and k={config.k!r}, not n={shown(n)} and k={shown(k)}")
     header = {"schema": SCHEMA_VERSION, "algorithm": config.algorithm.value,
               "geometry": config.geometry.value, "n": result.n, "k": config.k,
               "alpha_mode": config.alpha_mode and config.alpha_mode.value, "n_b": result.n_b}
@@ -56,13 +58,19 @@ def _record(tr: RoundTrace) -> dict:
 
 @opens_file("read")
 def read_trace(path: str) -> TraceFile:
+    """The header and round records of the trace at ``path``. A record line is
+    decoded by ``raw_decode`` when that takes the whole line (its ``\\n`` aside):
+    ``json.loads`` would give the same value. Any other line (blank, padded,
+    with a BOM, malformed, holding extra data, an int past the digit limit or
+    nesting past the recursion limit) goes to ``json.loads``, whose value or
+    refusal stands."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     if not lines:
         raise ParseError("empty trace file", 1)
     try:
         header = json.loads(lines[0])
-    except ValueError as exc:  # a JSONDecodeError, or an int over the digit limit
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise ParseError(f"bad header: {exc}", 1) from None
     schema = header.get("schema") if isinstance(header, dict) else None
     if not is_integer(schema) or schema != SCHEMA_VERSION:  # JSON true and 1.0 equal 1 too
@@ -71,12 +79,18 @@ def read_trace(path: str) -> TraceFile:
     record_lines = []
     last_t = 0
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         try:
-            rec = json.loads(line)
-        except ValueError as exc:
-            raise ParseError(f"bad record: {exc}", lineno) from None
+            rec, end = _raw_decode(line)
+            whole = end == len(line) or line[end:] == "\n"
+        except (ValueError, RecursionError):
+            whole = False
+        if not whole:
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(f"bad record: {exc}", lineno) from None
         if not isinstance(rec, dict):
             raise ParseError("a round record must be a JSON object", lineno)
         t = rec.get("t")
@@ -123,7 +137,7 @@ def verify_trace(trace: TraceFile) -> list[FamilyReport]:
             if type(value) is not float and not is_real(value):  # floats skip the call
                 raise ParseError(f"key {key!r} is missing or not a number", line)
             if not lo <= value <= hi:  # false for NaN too
-                raise ParseError(f"key {key!r} must be {what}, got {value!r}", line)
+                raise ParseError(f"key {key!r} must be {what}, got {shown(value)}", line)
 
     if not checks.families:  # the margin schedule, or combined with an empty subset A
         return [FamilyReport(config.algorithm.value, True, "no per-round bound; vacuous pass")]

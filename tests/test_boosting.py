@@ -284,6 +284,19 @@ def test_numbers_follow_one_rule(make, refused):
     assert type(config.k) in (int, float)
 
 
+# an int past the 4300-digit repr limit is shown by its size, so a refusal that
+# names it still raises its own error
+@pytest.mark.parametrize("make, refused, shown", [
+    (lambda: gen_blobs(0, 200, 10**5000), ConfigurationError, "margin"),
+    (lambda: gen_blobs(0, 10**5000, 1.0), ConfigurationError, "n"),
+    (lambda: BoosterConfig("smooth", "entropy", 10, k=10**5000), ConfigurationError, "k"),
+    (lambda: predict([(Stump(0, 10**5000, 1), 1.0)], np.ones((2, 1))), UsageError, "threshold"),
+], ids=["margin", "n", "k", "threshold"])
+def test_refusals_show_ints_past_the_digit_limit(make, refused, shown):
+    with pytest.raises(refused, match=f"{shown} .*<an int of 1661[0-9] bits>"):
+        make()
+
+
 class TestMaboost:
     def test_single_perfect_stump_entropy(self):
         # one stump of edge 1 under entropy (L = 1): eta = 1, error 0

@@ -348,6 +348,20 @@ class TestVerify:
         assert main(["verify", str(trace)]) == 1
         assert capsys.readouterr() == ("", "error: line 1: empty trace file\n")
 
+    @pytest.mark.parametrize("line, where", [(1, "bad header"), (2, "bad record")],
+                             ids=["header", "record"])
+    def test_deeply_nested_json_is_a_parse_error(self, tmp_path, capsys, line, where):
+        header = '{"schema": 1, "algorithm": "maboost-active", "geometry": "entropy", "n": 9}'
+        lines = [header, "[" * 100_000, ""]
+        lines[line - 1] = "[" * 100_000
+        trace = tmp_path / "deep.jsonl"
+        trace.write_text("\n".join(lines))
+        assert main(["verify", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: {where}: maximum recursion depth")
+        assert captured.err.count("\n") == 1
+
     def test_nonconsecutive_rounds_rejected(self, tmp_path):
         trace = str(tmp_path / "gap.jsonl")
         with open(trace, "w") as fh:
@@ -699,6 +713,14 @@ class TestProject:
         assert main(["project", "--geometry", geometry, "--set", spec]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: stdin must hold")
+
+    def test_deeply_nested_stdin_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+        assert main(["project", "--geometry", "entropy", "--set", "simplex"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: stdin must hold a JSON array of numbers: maximum")
+        assert captured.err.count("\n") == 1
 
 
 class TestBench:

@@ -817,3 +817,23 @@ def test_capped_projection_of_boosting_weights_makes_no_pass_for_its_result(
     assert len(projections) == rounds
     for passes in projections:
         assert all(stage != "result" for stage, _ in passes), passes
+
+
+def test_probes_aim_stays_fixed_up_to_a_million_terms():
+    # every bench workload and test below that size keeps its pass counts
+    for n in (1, 2, 200, 100_000, 1_000_000, 1_261_568):
+        assert projection._aim(n) == projection._AIM, n
+    assert projection._aim(4_000_000) > projection._AIM
+
+
+def test_capped_projection_of_millions_of_weights_makes_few_passes():
+    """Boosting weights of 4e6 samples: a projected w plus eta d, d = +-1, with
+    eta = 0.8 / N as in the first round at 10 % error. With the probes' aim fixed
+    at _AIM no probe settled a step above N ~ 3.1e6, and this made 64 passes."""
+    n = 4_000_000
+    rng = np.random.default_rng(4)
+    w = rng.uniform(0.5, 1.5, n)
+    w /= w.sum()
+    z = w + 0.8 / n * np.where(rng.random(n) < 0.1, 1.0, -1.0)
+    del w
+    assert _passes(z, np.full(n, 20.0 / n)) <= 5
