@@ -44,6 +44,19 @@ def mada_rate(t: int, gamma_min: float) -> float:
     return 1.0 / (t * (gamma_min * gamma_min))  # ** would raise OverflowError
 
 
+# each booster's round-record keys, in the order verify names the first missing
+# one, and its check families, in report order; "{}" is the geometry's name
+_ROWS = {
+    "maboost-active": (("gamma", "train_error"), ("training-error ({})",)),
+    "maboost-lazy": (("gamma", "train_error"), ("training-error ({})",)),
+    "smooth": (("gamma", "train_error"), ("smooth-training-error ({})",)),
+    "combined": (("gamma", "eps_a"), ("combined-primary-error ({})",)),
+    "sparse": (("gamma", "y_l1", "train_error"), ("sparse-training-error", "sparse-mass-floor")),
+    "mada": (("gamma", "y_l1", "train_error"), ("mada-mass-floor", "mada-convergence-rate")),
+    "maxmargin": ((), ()),
+}
+
+
 class RoundChecks:
     """The per-round bound checks of one run on n samples, n_b of them in
     subset B (combined only), with the running state they need.
@@ -71,24 +84,12 @@ class RoundChecks:
         self.c = (0.25 if self.half else 1.0) if algorithm == "sparse" else None
         self.sum_sq = 0.0  # theorem1's sum: of gamma^2, or for sparse of c gamma^2 ||y||_1^2
         self.gamma_min = math.inf
-        self.reads_mass = algorithm == "sparse" and not self.half  # the sparse floor
-        # in the order verify names the first missing one
-        mass = ("y_l1",) if algorithm in ("sparse", "mada") else ()
-        error = "eps_a" if algorithm == "combined" else "train_error"
-        self.keys = () if algorithm == "maxmargin" else ("gamma", *mass, error)
-        if algorithm == "sparse":
-            floor = () if self.half else ("sparse-mass-floor",)
-            self.families = ("sparse-training-error", *floor)
-        elif algorithm == "mada":
-            self.families = ("mada-mass-floor", "mada-convergence-rate")
-        elif algorithm == "maxmargin" or algorithm == "combined" and not self.n_a:
-            self.families = ()
-        elif algorithm == "combined":
-            self.families = (f"combined-primary-error ({geometry})",)
-        elif algorithm == "smooth":
-            self.families = (f"smooth-training-error ({geometry})",)
-        else:
-            self.families = (f"training-error ({geometry})",)
+        self.keys, families = _ROWS[algorithm]
+        if self.half:  # the half-edge penalty keeps no mass floor
+            families = families[:1]
+        # with subset A empty, the primary bound has nothing to bound
+        self.families = () if self.n_a == 0 else tuple(f.format(geometry) for f in families)
+        self.reads_mass = "sparse-mass-floor" in self.families
 
     def add(self, t: int, gamma: float, error: float, y_l1: float | None = None,
             eps_a: float | None = None, mass_after: float | None = None

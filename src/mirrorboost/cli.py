@@ -33,8 +33,14 @@ from .projection import (
 )
 from .trace_io import read_trace, verify_trace, write_trace
 
-# the package has only the entropic hypercube projections and the Euclidean orthant-l1 one
-_SET_GEOMETRY = {"hypercube": NEGATIVE_ENTROPY, "double": NEGATIVE_ENTROPY, "orthant-l1": QUADRATIC}
+# each --set: the geometry it requires (None: either), whether it takes :<number>, its projection
+_SETS = {
+    "simplex": (None, False, project_simplex),
+    "capped": (None, True, project_capped_simplex),
+    "hypercube": (NEGATIVE_ENTROPY, False, lambda _, vec: project_hypercube_entropic(vec)),
+    "double": (NEGATIVE_ENTROPY, False, lambda _, vec: project_hypercube_simplex(vec)),
+    "orthant-l1": (QUADRATIC, True, lambda _, vec, lam: project_orthant_l1(vec, lam)),
+}
 
 
 def _parse_gen(spec: str) -> Dataset:
@@ -87,7 +93,7 @@ def cmd_train(args) -> int:
 def cmd_verify(args) -> int:
     trace = read_trace(args.trace)
     reports = verify_trace(trace)
-    if len(reports) == 1 and reports[0].family == "empty-trace":
+    if not trace.rounds:
         print("WARNING: trace has no rounds")
     for report in reports:
         print(report.line())
@@ -107,33 +113,18 @@ def cmd_project(args) -> int:
     ):
         raise UsageError("stdin must hold a non-empty 1-D JSON array of finite numbers")
     vec = np.array(values, dtype=float)
-    spec = args.set
-    name = spec.split(":", 1)[0]
-    required = _SET_GEOMETRY.get(name)
+    name, colon, number = args.set.partition(":")
+    required, numbered, project = _SETS.get(name, (None, None, None))
     if required is not None and geometry is not required:
         raise UsageError(f"--set {name} requires --geometry {required.value}")
-    if spec == "simplex":
-        out = project_simplex(geometry, vec)
-    elif spec.startswith("capped:"):
-        out = project_capped_simplex(geometry, vec, _spec_float(spec))
-    elif spec == "hypercube":
-        out = project_hypercube_entropic(vec)
-    elif spec == "double":
-        out = project_hypercube_simplex(vec)
-    elif spec.startswith("orthant-l1:"):
-        out = project_orthant_l1(vec, _spec_float(spec))
-    else:
-        raise UsageError(f"unknown --set {spec!r}")
-    print(json.dumps(list(out)))
-    return 0
-
-
-def _spec_float(spec: str) -> float:
-    name, value = spec.split(":", 1)
+    if project is None or numbered != bool(colon):
+        raise UsageError(f"unknown --set {args.set!r}")
     try:
-        return float(value)
+        numbers = [float(number)] if numbered else []
     except ValueError:
-        raise UsageError(f"bad --set {spec!r}: {name}:<number> expected") from None
+        raise UsageError(f"bad --set {args.set!r}: {name}:<number> expected") from None
+    print(json.dumps(list(project(geometry, vec, *numbers))))
+    return 0
 
 
 def cmd_bench(args) -> int:

@@ -37,6 +37,20 @@ def test_broken_check_names_its_run(monkeypatch):
     assert "half-mode sparse-training-error broken at round 100 on noisy" in result.observed
 
 
+def test_combined_sets_names_a_broken_primary_bound(monkeypatch):
+    train = bench.run
+
+    def run_ending_in_error(config, data):
+        result = train(config, data)
+        result.traces[-1].eps_a = 1.0
+        return result
+
+    monkeypatch.setattr(bench, "run", run_ending_in_error)
+    [result] = run_bench("combined-sets")
+    assert not result.passed
+    assert "combined-primary-error (entropy) broken at round 500 on combined" in result.observed
+
+
 def test_recheck_criteria_report_rounds_and_time_without_infinities():
     # mada has no bound column, so no gap; only the thm1 criteria have a time limit
     [mada, lazy] = [run_bench(name)[0] for name in ("mada-thm5", "lazy-bounds")]

@@ -207,6 +207,47 @@ def test_combined_without_subset_a_still_names_its_keys():
     assert _checks("combined", "entropy", 10, k=4.0, n_a=0).keys == ("gamma", "eps_a")
 
 
+_TRAINING_KEYS, _MASS_KEYS = ("gamma", "train_error"), ("gamma", "y_l1", "train_error")
+
+
+# every booster variant: each algorithm in each geometry it takes, sparse in each
+# alpha mode, combined with and without subset A; its keys and its families
+_VARIANTS = [
+    ("maboost-active", "entropy", False, None, _TRAINING_KEYS, ("training-error (entropy)",)),
+    ("maboost-active", "quadratic", False, None, _TRAINING_KEYS, ("training-error (quadratic)",)),
+    ("maboost-lazy", "entropy", False, None, _TRAINING_KEYS, ("training-error (entropy)",)),
+    ("maboost-lazy", "quadratic", False, None, _TRAINING_KEYS, ("training-error (quadratic)",)),
+    ("maxmargin", "entropy", False, None, (), ()),
+    ("maxmargin", "quadratic", False, None, (), ()),
+    ("smooth", "entropy", False, None, _TRAINING_KEYS, ("smooth-training-error (entropy)",)),
+    ("smooth", "quadratic", False, None, _TRAINING_KEYS,
+     ("smooth-training-error (quadratic)",)),
+    ("combined", "entropy", False, 5, ("gamma", "eps_a"), ("combined-primary-error (entropy)",)),
+    ("combined", "quadratic", False, 5, ("gamma", "eps_a"),
+     ("combined-primary-error (quadratic)",)),
+    ("combined", "entropy", False, 0, ("gamma", "eps_a"), ()),
+    ("combined", "quadratic", False, 0, ("gamma", "eps_a"), ()),
+    ("sparse", "quadratic", False, None, _MASS_KEYS,
+     ("sparse-training-error", "sparse-mass-floor")),
+    ("sparse", "quadratic", True, None, _MASS_KEYS, ("sparse-training-error",)),
+    ("mada", "entropy", False, None, _MASS_KEYS, ("mada-mass-floor", "mada-convergence-rate")),
+]
+
+
+def test_variants_cover_every_algorithm_in_every_geometry_it_takes():
+    taken = {(a.value, g.value) for a in Algorithm
+             for g in (QUADRATIC, NEGATIVE_ENTROPY) if FORCED_GEOMETRY.get(a, g) is g}
+    assert {(algorithm, geometry) for algorithm, geometry, *_ in _VARIANTS} == taken
+
+
+@pytest.mark.parametrize("algorithm, geometry, half, n_a, keys, families", _VARIANTS)
+def test_keys_and_families_of_every_variant(algorithm, geometry, half, n_a, keys, families):
+    k = 4.0 if algorithm in ("smooth", "combined") else None
+    rc = _checks(algorithm, geometry, 10, k, n_a, half)
+    assert (rc.keys, rc.families) == (keys, families)
+    assert rc.reads_mass == ("sparse-mass-floor" in families)
+
+
 def _sparse_records(*masses):
     """Sparse zero-mode rounds with edge 0.5, error 0.1 and these ||y||_1 columns."""
     return [{"t": t, "gamma": 0.5, "train_error": 0.1, "y_l1": y_l1}

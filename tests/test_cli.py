@@ -334,8 +334,17 @@ class TestVerify:
             '{"algorithm": "maboost-active", "geometry": "entropy", "n": 10, "schema": 1}\n'
         )
         assert main(["verify", trace]) == 0
-        out = capsys.readouterr().out
-        assert "WARNING" in out and "PASS" in out
+        assert capsys.readouterr().out == (
+            "WARNING: trace has no rounds\nPASS empty-trace: no rounds recorded; vacuous pass\n")
+
+    def test_empty_trace_with_a_bad_header_prints_no_warning(self, tmp_path, capsys):
+        trace = str(tmp_path / "empty.jsonl")
+        open(trace, "w").write(
+            '{"algorithm": "boost", "geometry": "entropy", "n": 10, "schema": 1}\n'
+        )
+        assert main(["verify", trace]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: line 1: bad header: ")
 
     def test_malformed_trace_exits_one(self, tmp_path):
         trace = str(tmp_path / "bad.jsonl")
@@ -671,6 +680,42 @@ class TestProject:
     def test_unknown_set_exits_one(self, monkeypatch, capsys):
         code, _ = self._project(monkeypatch, capsys, "entropy", "ball", [1, 2])
         assert code == 1
+
+    @pytest.mark.parametrize("geometry", ["entropy", "quadratic"])
+    @pytest.mark.parametrize("spec, entropy_err, quadratic_err", [
+        ("simplex", "", ""),
+        ("simplex:0.5", "unknown --set 'simplex:0.5'", "unknown --set 'simplex:0.5'"),
+        ("simplex:", "unknown --set 'simplex:'", "unknown --set 'simplex:'"),
+        ("capped", "unknown --set 'capped'", "unknown --set 'capped'"),
+        ("capped:0.5", "", ""),
+        ("capped:", "bad --set 'capped:': capped:<number> expected",
+         "bad --set 'capped:': capped:<number> expected"),
+        ("hypercube", "", "--set hypercube requires --geometry entropy"),
+        ("hypercube:0.5", "unknown --set 'hypercube:0.5'",
+         "--set hypercube requires --geometry entropy"),
+        ("hypercube:", "unknown --set 'hypercube:'",
+         "--set hypercube requires --geometry entropy"),
+        ("double", "", "--set double requires --geometry entropy"),
+        ("double:0.5", "unknown --set 'double:0.5'", "--set double requires --geometry entropy"),
+        ("double:", "unknown --set 'double:'", "--set double requires --geometry entropy"),
+        ("orthant-l1", "--set orthant-l1 requires --geometry quadratic",
+         "unknown --set 'orthant-l1'"),
+        ("orthant-l1:0.5", "--set orthant-l1 requires --geometry quadratic", ""),
+        ("orthant-l1:", "--set orthant-l1 requires --geometry quadratic",
+         "bad --set 'orthant-l1:': orthant-l1:<number> expected"),
+        ("ball", "unknown --set 'ball'", "unknown --set 'ball'"),
+        ("ball:0.5", "unknown --set 'ball:0.5'", "unknown --set 'ball:0.5'"),
+        ("ball:", "unknown --set 'ball:'", "unknown --set 'ball:'"),
+    ])
+    def test_set_grammar(self, monkeypatch, capsys, geometry, spec, entropy_err, quadratic_err):
+        # each set name with and without :<number> and with a bare colon; the
+        # geometry a set requires is checked before the form of its spec
+        message = entropy_err if geometry == "entropy" else quadratic_err
+        monkeypatch.setattr("sys.stdin", io.StringIO("[0.5, 3]"))
+        code = main(["project", "--geometry", geometry, "--set", spec])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == ((1, f"error: {message}\n") if message else (0, ""))
+        assert (captured.out == "") == bool(message)
 
     @pytest.mark.parametrize(
         "spec, stdin, code, stdout",

@@ -303,10 +303,12 @@ def _odd_value(draw, lines, i):
 
 
 def _odd_t(draw, lines, i):
-    """A round number that skips one, repeats one, or is true or 1.0."""
+    """A round number that skips one, repeats one, or is true or 1.0. A t past
+    4000 digits, which _odd_value writes, is left as it is: int() and str()
+    refuse ints past 4300 digits."""
     value = draw(st.sampled_from(["true", "1.0", "skip", "same"]))
     shift = {"skip": 1, "same": -1}.get(value)
-    lines[i] = re.sub(r'"t": (-?\d+)', lambda m: '"t": ' + (
+    lines[i] = re.sub(r'"t": (-?\d{1,4000})\b', lambda m: '"t": ' + (
         value if shift is None else str(int(m.group(1)) + shift)), lines[i], count=1)
 
 
