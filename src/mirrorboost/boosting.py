@@ -71,7 +71,7 @@ class BoosterConfig:
     algorithm: Algorithm
     geometry: Geometry
     rounds: int
-    target_error: float | None = None    # None: 1/k for smooth, else 0
+    target_error: float | None = None    # None: 1/k for smooth, else 0; none given for maxmargin
     k: float | None = None               # smoothness parameter (smooth / combined)
     alpha_mode: AlphaMode | None = None  # sparse only
     mada_eta: MadaEta | None = None      # mada only; None: the previous-error step
@@ -103,6 +103,8 @@ class BoosterConfig:
         if self.target_error is None:
             smooth = self.algorithm is Algorithm.SMOOTH
             object.__setattr__(self, "target_error", 1.0 / self.k if smooth else 0.0)
+        elif self.algorithm is Algorithm.MAX_MARGIN:
+            raise ConfigurationError("target_error is not for maxmargin, which runs every round")
         if not (is_real(self.target_error) and 0.0 <= self.target_error <= 1.0):
             raise ConfigurationError("target_error must be in [0, 1]")
         forced = FORCED_GEOMETRY.get(self.algorithm, self.geometry)
@@ -254,7 +256,7 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
         err = _error(score, labels)
         trace = policy.record(t, gamma, eta, err, score)
         mass_after = float(policy.weights().sum()) if checks.reads_mass else None
-        trace.bound, held = checks.add(t, gamma, err, trace.y_l1, trace.eps_a, mass_after)
+        trace.bound, held = checks.add(vars(trace), mass_after)
         for family, holds in held:
             if not holds:
                 raise BoundViolationError(f"round {t}: the {family} bound does not hold")

@@ -1,14 +1,13 @@
-"""Every training-error bound the package checks, each written once.
+"""Every bound the package checks, each written once.
 
 Theorem 1 (``theorem1``) bounds five boosters: sparse is its quadratic form on
 the edge gamma ||y||_1, each gamma^2 ||y||_1^2 weighed by c = 1/4 under the
 half-edge penalty, else 1 (powers of two, which scale the sum exactly), and
-combined is it scaled by N/N_A on subset A, at most 1; MadaBoost has its own
-rate. The trainer checks the bounds as it runs, ``verify`` re-derives them
-from a stored trace and the acceptance bench from round records; all three
-feed their rounds to a ``RoundChecks`` built from the run's config (the last
-two through ``replay``), which keeps the running sums. A check passes within
-``SLACK``.
+combined is it scaled by N/N_A on subset A, at most 1. MadaBoost has its own
+rate and max-margin its margin floor (``theorem2``). The trainer checks the
+bounds as it runs, ``verify`` re-derives them from a stored trace and the
+bench from round records, all three through a ``RoundChecks`` built from the
+run's config, which keeps the running sums. A check passes within ``SLACK``.
 """
 
 from __future__ import annotations
@@ -44,8 +43,18 @@ def mada_rate(t: int, gamma_min: float) -> float:
     return 1.0 / (t * (gamma_min * gamma_min))  # ** would raise OverflowError
 
 
-# each booster's round-record keys, in the order verify names the first missing
-# one, and its check families, in report order; "{}" is the geometry's name
+def theorem2(t: int, g: Geometry, n: int, gamma_min: float) -> float:
+    """Theorem 2's floor gamma_min - nu(t) on the margin after t max-margin rounds on n samples:
+    nu(t) = (1 + log t) / (2 sqrt(t+1) - 2) * gamma_min + L C / (gamma_min (sqrt(t+1) - 1)),
+    L the geometry's dual-norm bound, C = B_R(e_i, uniform): 1/2 (1 - 1/n) or log n."""
+    c = 0.5 * (1.0 - 1.0 / n) if g is QUADRATIC else math.log(n)
+    root = math.sqrt(t + 1.0) - 1.0
+    return gamma_min - ((1.0 + math.log(t)) / (2.0 * root) * gamma_min
+                        + g.dual_norm_sq_bound(n) * c / (gamma_min * root))
+
+
+# each booster's round-record keys, in the order verify names the first missing one, the
+# last the error its bound covers, and its check families in report order, "{}" the geometry
 _ROWS = {
     "maboost-active": (("gamma", "train_error"), ("training-error ({})",)),
     "maboost-lazy": (("gamma", "train_error"), ("training-error ({})",)),
@@ -64,7 +73,8 @@ class RoundChecks:
     Built from the run's ``BoosterConfig``, so ``verify`` builds it from the
     config a stored header records exactly as the trainer and the bench do
     from theirs. ``families`` names every check the run can report, in report
-    order, and ``keys`` the round-record keys ``add`` reads.
+    order, ``keys`` the round-record keys ``add`` reads and ``error_key`` the
+    last of them, the error the bound covers (None for max-margin).
     """
 
     def __init__(self, config, n: int, n_b: int | None = None):
@@ -85,33 +95,34 @@ class RoundChecks:
         self.sum_sq = 0.0  # theorem1's sum: of gamma^2, or for sparse of c gamma^2 ||y||_1^2
         self.gamma_min = math.inf
         self.keys, families = _ROWS[algorithm]
+        self.error_key = self.keys[-1] if self.keys else None
         if self.half:  # the half-edge penalty keeps no mass floor
             families = families[:1]
         # with subset A empty, the primary bound has nothing to bound
         self.families = () if self.n_a == 0 else tuple(f.format(geometry) for f in families)
         self.reads_mass = "sparse-mass-floor" in self.families
 
-    def add(self, t: int, gamma: float, error: float, y_l1: float | None = None,
-            eps_a: float | None = None, mass_after: float | None = None
+    def add(self, rec: dict, mass_after: float | None = None
             ) -> tuple[float | None, list[tuple[str, bool]]]:
-        """Check round t: (its bound column or None, [(family, holds), ...]).
+        """Check the round record ``rec``: (its bound column or None, [(family, holds), ...]).
 
-        ``y_l1`` and ``eps_a`` are the round's trace columns; ``mass_after``
-        is ||y||_1 after the round's update, and None skips the sparse floor.
+        ``rec`` holds ``t`` and the row's ``keys``; ``mass_after`` is ||y||_1
+        after the round's update, and None skips the sparse floor.
         """
-        family = self.families[0] if self.families else None
+        if not self.families:
+            return None, []
+        family, gamma, y_l1 = self.families[0], rec["gamma"], rec.get("y_l1")
+        error = rec[self.error_key]
         if self.algorithm == "mada":
             self.gamma_min = min(self.gamma_min, gamma)
             return None, [
                 (family, reaches(y_l1, self.n * error)),  # MadaBoost keeps ||y||_1 >= N * error
-                (self.families[1], within(error * error, mada_rate(t, self.gamma_min))),
+                (self.families[1], within(error * error, mada_rate(rec["t"], self.gamma_min))),
             ]
-        if family is None:
-            return None, []
         self.sum_sq += gamma * gamma if self.c is None else self.c * (gamma * gamma * y_l1 * y_l1)
         bound = theorem1(self.sum_sq, self.entropic, *self.scale)
         if self.algorithm == "combined":
-            bound, error = min(1.0, bound), eps_a
+            bound = min(1.0, bound)
         # the smooth bound argument needs the error distribution inside the
         # capped simplex, which holds while error >= 1/k
         below_k = self.algorithm == "smooth" and error < 1.0 / self.k
@@ -131,25 +142,4 @@ class RoundChecks:
         records = list(records)
         after = [*(rec.get("y_l1") for rec in records[1:]), last_mass]
         for rec, mass_after in zip(records, after):
-            bound, held = self.add(rec["t"], rec["gamma"], rec.get("train_error"),
-                                   rec.get("y_l1"), rec.get("eps_a"), mass_after)
-            yield rec, bound, held
-
-
-def worst_margin_reference_divergence(g: Geometry, n: int) -> float:
-    """B_R(e_i, uniform): the constant C in the margin accuracy gap."""
-    if g is QUADRATIC:
-        return 0.5 * (1.0 - 1.0 / n)
-    return math.log(n)
-
-
-def margin_accuracy_gap(t: int, dual_bound: float, c: float, gamma_min: float) -> float:
-    """The accuracy level nu(T) of the max-margin schedule.
-
-    nu = (1 + log T) / (2 sqrt(T+1) - 2) * gamma_min
-         + L * C / (gamma_min * (sqrt(T+1) - 1)).
-    """
-    root = math.sqrt(t + 1.0) - 1.0
-    return (1.0 + math.log(t)) / (2.0 * root) * gamma_min + dual_bound * c / (
-        gamma_min * root
-    )
+            yield (rec, *self.add(rec, mass_after))

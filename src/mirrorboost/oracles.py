@@ -3,8 +3,9 @@
 These deliberately avoid the closed-form projection code paths: constrained
 projections are solved with SLSQP on the divergence objective, and the
 separable one-dimensional problems with bounded scalar minimization. They
-exist purely so the verification harness and the test suite can compare
-the fast projections against something that knows nothing about them.
+exist so the acceptance bench's ``projection-oracles`` criterion (and the
+tests) can compare the fast projections against something that knows
+nothing about them.
 """
 
 from __future__ import annotations
@@ -90,20 +91,3 @@ def hypercube_entropic_argmin(z: np.ndarray) -> np.ndarray:
         )
         out[i] = res.x
     return out
-
-
-def best_stump_bruteforce(features, labels, w):
-    """Exhaustive stump search: every feature, predicate x >= v, polarity.
-
-    v runs over the feature's distinct values and +-inf, so no threshold is
-    computed. Returns the maximum achievable |edge|; used to certify the
-    fast learner.
-    """
-    n, d = features.shape
-    best = 0.0
-    for j in range(d):
-        for v in [-np.inf, np.inf, *np.unique(features[:, j])]:
-            pred = np.where(features[:, j] >= v, 1.0, -1.0)
-            corr = float(np.sum(w * labels * pred))
-            best = max(best, abs(corr))
-    return best

@@ -1,7 +1,10 @@
 """The acceptance bench's criterion table and its recheck of broken bounds."""
 
-from mirrorboost import bench
+from mirrorboost import bench, bounds
 from mirrorboost.bench import CRITERIA, run_bench
+from mirrorboost.boosting import Algorithm, BoosterConfig
+from mirrorboost.data import gen_combined
+from mirrorboost.geometry import NEGATIVE_ENTROPY
 
 
 def test_criterion_table_is_pinned():
@@ -59,3 +62,13 @@ def test_recheck_criteria_report_rounds_and_time_without_infinities():
         assert " rounds, " in result.observed and result.observed.endswith("violations: none")
     assert "worst gap" in lazy.observed and "worst gap" not in mada.observed
     assert "runtime" not in mada.expected + lazy.expected
+
+
+def test_combined_worst_gap_is_on_the_error_its_bound_covers():
+    # combined-sets' run: its primary bound covers eps_A, which it never exceeds,
+    # while its train_error stands 0.075 above it
+    config = BoosterConfig(Algorithm.COMBINED, NEGATIVE_ENTROPY, 500, target_error=0.02, k=4.0)
+    broken, worst, [result] = bench._recheck_runs(
+        config, datasets=[("combined", gen_combined(0, 150, 50, 0.3))])
+    assert not broken and worst <= bounds.SLACK
+    assert max(tr.train_error - tr.bound for tr in result.traces) > 0.05

@@ -204,6 +204,13 @@ class TestConfigValidation:
         config = _cfg(algorithm, NEGATIVE_ENTROPY, 10, k=k, target_error=target)
         assert config.target_error == target
 
+    @pytest.mark.parametrize("target", [0.0, 0.5, 1.0])
+    def test_maxmargin_refuses_a_target(self, target):
+        # its margin schedule runs every round: a target would be silently ignored
+        with pytest.raises(ConfigurationError,
+                           match="^target_error is not for maxmargin, which runs every round$"):
+            _cfg(Algorithm.MAX_MARGIN, NEGATIVE_ENTROPY, 10, target_error=target)
+
     def test_config_is_frozen(self):
         config = _cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 10)
         with pytest.raises(AttributeError):

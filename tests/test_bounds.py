@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mirrorboost.boosting import FORCED_GEOMETRY, Algorithm, BoosterConfig
-from mirrorboost.bounds import RoundChecks, mada_rate, worst_margin_reference_divergence
+from mirrorboost.bounds import RoundChecks, mada_rate, theorem2
 from mirrorboost.errors import ConfigurationError
 from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC
 
@@ -16,6 +16,11 @@ def _checks(algorithm, geometry, n, k=None, n_a=None, half=False):
     mode = ("half" if half else "zero") if algorithm == "sparse" else None
     config = BoosterConfig(algorithm, geometry, 1, k=k, alpha_mode=mode)
     return RoundChecks(config, n, None if n_a is None else n - n_a)
+
+
+def _rec(t, gamma, train_error, **columns):
+    """A round record: t, gamma, train_error and any other columns (y_l1, eps_a)."""
+    return {"t": t, "gamma": gamma, "train_error": train_error, **columns}
 
 
 def _held(checks):
@@ -28,26 +33,26 @@ class TestTheorem1:
     )
     def test_meets_and_breaks(self, geometry, bound):
         for error, ok in ((0.5, True), (0.95, False)):
-            column, checks = _checks("maboost-active", geometry, 10).add(1, 0.5, error)
+            column, checks = _checks("maboost-active", geometry, 10).add(_rec(1, 0.5, error))
             assert column == pytest.approx(bound)
             assert checks == [(f"training-error ({geometry})", ok)]
 
     def test_sums_gamma_squared_over_rounds(self):
         rc = _checks("maboost-lazy", "quadratic", 10)
-        rc.add(1, 0.5, 0.5)
-        column, _ = rc.add(2, 0.5, 0.5)
+        rc.add(_rec(1, 0.5, 0.5))
+        column, _ = rc.add(_rec(2, 0.5, 0.5))
         assert column == pytest.approx(1.0 / 1.5)
 
 
 class TestSmooth:
     def test_meets_and_breaks_at_or_above_one_over_k(self):
         # gamma = 3 puts the bound at exp(-4.5) ~ 0.011, far below 1/k
-        _, ok = _checks("smooth", "entropy", 10, k=4.0).add(1, 3.0, 0.005)
-        _, bad = _checks("smooth", "entropy", 10, k=4.0).add(1, 3.0, 0.3)
+        _, ok = _checks("smooth", "entropy", 10, k=4.0).add(_rec(1, 3.0, 0.005))
+        _, bad = _checks("smooth", "entropy", 10, k=4.0).add(_rec(1, 3.0, 0.3))
         assert _held(ok) == [True] and _held(bad) == [False]
 
     def test_error_below_one_over_k_passes(self):
-        column, checks = _checks("smooth", "entropy", 10, k=4.0).add(1, 3.0, 0.2)
+        column, checks = _checks("smooth", "entropy", 10, k=4.0).add(_rec(1, 3.0, 0.2))
         assert 0.2 > column
         assert checks == [("smooth-training-error (entropy)", True)]
 
@@ -57,14 +62,14 @@ class TestCombined:
         # n / n_A = 2 times exp(-2) ~ 0.271
         for eps_a, ok in ((0.2, True), (0.3, False)):
             rc = _checks("combined", "entropy", 10, k=4.0, n_a=5)
-            column, checks = rc.add(1, 2.0, 0.9, eps_a=eps_a)
+            column, checks = rc.add(_rec(1, 2.0, 0.9, eps_a=eps_a))
             assert column == pytest.approx(2.0 * math.exp(-2.0))
             assert checks == [("combined-primary-error (entropy)", ok)]
 
     def test_empty_subset_a_yields_no_checks(self):
         rc = _checks("combined", "entropy", 10, k=4.0, n_a=0)
         assert rc.families == ()
-        assert rc.add(1, 0.5, 1.0, eps_a=1.0) == (None, [])
+        assert rc.add(_rec(1, 0.5, 1.0, eps_a=1.0)) == (None, [])
 
 
 class TestSparse:
@@ -73,26 +78,26 @@ class TestSparse:
         for half, bound in ((False, 0.8), (True, 1.0 / 1.0625)):
             for error, ok in ((0.5, True), (0.99, False)):
                 rc = _checks("sparse", "quadratic", 10, half=half)
-                column, checks = rc.add(1, 0.5, error, y_l1=1.0)
+                column, checks = rc.add(_rec(1, 0.5, error, y_l1=1.0))
                 assert column == pytest.approx(bound)
                 assert checks[0] == ("sparse-training-error", ok)
 
     def test_mass_floor_meets_and_breaks(self):
         for mass, ok in ((0.5, True), (0.05, False)):
             rc = _checks("sparse", "quadratic", 10)
-            _, checks = rc.add(1, 0.5, 0.1, y_l1=1.0, mass_after=mass)
+            _, checks = rc.add(_rec(1, 0.5, 0.1, y_l1=1.0), mass_after=mass)
             assert checks[1] == ("sparse-mass-floor", ok)
 
     @pytest.mark.parametrize("error, mass", [(0.1, None), (0.0, 0.05)])
     def test_mass_floor_skipped(self, error, mass):
         rc = _checks("sparse", "quadratic", 10)
-        _, checks = rc.add(1, 0.5, error, y_l1=1.0, mass_after=mass)
+        _, checks = rc.add(_rec(1, 0.5, error, y_l1=1.0), mass_after=mass)
         assert [family for family, _ in checks] == ["sparse-training-error"]
 
     def test_half_mode_has_no_mass_floor(self):
         rc = _checks("sparse", "quadratic", 10, half=True)
         assert rc.families == ("sparse-training-error",)
-        _, checks = rc.add(1, 0.5, 0.1, y_l1=1.0, mass_after=0.0)
+        _, checks = rc.add(_rec(1, 0.5, 0.1, y_l1=1.0), mass_after=0.0)
         assert len(checks) == 1
 
 
@@ -131,7 +136,7 @@ def test_bound_column_keeps_the_bits_of_each_former_formula(algorithm, geometry,
         sum_gamma_sq = sum_term = 0.0
         for t in range(1, 80):
             gamma, y_l1 = 10.0 ** rng.uniform(-6.0, 0.0), 10.0 ** rng.uniform(-3.0, 1.0)
-            column, _ = rc.add(t, gamma, 0.5, y_l1=y_l1, eps_a=0.5)
+            column, _ = rc.add(_rec(t, gamma, 0.5, y_l1=y_l1, eps_a=0.5))
             sum_gamma_sq += gamma * gamma
             sum_term += gamma * gamma * y_l1 * y_l1
             if algorithm == "sparse":
@@ -145,41 +150,47 @@ def test_bound_column_keeps_the_bits_of_each_former_formula(algorithm, geometry,
 class TestMada:
     def test_mass_floor_meets_and_breaks(self):
         for y_l1, ok in ((2.0, True), (0.5, False)):
-            _, checks = _checks("mada", "entropy", 10).add(1, 0.5, 0.1, y_l1=y_l1)
+            _, checks = _checks("mada", "entropy", 10).add(_rec(1, 0.5, 0.1, y_l1=y_l1))
             assert checks[0] == ("mada-mass-floor", ok)
 
     def test_rate_meets_and_breaks(self):
         # at t = 100 with gamma_min = 0.5: error^2 <= 0.04
         for error, ok in ((0.1, True), (0.3, False)):
             rc = _checks("mada", "entropy", 10)
-            _, checks = rc.add(100, 0.5, error, y_l1=10.0)
+            _, checks = rc.add(_rec(100, 0.5, error, y_l1=10.0))
             assert checks[1] == ("mada-convergence-rate", ok)
 
     def test_rate_uses_the_smallest_edge_so_far(self):
         rc = _checks("mada", "entropy", 10)
-        rc.add(99, 0.5, 0.1, y_l1=10.0)
+        rc.add(_rec(99, 0.5, 0.1, y_l1=10.0))
         # 0.15^2 <= 1/(100 * 0.5^2) = 0.04, but not <= 1/(100 * 1.0^2)
-        _, checks = rc.add(100, 1.0, 0.15, y_l1=10.0)
+        _, checks = rc.add(_rec(100, 1.0, 0.15, y_l1=10.0))
         assert checks[1] == ("mada-convergence-rate", True)
 
     def test_rate_with_a_huge_edge_fails_instead_of_overflowing(self):
         # gamma_min**2 would raise OverflowError; the square is inf, the rate 0
         assert mada_rate(1, 1e200) == 0.0
-        _, checks = _checks("mada", "entropy", 200).add(1, 1e200, 0.1, y_l1=150.0)
+        _, checks = _checks("mada", "entropy", 200).add(_rec(1, 1e200, 0.1, y_l1=150.0))
         assert checks == [("mada-mass-floor", True), ("mada-convergence-rate", False)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 10])
-def test_worst_margin_reference_divergence(n):
-    """B_R(e_i, uniform) is 1/2 (1 - 1/n) in the quadratic geometry, log n in the entropic."""
-    assert worst_margin_reference_divergence(QUADRATIC, n) == 0.5 * (1.0 - 1.0 / n)
-    assert worst_margin_reference_divergence(NEGATIVE_ENTROPY, n) == math.log(n)
+def test_theorem2_is_the_margin_floor_written_out(n):
+    """gamma_min - nu(t), where L = n and C = B_R(e_i, uniform) = 1/2 (1 - 1/n) in the
+    quadratic geometry, and L = 1 and C = log n in the entropic."""
+    for geometry, dual_bound, c in ((QUADRATIC, float(n), 0.5 * (1.0 - 1.0 / n)),
+                                    (NEGATIVE_ENTROPY, 1.0, math.log(n))):
+        for t, gamma_min in ((1, 0.5), (2, 0.1), (100, 0.3), (2000, 0.02)):
+            root = math.sqrt(t + 1.0) - 1.0
+            nu = (1.0 + math.log(t)) / (2.0 * root) * gamma_min + dual_bound * c / (
+                gamma_min * root)
+            assert theorem2(t, geometry, n, gamma_min) == gamma_min - nu
 
 
 def test_max_margin_has_no_per_round_bound():
     rc = _checks("maxmargin", "entropy", 10)
     assert rc.families == ()
-    assert rc.add(1, 0.5, 0.5) == (None, [])
+    assert rc.add(_rec(1, 0.5, 0.5)) == (None, [])
 
 
 # the record keys verify required of each algorithm before RoundChecks named them
@@ -246,6 +257,9 @@ def test_keys_and_families_of_every_variant(algorithm, geometry, half, n_a, keys
     rc = _checks(algorithm, geometry, 10, k, n_a, half)
     assert (rc.keys, rc.families) == (keys, families)
     assert rc.reads_mass == ("sparse-mass-floor" in families)
+    # the error each bound covers: the primary error on subset A for combined
+    covered = {"combined": "eps_a", "maxmargin": None}.get(algorithm, "train_error")
+    assert rc.error_key == covered
 
 
 def _sparse_records(*masses):
@@ -270,7 +284,7 @@ class TestReplay:
         direct = _checks("sparse", "quadratic", 10)
         assert [rec["t"] for rec, _, _ in replayed] == [1, 2, 3]
         for rec, bound, _ in replayed:
-            assert bound == direct.add(rec["t"], 0.5, 0.1, rec["y_l1"])[0]
+            assert bound == direct.add(_rec(rec["t"], 0.5, 0.1, y_l1=rec["y_l1"]))[0]
 
     def test_last_mass_checks_the_last_floor_and_none_skips_it(self):
         records = _sparse_records(1.0, 0.5)

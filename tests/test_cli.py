@@ -49,6 +49,16 @@ class TestTrain:
         ]) == 1
         assert capsys.readouterr().err == "error: target_error must be in [0, 1]\n"
 
+    def test_maxmargin_target_exits_one_before_reading_data(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert main([
+            "train", "--algo", "maxmargin", "--gen", "noisy:0:50:0.1", "--rounds", "5",
+            "--target-eps", "0.5", "--trace", str(trace),
+        ]) == 1
+        assert capsys.readouterr() == (
+            "", "error: target_error is not for maxmargin, which runs every round\n")
+        assert not trace.exists()
+
     def test_infeasible_k_exits_one(self):
         assert main([
             "train", "--algo", "smooth", "--k", "0.5",
