@@ -73,87 +73,56 @@ def _recheck_runs(*configs: BoosterConfig, datasets=None
     return broken, worst, results
 
 
-def _rechecked(expected: str, *configs: BoosterConfig, limit: float = math.inf):
-    """Met when every round of each config's runs passes its checks again, within
-    ``limit`` seconds. For a Theorem 1 family a broken check is a gap above
-    ``bounds.SLACK``."""
+def _rechecked(expected: str, *configs: BoosterConfig, datasets=None,
+               limit: float = math.inf, extra=lambda runs: ("", "", True)):
+    """Met when each config's runs on ``datasets`` (as ``_recheck_runs`` takes them) pass every
+    round's checks again and the criterion's own rule ``extra(runs)`` holds, within ``limit``
+    seconds. ``extra`` returns the text put before ``expected``, the text put before the rounds,
+    and whether it is met. A broken Theorem 1 check is a gap above ``bounds.SLACK``."""
     t0 = time.perf_counter()
-    broken, worst, results = _recheck_runs(*configs)
+    broken, worst, results = _recheck_runs(*configs, datasets=datasets)
     elapsed = time.perf_counter() - t0
+    claim, note, met = extra(results)
     gap = f"worst gap {worst:.3g} over " if worst > -math.inf else ""
     timed = f", runtime < {limit:g} s" if limit < math.inf else ""
-    observed = f"{gap}{sum(len(r.traces) for r in results)} rounds, {elapsed:.2f} s"
-    return (expected + timed, f"{observed}; violations: {broken or 'none'}",
-            not broken and elapsed < limit)
+    observed = f"{note}{gap}{sum(len(r.traces) for r in results)} rounds, {elapsed:.2f} s"
+    return (claim + expected + timed, f"{observed}; violations: {broken or 'none'}",
+            met and not broken and elapsed < limit)
 
 
-def _smooth_regime():
-    k = 20.0
-    broken, _, results = _recheck_runs(
-        BoosterConfig(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 500, target_error=1.0 / k, k=k)
-    )
-    budgets, reached = [], []
-    for result in results:
-        gamma_obs = min(tr.gamma for tr in result.traces)
-        budgets.append(math.ceil(2.0 * math.log(k) / gamma_obs**2) + 1)
+def _smooth_budgets(runs):
+    """Each run reaches error 1/k within ceil(2 ln k / gamma_min^2) + 1 rounds; no weight > k/N."""
+    k, budgets, reached = runs[0].config.k, [], []
+    for result in runs:
+        budgets.append(math.ceil(2.0 * math.log(k) / min(tr.gamma for tr in result.traces)**2) + 1)
         reached.append(next((tr.t for tr in result.traces if tr.train_error <= 1.0 / k), None))
-    cap_ok = all(tr.max_weight <= k / r.n + 1e-15 for r in results for tr in r.traces)
-    passed = all(r is not None and r <= b for r, b in zip(reached, budgets))
-    return (
-        f"error <= 1/k within {budgets[0]} rounds on blobs, {budgets[1]} on noisy; "
-        "max weight <= k/N; smooth bound every round",
-        f"reached at round {reached[0]} on blobs, {reached[1]} on noisy; "
-        f"caps respected: {cap_ok}; violations: {broken or 'none'}",
-        passed and cap_ok and not broken,
-    )
+    cap_ok = all(tr.max_weight <= k / r.n + 1e-15 for r in runs for tr in r.traces)
+    return (f"error <= 1/k within {budgets[0]} rounds on blobs, {budgets[1]} on noisy; ",
+            f"reached at round {reached[0]} on blobs, {reached[1]} on noisy; "
+            f"caps respected: {cap_ok}; ",
+            cap_ok and all(r is not None and r <= b for r, b in zip(reached, budgets)))
 
 
-def _combined_sets():
-    broken, _, [result] = _recheck_runs(
-        BoosterConfig(Algorithm.COMBINED, NEGATIVE_ENTROPY, 500, target_error=0.02, k=4.0),
-        datasets=[("combined", gen_combined(0, 150, 50, 0.3))],
-    )
-    final = result.traces[-1]
-    return (
-        "eps_B <= 0.25 within 500 rounds (hard); eps_A <= 0.02 (soft report); "
-        "primary bound every round",
-        f"eps_B {final.eps_b:.3g}, eps_A {final.eps_a:.3g} after {len(result.traces)} rounds; "
-        f"violations: {broken or 'none'}",
-        final.eps_b <= 0.25 and not broken,
-    )
+def _combined_subset_b(runs):
+    """The last eps_B is at most 0.25; eps_A is reported."""
+    final = runs[0].traces[-1]
+    return "", f"eps_B {final.eps_b:.3g}, eps_A {final.eps_a:.3g}; ", final.eps_b <= 0.25
 
 
-def _sparse_thm4():
-    n = 200
-    problems, _, results = _recheck_runs(*(
-        BoosterConfig(Algorithm.SPARSE, QUADRATIC, 100, alpha_mode=mode)
-        for mode in (AlphaMode.ZERO, AlphaMode.HALF)
-    ))
-    min_nnz = min(tr.nnz for tr in results[-1].traces[:50])  # half-mode, noisy
-    if min_nnz >= n:
-        problems.append("half-mode produced no sparsity within 50 rounds")
-    return (
-        "c-weighted bound each round; ||y||_1 >= 1/N while erring; half-mode nnz < N",
-        f"violations: {problems or 'none'}; min nnz {min_nnz}/{n}",
-        not problems,
-    )
+def _sparse_half_mode(runs):
+    """Half-mode on noisy (the last run) has fewer than N nonzero weights within 50 rounds."""
+    min_nnz, n = min(tr.nnz for tr in runs[-1].traces[:50]), runs[-1].n
+    return "", f"min nnz {min_nnz}/{n}; ", min_nnz < n
 
 
-def _maxmargin_thm2():
-    t0 = time.perf_counter()
-    _, _, [result] = _recheck_runs(  # max-margin has no per-round check yet
-        BoosterConfig(Algorithm.MAX_MARGIN, NEGATIVE_ENTROPY, 2000),
-        datasets=[("blobs", gen_blobs(1, 100, 0.4))],
-    )
-    gamma_min = min(tr.gamma for tr in result.traces)
-    floor = bounds.theorem2(len(result.traces), NEGATIVE_ENTROPY, result.n, gamma_min)
+def _maxmargin_floor(runs):
+    """The last margin is positive and at least Theorem 2's floor gamma_min - nu(T)."""
+    [result] = runs
+    floor = bounds.theorem2(len(result.traces), NEGATIVE_ENTROPY, result.n,
+                            min(tr.gamma for tr in result.traces))
     margin = result.traces[-1].margin
-    elapsed = time.perf_counter() - t0
-    return (
-        f"margin >= gamma_min - nu = {floor:.3g} and margin > 0, runtime < 30 s",
-        f"margin {margin:.4g} after {len(result.traces)} rounds, {elapsed:.1f} s",
-        margin >= floor and margin > 0 and elapsed < 30.0,
-    )
+    return (f"margin >= gamma_min - nu = {floor:.3g} and margin > 0", f"margin {margin:.4g}; ",
+            margin >= floor and margin > 0)
 
 
 def _random_entropic_point(rng, dim):
@@ -355,13 +324,24 @@ CRITERIA: list[tuple[str, Callable[[], tuple[str, str, bool]]]] = [
         _rechecked, f"lazy updates meet the same round-by-round bounds, gap <= {bounds.SLACK:g}",
         BoosterConfig(Algorithm.MABOOST_LAZY, NEGATIVE_ENTROPY, 200),
         BoosterConfig(Algorithm.MABOOST_LAZY, QUADRATIC, 500))),
-    ("smooth-regime", _smooth_regime),
-    ("combined-sets", _combined_sets),
-    ("sparse-thm4", _sparse_thm4),
+    ("smooth-regime", partial(
+        _rechecked, "max weight <= k/N; smooth bound every round",
+        BoosterConfig(Algorithm.SMOOTH, NEGATIVE_ENTROPY, 500, k=20.0), extra=_smooth_budgets)),
+    ("combined-sets", lambda: _rechecked(
+        "eps_B <= 0.25 within 500 rounds (hard); eps_A <= 0.02 (soft report); "
+        "primary bound every round",
+        BoosterConfig(Algorithm.COMBINED, NEGATIVE_ENTROPY, 500, target_error=0.02, k=4.0),
+        datasets=[("combined", gen_combined(0, 150, 50, 0.3))], extra=_combined_subset_b)),
+    ("sparse-thm4", partial(
+        _rechecked, "c-weighted bound each round; ||y||_1 >= 1/N while erring; half-mode nnz < N",
+        *(BoosterConfig(Algorithm.SPARSE, QUADRATIC, 100, alpha_mode=mode)
+          for mode in (AlphaMode.ZERO, AlphaMode.HALF)), extra=_sparse_half_mode)),
     ("mada-thm5", partial(
         _rechecked, "||y||_1 >= N * error and error^2 <= 1/(t * gamma_min^2) every round",
         BoosterConfig(Algorithm.MADA, NEGATIVE_ENTROPY, 500))),
-    ("maxmargin-thm2", _maxmargin_thm2),
+    ("maxmargin-thm2", lambda: _rechecked(  # max-margin has no per-round family yet
+        "", BoosterConfig(Algorithm.MAX_MARGIN, NEGATIVE_ENTROPY, 2000),
+        datasets=[("blobs", gen_blobs(1, 100, 0.4))], limit=30.0, extra=_maxmargin_floor)),
     ("projection-oracles", _projection_oracles),
     ("adaboost-degeneration", _adaboost_degeneration),
     ("cli-determinism", _cli_determinism),

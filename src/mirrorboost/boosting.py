@@ -174,9 +174,10 @@ def predict(hypotheses: Iterable[tuple[Stump, float]], features) -> np.ndarray:
     """Sign of the weighted vote over all stored hypotheses; sign(0) = +1.
 
     The features must be a numeric (n, d) matrix, finite in every column a
-    stump reads, and each hypothesis well formed (``UsageError`` naming the
-    first one that is not). Each column read is copied once, contiguous, and
-    the votes are added stump by stump, in the ensemble's order.
+    stump reads, each hypothesis well formed (``UsageError`` naming the first
+    one that is not) and the float sum of |eta| at most 2**1023. Each column
+    read is copied once, contiguous, and the votes are added stump by stump, in
+    the ensemble's order.
     """
     hypotheses = list(hypotheses)  # read twice below: a generator would be spent
     if not hypotheses:
@@ -187,11 +188,14 @@ def predict(hypotheses: Iterable[tuple[Stump, float]], features) -> np.ndarray:
         raise UsageError(f"features must be a numeric (n, d) matrix: {exc}") from None
     if features.ndim != 2:
         raise UsageError(f"features must be a 2-D (n, d) matrix, got {features.ndim} dimensions")
-    d = features.shape[1]
+    d, total = features.shape[1], 0.0
     for i, (h, eta) in enumerate(hypotheses):
         fault = _hypothesis_fault(h, eta, d)
         if fault is not None:
             raise UsageError(f"hypotheses[{i}]: {fault}")
+        total += abs(eta)
+    if total > 2.0**1023:  # at or below it, no partial score can overflow to ±inf
+        raise UsageError(f"sum of |eta| {shown(total)} exceeds 2**1023: the vote could overflow")
     score = np.zeros(features.shape[0])
     columns: dict[int, np.ndarray] = {}
     for h, eta in hypotheses:

@@ -670,7 +670,11 @@ def _ensembles(draw):
 @settings(max_examples=300, deadline=None)
 def test_predict_gives_the_labels_of_the_difference_test_vote(ensemble):
     hypotheses, x = ensemble
-    with np.errstate(over="ignore", invalid="ignore"):  # huge etas overflow either way
+    if sum(abs(eta) for _, eta in hypotheses) > 2.0**1023:  # the float vote could overflow
+        with pytest.raises(UsageError, match=re.escape("exceeds 2**1023")):
+            predict(hypotheses, x)
+        return
+    with np.errstate(over="ignore", invalid="ignore"):  # a difference of huge values overflows
         expected = _predict_reference(hypotheses, x)
         got = predict(hypotheses, x)
     assert got.dtype == expected.dtype
@@ -845,3 +849,22 @@ class TestEnsemble:
     def test_predict_feature_beyond_the_columns_rejected(self):
         with pytest.raises(UsageError, match="2 columns"):
             predict([(Stump(0, 0.0, 1), 1.0), (Stump(2, 0.0, 1), 1.0)], np.zeros((3, 2)))
+
+    def test_predict_refuses_etas_whose_absolute_sum_passes_2_to_the_1023(self):
+        # the exact vote is -1e308, but a float running sum reaches +inf and stays there
+        hyps = [(Stump(0, -math.inf, 1), 1e308)] * 2 + [(Stump(0, -math.inf, -1), 1e308)] * 3
+        with pytest.raises(UsageError, match=re.escape("sum of |eta| inf exceeds 2**1023")):
+            predict(hyps, np.zeros((2, 1)))
+
+    def test_a_loaded_model_with_overflowing_etas_is_refused_by_predict(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("# algorithm=mada geometry=entropy\n"
+                        + "0 -inf 1 1e+308\n" * 2 + "0 -inf -1 1e+308\n" * 3)
+        _, _, hyps = load_model(str(path))
+        with pytest.raises(UsageError, match="exceeds 2"):
+            predict(hyps, np.zeros((2, 1)))
+
+    def test_predict_adds_etas_whose_absolute_sum_stays_below_2_to_the_1023(self):
+        big = 2.0**1020  # five of them sum to 1.25 * 2**1022
+        hyps = [(Stump(0, -math.inf, 1), big)] * 2 + [(Stump(0, -math.inf, -1), big)] * 3
+        np.testing.assert_array_equal(predict(hyps, np.zeros((2, 1))), [-1, -1])
