@@ -209,9 +209,10 @@ def predict(hypotheses: Iterable[tuple[Stump, float]], features) -> np.ndarray:
     return sign_pm(score)
 
 
-def _error(score: np.ndarray, labels: np.ndarray) -> float:
-    """The share of ±1 labels that sign(score), with sign(0) = +1, gets wrong; 0 of none."""
-    return int(np.count_nonzero((score >= 0) != (labels > 0))) / max(len(labels), 1)
+def _error(score: np.ndarray, positive: np.ndarray) -> float:
+    """The share of ±1 labels that sign(score), with sign(0) = +1, gets wrong, the
+    labels given as their mask ``labels > 0``; 0 of none."""
+    return int(np.count_nonzero((score >= 0) != positive)) / max(len(positive), 1)
 
 
 def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
@@ -223,7 +224,9 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
     its bound checks (else ``BoundViolationError``) before the policy
     decides whether to stop. The stump search reads the presort the dataset
     caches, so a dataset whose features were made writeable again, and may
-    no longer match it, is refused (``UsageError``).
+    no longer match it, is refused (``UsageError``). It searches in the
+    scratch the presort lends (``StumpIndex.lent_scratch``): the dataset's
+    spare, kept from its last run, unless an overlapping run holds it.
     """
     if dataset.features.flags.writeable:
         raise UsageError("the dataset's features were made writeable after construction")
@@ -233,42 +236,42 @@ def run(config: BoosterConfig, dataset: Dataset) -> BoostResult:
     result = BoostResult(config, dataset.n, policy.n_b)
     score = np.zeros(dataset.n)
     index = dataset.stump_index  # sorted on the dataset's first run
-    scratch = index.scratch()
-    for t in range(1, config.rounds + 1):
-        w = policy.distribution()
-        if w is None:
-            result.status = "collapsed"
-            break
-        # layers are called through module globals: perfbench's tracer swaps them
-        h = train_stump(features, labels, w, index, scratch)
-        d = loss_vector(features, labels, h)
-        gamma = edge(w, d)
-        if gamma <= EDGE_TOL:
-            if t == 1:
-                raise NoWeakLearnabilityError(
-                    "the weak learner found no hypothesis with positive edge"
-                )
-            result.status = "zero_edge"
-            break
+    with index.lent_scratch() as scratch:
+        for t in range(1, config.rounds + 1):
+            w = policy.distribution()
+            if w is None:
+                result.status = "collapsed"
+                break
+            # layers are called through module globals: perfbench's tracer swaps them
+            h = train_stump(features, labels, w, index, scratch)
+            d = loss_vector(features, labels, h)
+            gamma = edge(w, d)
+            if gamma <= EDGE_TOL:
+                if t == 1:
+                    raise NoWeakLearnabilityError(
+                        "the weak learner found no hypothesis with positive edge"
+                    )
+                result.status = "zero_edge"
+                break
 
-        # minus h's ±1 votes, exactly, as labels are ±1; subtracting them
-        # adds the votes bit for bit
-        anti = labels * d
-        eta = policy.step(t, gamma, score, anti, d)
-        result.hypotheses.append((h, eta))
-        score -= eta * anti
-        err = _error(score, labels)
-        trace = policy.record(t, gamma, eta, err, score)
-        mass_after = float(policy.weights().sum()) if checks.reads_mass else None
-        trace.bound, held = checks.add(vars(trace), mass_after)
-        for family, holds in held:
-            if not holds:
-                raise BoundViolationError(f"round {t}: the {family} bound does not hold")
-        result.traces.append(trace)
-        status = policy.stop(trace)
-        if status is not None:
-            result.status = status
-            break
+            # minus h's ±1 votes, exactly, as labels are ±1; subtracting them
+            # adds the votes bit for bit
+            anti = labels * d
+            eta = policy.step(t, gamma, score, anti, d)
+            result.hypotheses.append((h, eta))
+            score -= eta * anti
+            err = _error(score, policy.positive)
+            trace = policy.record(t, gamma, eta, err, score)
+            mass_after = float(policy.weights().sum()) if checks.reads_mass else None
+            trace.bound, held = checks.add(vars(trace), mass_after)
+            for family, holds in held:
+                if not holds:
+                    raise BoundViolationError(f"round {t}: the {family} bound does not hold")
+            result.traces.append(trace)
+            status = policy.stop(trace)
+            if status is not None:
+                result.status = status
+                break
 
     result.weights = policy.weights()
     return result
@@ -282,13 +285,14 @@ class _Policy:
     the projection, and returns eta; ``record`` returns the round's trace
     without its bound column, ``stop`` returns a final status or None. By
     default the weights are a uniform start ``w`` and the run stops once the
-    error meets the target.
+    error meets the target. ``positive`` is the labels' mask for ``_error``.
     """
 
     def __init__(self, config: BoosterConfig, dataset: Dataset):
         self.config = config
         self.n_b = None  # the samples in subset B, counted by the combined policy
         self.labels = dataset.labels
+        self.positive = self.labels > 0
         self.n = dataset.n
         self.w = np.full(self.n, 1.0 / self.n)
 
@@ -326,6 +330,7 @@ class _Projected(_Policy):
                 raise ConfigurationError("combined boosting requires subset flags")
             self.in_b = dataset.subset_flags
             self.in_a = ~self.in_b
+            self.positive_a, self.positive_b = self.positive[self.in_a], self.positive[self.in_b]
             self.n_b = int(self.in_b.sum())
             self.caps = np.where(self.in_b, config.k / n, np.inf)
         self.lazy = algo is Algorithm.MABOOST_LAZY
@@ -354,9 +359,8 @@ class _Projected(_Policy):
             self.sum_eta += eta
             trace.margin = float(np.min(self.labels * score) / self.sum_eta)
         elif self.algo is Algorithm.COMBINED:
-            labels = self.labels
-            trace.eps_a = _error(score[self.in_a], labels[self.in_a])
-            trace.eps_b = _error(score[self.in_b], labels[self.in_b])
+            trace.eps_a = _error(score[self.in_a], self.positive_a)
+            trace.eps_b = _error(score[self.in_b], self.positive_b)
         return trace
 
     def stop(self, trace) -> str | None:
@@ -425,7 +429,7 @@ class _Mada(_Policy):
         eta = self.prev_err * gamma
         if self.config.mada_eta is MadaEta.FIXED_POINT:
             # a step that already separates the data refines to 0: keep it
-            eta = _error(score - eta * anti, self.labels) * gamma or eta
+            eta = _error(score - eta * anti, self.positive) * gamma or eta
         self.log_z += eta * d
         # min(1, z) taken in log space: an exp that underflows is a valid zero
         self.y = np.exp(np.minimum(self.log_z, 0.0))

@@ -267,6 +267,21 @@ def project_capped_simplex(g: Geometry, z, cap: float) -> np.ndarray:
     return project_mixed(g, z, np.full(np.shape(z), float(cap)))
 
 
+def _check_caps(caps: np.ndarray) -> None:
+    """Refuse caps that are negative or NaN, or whose sum of min(cap, 1) is
+    below 1, in one pass over caps when they are far from that bound. Every
+    min(cap, 1) is at least m = min(min caps, 1), so the sum is at least m N,
+    which is at least 2 (1 - 2**-53) > 1 when the float m N is 2 or more.
+    Below that the sum is taken, and exactly when its float sum is below 1."""
+    low = caps.min(initial=math.inf)
+    if not low >= 0.0:  # a NaN minimum fails the test too
+        raise ConfigurationError("caps must be nonnegative numbers, not negative or NaN")
+    if min(low, 1.0) * len(caps) < 2.0:
+        upper = np.minimum(caps, 1.0)
+        if upper.sum() < 1.0 and math.fsum([*upper, -1.0]) < 0.0:
+            raise ConfigurationError("caps infeasible: sum of min(cap, 1) < 1")
+
+
 def project_mixed(g: Geometry, z, caps) -> np.ndarray:
     """Projection onto {w : sum w = 1, 0 <= w_i <= caps_i} (inf caps allowed)."""
     z = np.asarray(z, dtype=float)
@@ -275,12 +290,7 @@ def project_mixed(g: Geometry, z, caps) -> np.ndarray:
         raise ConfigurationError(
             f"z must be a vector and caps of its shape, got z {z.shape} and caps {caps.shape}"
         )
-    upper = np.minimum(caps, 1.0)
-    if not upper.min(initial=0.0) >= 0.0:  # a NaN minimum fails the test too
-        raise ConfigurationError("caps must be nonnegative numbers, not negative or NaN")
-    # the exact sum decides only when the float sum falls short of 1
-    if upper.sum() < 1.0 and math.fsum([*upper, -1.0]) < 0.0:
-        raise ConfigurationError("caps infeasible: sum of min(cap, 1) < 1")
+    _check_caps(caps)
     project = _project_mixed_entropic if g is NEGATIVE_ENTROPY else _project_mixed_quadratic
     return _on_simplex(project(z, caps))
 

@@ -17,7 +17,9 @@ pairwise summation is only for reductions).
 
 from __future__ import annotations
 
+import contextlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +85,12 @@ class StumpIndex:
     changes value, then N - 1 for the +inf sentinel. A column without ties
     splits after every position, so its ``ends[j]`` is None, not 0..N-1.
 
-    ``pairs`` and every ``ends`` array are read-only, and nothing writes the
-    index once built, so one index serves any number of searches, even
-    overlapping ones; each ``Dataset`` keeps one (``Dataset.stump_index``).
-    A search writes only into the buffers that ``scratch()`` makes.
+    ``pairs`` and every ``ends`` array are read-only, and nothing writes them
+    once built, so one index serves any number of searches, even overlapping
+    ones; each ``Dataset`` keeps one (``Dataset.stump_index``). A search
+    writes only into the buffers that ``scratch()`` makes. The index also
+    keeps one spare set of them, which ``lent_scratch()`` lends to one run
+    at a time, so runs on one dataset after the first allocate none.
     """
 
     def __init__(self, features: np.ndarray):
@@ -125,13 +129,29 @@ class StumpIndex:
         for a in (self.pairs, *self.ends):
             if a is not None:
                 a.setflags(write=False)
+        # at most one scratch, which no search holds: a pop takes it atomically
+        self._spare: list[tuple[np.ndarray, np.ndarray]] = []
 
     def scratch(self) -> tuple[np.ndarray, np.ndarray]:
         """Fresh buffers for ``train_stump`` to refill on every call: an (N, 2)
         block of a pair's prefix sums and an N-vector of one column's absolute
-        correlations. Calls that share a scratch must not overlap."""
+        correlations, 24 N bytes. Calls that share a scratch must not overlap."""
         n = self.shape[0]
         return np.empty((n, 2)), np.empty(n)
+
+    @contextlib.contextmanager
+    def lent_scratch(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The spare scratch for the searches of one block, or fresh buffers
+        while another block holds it; whichever it lent becomes the spare
+        when the block ends without raising. So no two blocks, even in
+        overlapping threads, are lent one buffer, and the index keeps 24 N
+        bytes after the first. A block that raises drops what it was lent."""
+        try:
+            scratch = self._spare.pop()
+        except IndexError:
+            scratch = self.scratch()
+        yield scratch
+        self._spare[:] = [scratch]
 
 
 def train_stump(
@@ -147,9 +167,11 @@ def train_stump(
     and polarities; the returned polarity makes the edge nonnegative. A
     zero-edge stump is returned as-is when nothing better exists. ``index``
     must be the ``StumpIndex`` of ``features``; without one, one is built.
-    The search writes into ``scratch``, from ``index.scratch()``, so that a
-    caller making many calls allocates it once; without one, the call
-    allocates its own.
+    The search writes into ``scratch``, from ``index.scratch()`` or
+    ``index.lent_scratch()``, so that a caller making many calls allocates it
+    once; without one, the call allocates its own. A scratch must be two
+    writeable float64 arrays that share no memory, of shapes (N, 2), with a
+    contiguous last axis, and (N,); any other is a ``UsageError``.
     """
     if index is None:
         index = StumpIndex(features)
@@ -180,6 +202,17 @@ def train_stump(
     sums, gammas = index.scratch() if scratch is None else scratch
     if sums.shape != (n, 2) or gammas.shape != (n,):
         raise UsageError(f"stump scratch {sums.shape}, {gammas.shape} is not for {n} samples")
+    if not (
+        sums.dtype == gammas.dtype == np.float64
+        and sums.flags.writeable
+        and gammas.flags.writeable
+        and sums.strides[1] == 8
+        and not np.may_share_memory(sums, gammas)
+    ):
+        raise UsageError(
+            "stump scratch must be two writeable float64 arrays that share no memory, "
+            "the first with a contiguous last axis"
+        )
     pair_sums = sums.view(np.complex128).reshape(n)
     for j, ends in enumerate(index.ends):
         s = j % 2

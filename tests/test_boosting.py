@@ -1,8 +1,14 @@
 """Booster behavior: schedules, bounds, reductions between variants."""
 
 import math
+import pickle
 import re
+import sys
+import threading
+import time
 import tracemalloc
+from collections import defaultdict
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -20,7 +26,7 @@ from mirrorboost.boosting import (
     run,
     save_model,
 )
-from mirrorboost.data import Dataset, gen_blobs, gen_noisy
+from mirrorboost.data import Dataset, gen_blobs, gen_combined, gen_noisy
 from mirrorboost.errors import (
     BoundViolationError,
     ConfigurationError,
@@ -29,7 +35,7 @@ from mirrorboost.errors import (
     UsageError,
 )
 from mirrorboost.geometry import NEGATIVE_ENTROPY, QUADRATIC
-from mirrorboost.stumps import Stump, loss_vector, sign_pm
+from mirrorboost.stumps import Stump, loss_vector, sign_pm, train_stump
 
 
 def _cfg(algorithm, geometry, rounds, **kw):
@@ -80,24 +86,131 @@ def test_stump_index_built_once_per_dataset(monkeypatch):
     assert again.hypotheses == first.hypotheses and again.traces == first.traces
 
 
-def test_runs_on_one_dataset_share_no_scratch(monkeypatch):
+def _recording_scratch(monkeypatch, peaks=None):
+    """The (index, scratch) of every stump search ``run`` makes; with ``peaks``,
+    also each search's peak of traced allocations."""
     seen = []
     train = boosting.train_stump
 
     def recording(features, labels, w, index, scratch):
         seen.append((index, scratch))
+        if peaks is None:
+            return train(features, labels, w, index, scratch)
+        tracemalloc.start()
+        try:
+            return train(features, labels, w, index, scratch)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(boosting, "train_stump", recording)
+    return seen
+
+
+def _shares_no_buffer(mine, theirs) -> bool:
+    return not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+
+_ONE_DATASET_RUNS = [
+    _cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 3),
+    _cfg(Algorithm.SMOOTH, QUADRATIC, 4, k=20.0),
+    _cfg(Algorithm.SPARSE, QUADRATIC, 3, alpha_mode=AlphaMode.HALF),
+    _cfg(Algorithm.MADA, NEGATIVE_ENTROPY, 3, mada_eta=MadaEta.FIXED_POINT),
+]
+
+
+def test_runs_on_one_dataset_search_in_its_spare_scratch(monkeypatch):
+    n = 20_000
+    peaks = []
+    seen = _recording_scratch(monkeypatch, peaks)
+    ds = gen_noisy(0, n, 0.1)
+    results = [run(config, ds) for config in _ONE_DATASET_RUNS]
+    index, first = seen[0]
+    assert index is ds.stump_index
+    assert all(i is index and scratch is first for i, scratch in seen)
+    # a search in the lent scratch allocates w * labels, and no N-sized array beside it
+    assert len(peaks) == len(seen) > len(_ONE_DATASET_RUNS)
+    assert all(8 * n <= peak < 12 * n for peak in peaks)
+    monkeypatch.undo()
+    for config, result in zip(_ONE_DATASET_RUNS, results):
+        fresh = run(config, gen_noisy(0, n, 0.1))
+        assert result.hypotheses == fresh.hypotheses and result.traces == fresh.traces
+        assert np.array_equal(result.weights, fresh.weights)
+
+
+def test_run_while_the_spare_is_held_gets_its_own_scratch(monkeypatch):
+    seen = _recording_scratch(monkeypatch)
+    ds = gen_noisy(0, 200, 0.1)
+    config = _cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 3)
+    first = run(config, ds)
+    spare = seen[-1][1]
+    with ds.stump_index.lent_scratch() as held:  # an overlapping run, by hand
+        assert held is spare
+        again = run(config, ds)
+    assert len(seen) == 6 and all(scratch is not held for _, scratch in seen[3:])
+    assert all(_shares_no_buffer(held, scratch) for _, scratch in seen[3:])
+    assert again.hypotheses == first.hypotheses and again.traces == first.traces
+
+
+def test_concurrent_runs_never_hold_one_scratch(monkeypatch):
+    """More threads than cores run on one dataset, switching often: no two runs
+    that overlap in time search in one buffer, and each traces as one alone."""
+    ds = gen_noisy(0, 300, 0.1)
+    config = _cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 4)
+    expected = run(config, ds)
+    train = boosting.train_stump
+    used = defaultdict(list)  # thread -> every scratch it searched in, kept alive
+
+    def recording(features, labels, w, index, scratch):
+        used[threading.get_ident()].append(scratch)
         return train(features, labels, w, index, scratch)
 
     monkeypatch.setattr(boosting, "train_stump", recording)
-    ds = gen_noisy(0, 200, 0.1)
-    for _ in range(2):
-        run(_cfg(Algorithm.MABOOST_ACTIVE, NEGATIVE_ENTROPY, 3), ds)
-    (index, first), (other, second) = seen[0], seen[-1]
-    assert len(seen) == 6 and index is other is ds.stump_index
-    assert all(scratch is first for _, scratch in seen[:3])
-    for mine in first:
-        for theirs in second:
-            assert not np.shares_memory(mine, theirs)
+    runs, lock = [], threading.Lock()
+
+    def worker():
+        for _ in range(5):
+            start = time.perf_counter_ns()
+            result = run(config, ds)
+            searched = used.pop(threading.get_ident())
+            with lock:
+                runs.append((start, time.perf_counter_ns(), searched, result))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(runs) == 30
+    for start, end, searched, result in runs:
+        assert result.traces == expected.traces and len(searched) == 4
+        assert all(scratch is searched[0] for scratch in searched)
+        for other_start, other_end, other, _ in runs:
+            if other is not searched and start < other_end and other_start < end:
+                assert _shares_no_buffer(searched[0], other[0])
+
+
+def test_trained_dataset_survives_pickle_and_deepcopy():
+    # NumPy's copies are writeable, so a copy of the dataset's own state was
+    # refused by run; and an index with per-thread state would not copy at all
+    ds = gen_combined(0, 150, 50, 0.3)
+    config = _cfg(Algorithm.COMBINED, QUADRATIC, 6, k=8.0)
+    expected = run(config, ds)
+    assert ds.stump_index._spare  # the index and its spare are built
+    w = expected.weights
+    h = train_stump(ds.features, ds.labels, w, ds.stump_index)
+    for copy in (lambda x: pickle.loads(pickle.dumps(x)), deepcopy):
+        dataset, index = copy(ds), copy(ds.stump_index)
+        again = run(config, dataset)
+        assert again.hypotheses == expected.hypotheses and again.traces == expected.traces
+        assert again.weights.tobytes() == expected.weights.tobytes()
+        assert np.array_equal(dataset.subset_flags, ds.subset_flags)
+        assert train_stump(ds.features, ds.labels, w, index) == h
 
 
 class TestStaleFeatures:
@@ -624,7 +737,7 @@ class TestMada:
 def test_error_is_the_share_the_sign_vote_gets_wrong(pairs):
     """The counted error is np.mean(sign_pm(score) != labels), as a Python float."""
     score, labels = (np.array(column) for column in zip(*pairs))
-    got = boosting._error(score, labels)
+    got = boosting._error(score, labels > 0)
     assert type(got) is float
     assert got == float(np.mean(sign_pm(score) != labels))
 

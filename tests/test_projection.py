@@ -466,6 +466,65 @@ def test_feasibility_decision_matches_the_minimum_rule(caps):
     assert rejected == _caps_rejected_reference(caps)
 
 
+def _check_caps_reference(caps):
+    """project_mixed's caps check before it took one reduction, verbatim."""
+    upper = np.minimum(caps, 1.0)
+    if not upper.min(initial=0.0) >= 0.0:  # a NaN minimum fails the test too
+        raise ConfigurationError("caps must be nonnegative numbers, not negative or NaN")
+    # the exact sum decides only when the float sum falls short of 1
+    if upper.sum() < 1.0 and math.fsum([*upper, -1.0]) < 0.0:
+        raise ConfigurationError("caps infeasible: sum of min(cap, 1) < 1")
+
+
+def _refusal(check, caps):
+    """The class and message of what check raises on caps, or None."""
+    try:
+        check(caps)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_SUBNORMAL = 5e-324
+
+
+@st.composite
+def _edge_caps(draw):
+    """Caps of every kind the check tells apart: NaN, negatives, -0.0, 0, +inf
+    and subnormals among any floats; k/N for N up to 1e6; or a few caps whose
+    sum is within a few ulps of 1, on either side, and odd caps beside them."""
+    kind = draw(st.sampled_from(["any", "k/N", "near one"]))
+    if kind == "k/N":
+        n = draw(st.integers(1, 10**6))
+        return np.full(n, draw(st.integers(1, 3)) / n)
+    odd = st.sampled_from(
+        [np.nan, -np.inf, -1.0, -_SUBNORMAL, -0.0, 0.0, _SUBNORMAL, 2.2e-308, 1.0, np.inf]
+    )
+    if kind == "any":
+        cap = st.one_of(odd, st.floats(), st.floats(0.0, 3.0))
+        return np.array(draw(st.lists(cap, max_size=12)), dtype=float)
+    parts = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
+    caps = [p / math.fsum(parts) for p in parts]
+    caps[-1] = 1.0 - math.fsum(caps[:-1])
+    for _ in range(abs(ulps := draw(st.integers(-4, 4)))):
+        caps[-1] = math.nextafter(caps[-1], math.copysign(math.inf, ulps))
+    caps += draw(st.lists(st.sampled_from([0.0, -0.0, _SUBNORMAL]), max_size=3))
+    return np.array(draw(st.permutations(caps)), dtype=float)
+
+
+@given(_edge_caps())
+@example(np.array([]))
+@example(np.full(6, 1.0 / 6))  # an exact sum of 1 - 2**-54, a float sum of 1
+@example(np.full(10**6, 1e-6))
+@example(np.full(10**6, 2e-6))
+@example(np.array([np.inf, np.nan]))
+@example(np.array([np.inf, -0.0]))
+@example(np.array([_SUBNORMAL, 1.0]))
+@settings(max_examples=400, deadline=None)
+def test_one_reduction_caps_check_refuses_what_the_three_passes_did(caps):
+    assert _refusal(projection._check_caps, caps) == _refusal(_check_caps_reference, caps)
+
+
 def _project_mixed_quadratic_reference(z, caps):
     """The capped bisection before its scratch buffer: three temporaries a step.
 

@@ -420,7 +420,8 @@ def test_index_is_read_only():
     for ends in tied:
         with pytest.raises(ValueError, match="read-only"):
             ends[0] = 1
-    assert vars(index).keys() == {"shape", "pairs", "ends", "_order"}
+    # _spare, the one scratch the index lends, is the only state a search changes
+    assert vars(index).keys() == {"shape", "pairs", "ends", "_order", "_spare"}
     assert index.pairs.base is index._order  # the array the search gathers by
 
 
@@ -449,6 +450,53 @@ def test_scratch_for_another_size_rejected():
     x = np.zeros((4, 2))
     with pytest.raises(UsageError, match="scratch"):
         train_stump(x, np.ones(4), np.full(4, 0.25), StumpIndex(x), StumpIndex(x[:3]).scratch())
+
+
+def _malformed(n):
+    """A scratch for n samples, made malformed in one way each."""
+    sums, gammas = np.zeros((n, 2)), np.zeros(n)
+    read_only = sums.copy()
+    read_only.setflags(write=False)
+    shared = np.empty((n, 3))
+    return {
+        "int64": (sums.astype(np.int64), gammas),
+        "float32 gammas": (sums, gammas.astype(np.float32)),
+        "Fortran order": (np.asfortranarray(sums), gammas),
+        "read-only": (read_only, gammas),
+        "overlapping": (shared[:, :2], shared[:, 1]),
+    }
+
+
+@pytest.mark.parametrize(
+    "fault", ["int64", "float32 gammas", "Fortran order", "read-only", "overlapping"]
+)
+def test_malformed_scratch_rejected(fault):
+    # each once raised a raw NumPy error, or for overlapping arrays gave a
+    # stump from overwritten sums
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(30, 3))
+    labels = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    index = StumpIndex(x)
+    sums, gammas = _malformed(30)[fault]
+    with pytest.raises(UsageError, match="stump scratch must be two writeable float64 arrays"):
+        train_stump(x, labels, np.full(30, 1 / 30), index, (sums, gammas))
+
+
+def test_spare_scratch_lent_to_one_holder_at_a_time():
+    index = StumpIndex(np.zeros((5, 3)))
+    with index.lent_scratch() as first:
+        pass
+    with index.lent_scratch() as again, index.lent_scratch() as other:
+        assert again is first  # the spare, kept from the first block
+        for mine in again:
+            for theirs in other:
+                assert not np.shares_memory(mine, theirs)
+    # the outer block ended last, so its scratch is the spare again
+    with pytest.raises(RuntimeError), index.lent_scratch() as dropped:
+        assert dropped is first
+        raise RuntimeError
+    with index.lent_scratch() as fresh:
+        assert fresh is not first and fresh is not other  # a block that raised drops it
 
 
 def test_index_stores_split_positions_only_for_columns_with_ties():
